@@ -216,31 +216,21 @@ def cmd_simulate(params: dict) -> int:
 
 
 def cmd_sweep(params: dict) -> int:
-    outdir = _outdir(params)
     fit_cfg = _fit_config({**params, "covariates": None})
+    if params["step"] < 1:
+        raise UsageError("--step must be at least 1")
+    values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
+    sweep = dict(replications=params["replications"], fit_cfg=fit_cfg, split=params["split"])
     if params["knob"] == "S":
-        values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
-        result = sweep_S(
-            _sim_config(params),
-            S_values=values,
-            replications=params["replications"],
-            fit_cfg=fit_cfg,
-            split=params["split"],
-        )
-        write_sweep_csv(result, outdir / "sweep.csv")
+        outputs = {"sweep.csv": sweep_S(_sim_config(params), S_values=values, **sweep)}
     elif params["knob"] == "T":
-        values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
-        mean_result, median_result = sweep_T_mean_median(
-            _sim_config(params),
-            T_values=values,
-            replications=params["replications"],
-            fit_cfg=fit_cfg,
-            split=params["split"],
-        )
-        write_sweep_csv(mean_result, outdir / "sweep_mean.csv")
-        write_sweep_csv(median_result, outdir / "sweep_median.csv")
+        mean_result, median_result = sweep_T_mean_median(_sim_config(params), T_values=values, **sweep)
+        outputs = {"sweep_mean.csv": mean_result, "sweep_median.csv": median_result}
     else:
         raise UsageError(f"unknown sweep knob {params['knob']!r}; choose S or T")
+    outdir = _outdir(params)
+    for name, result in outputs.items():
+        write_sweep_csv(result, outdir / name)
     _write_manifest(outdir, "sweep", params)
     if not params["quiet"]:
         print(f"wrote sweep results to {outdir}")
@@ -248,7 +238,6 @@ def cmd_sweep(params: dict) -> int:
 
 
 def cmd_covariates(params: dict) -> int:
-    outdir = _outdir(params)
     fit_cfg = _fit_config({**params, "covariates": None})
     result = covariate_experiment(
         _sim_config(params),
@@ -256,6 +245,7 @@ def cmd_covariates(params: dict) -> int:
         fit_cfg=fit_cfg,
         split=params["split"],
     )
+    outdir = _outdir(params)
     write_sweep_csv(result, outdir / "covariates.csv")
     _write_manifest(outdir, "covariates", params)
     if not params["quiet"]:

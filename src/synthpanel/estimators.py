@@ -9,6 +9,7 @@ with exact Euclidean projection and backtracking line search).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -53,6 +54,9 @@ class FitConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise UsageError(f"unknown regularizer {self.regularizer!r}; choose from {REGULARIZERS}")
+        for name in ("tolerance", "ridge_lam", "enet_lam1", "enet_lam2", "covariate_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tolerance <= 0:
             raise UsageError("tolerance must be positive")
         if min(self.ridge_lam, self.enet_lam1, self.enet_lam2) < 0:

@@ -129,9 +129,18 @@ def _summarize(knob, observed: list[float], counterfactual: list[float]) -> Swee
     )
 
 
-def _run_replication(sim_cfg: SimConfig, fit_cfg: FitConfig, split: float) -> SplitEvaluation:
-    study = simulate_panel(sim_cfg)
-    return time_split_evaluate(study.panel, study.panel.donor_indices(), fit_cfg, split)
+def _evaluate(panel: PanelData, fit_cfg: FitConfig, split: float) -> SplitEvaluation:
+    return time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split)
+
+
+def _check_sweep(values: Sequence, replications: int) -> tuple:
+    """The knob values as a tuple; a sweep with nothing to summarize is an error."""
+    values = tuple(values)
+    if not values:
+        raise UsageError("a sweep needs at least one knob value")
+    if replications < 1:
+        raise UsageError(f"replications must be at least 1, got {replications}")
+    return values
 
 
 def sweep_S(
@@ -145,6 +154,7 @@ def sweep_S(
 
     Studies are untreated controls; covariates are not generated.
     """
+    S_values = _check_sweep(S_values, replications)
     points = []
     for i, s in enumerate(S_values):
         observed, counterfactual = [], []
@@ -157,7 +167,7 @@ def sweep_S(
                 post_intervention_shift=0.0,
                 covariate_count=0,
             )
-            ev = _run_replication(cfg, fit_cfg, split)
+            ev = _evaluate(simulate_panel(cfg).panel, fit_cfg, split)
             flagged = flagged or ev.underdetermined
             observed.append(ev.observed_mse)
             counterfactual.append(ev.counterfactual_mse)
@@ -165,6 +175,10 @@ def sweep_S(
             warnings.warn(f"underdetermined fits at S_cardinality={s}", stacklevel=2)
         points.append(_summarize(s, observed, counterfactual))
     return SweepResult(knob_name="S", points=tuple(points))
+
+
+# The two channels of the horizon sweep, in the order it returns them.
+CHANNELS = ("mean", "median")
 
 
 def sweep_T_mean_median(
@@ -176,35 +190,38 @@ def sweep_T_mean_median(
 ) -> tuple[SweepResult, SweepResult]:
     """Paired mean- vs median-aggregation sweeps over the horizon length.
 
-    The two channels share seeds pairwise, so each replication reduces the
-    same individual draws two ways.
+    Each replication simulates one study and reduces every cell's draw
+    both ways, so the two channels score the very same individuals. The
+    results equal two separate sweeps, one per aggregation, at the same
+    seeds.
     """
-    results = {}
-    for aggregation in ("mean", "median"):
-        points = []
-        for i, t in enumerate(T_values):
-            t0 = min(math.ceil(split * t), t - 1)
-            observed, counterfactual = [], []
-            flagged = False
-            for r in range(replications):
-                cfg = replace(
-                    base,
-                    T=t,
-                    T0=t0,
-                    seed=derive_seed(base.seed, i, r),
-                    aggregation=aggregation,
-                    post_intervention_shift=0.0,
-                    covariate_count=0,
-                )
-                ev = _run_replication(cfg, fit_cfg, split)
+    T_values = _check_sweep(T_values, replications)
+    points = {aggregation: [] for aggregation in CHANNELS}
+    for i, t in enumerate(T_values):
+        t0 = min(math.ceil(split * t), t - 1)
+        scores = {aggregation: ([], []) for aggregation in CHANNELS}
+        flagged = False
+        for r in range(replications):
+            cfg = replace(
+                base,
+                T=t,
+                T0=t0,
+                seed=derive_seed(base.seed, i, r),
+                aggregation="mean",
+                post_intervention_shift=0.0,
+                covariate_count=0,
+            )
+            study = simulate_panel(cfg, aggregations=CHANNELS)
+            for aggregation, (observed, counterfactual) in scores.items():
+                ev = _evaluate(study.panels[aggregation], fit_cfg, split)
                 flagged = flagged or ev.underdetermined
                 observed.append(ev.observed_mse)
                 counterfactual.append(ev.counterfactual_mse)
-            if flagged:
-                warnings.warn(f"underdetermined fits at T={t}", stacklevel=2)
-            points.append(_summarize(t, observed, counterfactual))
-        results[aggregation] = SweepResult(knob_name="T", points=tuple(points))
-    return results["mean"], results["median"]
+        if flagged:
+            warnings.warn(f"underdetermined fits at T={t}", stacklevel=2)
+        for aggregation, collected in scores.items():
+            points[aggregation].append(_summarize(t, *collected))
+    return tuple(SweepResult(knob_name="T", points=tuple(points[a])) for a in CHANNELS)
 
 
 COVARIATE_ROWS = ("outcome_only", "suitable", "unsuitable")
@@ -223,6 +240,7 @@ def covariate_experiment(
     """
     if base.covariate_count < 1:
         raise UsageError("covariate_experiment needs covariate_count >= 1")
+    _check_sweep(COVARIATE_ROWS, replications)
     collected = {row: ([], []) for row in COVARIATE_ROWS}
     with_cov = replace(fit_cfg, include_covariates=True)
     for r in range(replications):

@@ -12,14 +12,20 @@ one stream for group compositions and outcome functions, one per
 (group, period) cell, and one per covariate block. Distinct cells can
 therefore be generated independently or in parallel, and the panel does
 not change when covariate settings do.
+
+There is one draw per cell, reduced by each requested aggregation: a study
+can carry its mean and its median panel side by side, and both reduce the
+very same individuals.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,6 +87,11 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise UsageError(f"{name} must be a finite nonnegative number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class GroupComposition:
     """Probability vector over the K cause categories for one group."""
@@ -125,8 +136,7 @@ class OutcomeFunctionFamily:
             raise DataValidationError("conditional_mean must be a (category x period) matrix")
         if not np.all(np.isfinite(lam)):
             raise DataValidationError("conditional_mean contains non-finite values")
-        if self.noise_sd < 0:
-            raise UsageError("noise_sd must be nonnegative")
+        _require_nonnegative("noise_sd", self.noise_sd)
 
     @property
     def n_categories(self) -> int:
@@ -157,6 +167,8 @@ class SimConfig:
     ramp_scale: float = 1.0
 
     def __post_init__(self):
+        if self.K < 1:
+            raise UsageError("need at least one category (K >= 1)")
         if not 0 <= self.S_cardinality <= self.K:
             raise UsageError(f"S_cardinality must lie in 0..{self.K}")
         if self.N_per_group < 1:
@@ -171,8 +183,10 @@ class SimConfig:
             raise UsageError(f"composition_mode must be one of {COMPOSITION_MODES}")
         if self.covariate_count < 0:
             raise UsageError("covariate_count must be nonnegative")
-        if self.ramp_scale < 0:
-            raise UsageError("ramp_scale must be nonnegative")
+        _require_nonnegative("noise_sd", self.noise_sd)
+        _require_nonnegative("ramp_scale", self.ramp_scale)
+        if not math.isfinite(self.post_intervention_shift):
+            raise UsageError("post_intervention_shift must be finite")
 
     @property
     def n_groups(self) -> int:
@@ -184,6 +198,8 @@ class SimulatedStudy:
     """A generated panel together with its hidden ground truth.
 
     ``compositions`` is ordered target first, matching the panel's groups.
+    ``panels`` maps each aggregation the study was reduced by to its panel;
+    it always holds ``panel`` under ``config.aggregation``.
     """
 
     panel: PanelData
@@ -193,13 +209,21 @@ class SimulatedStudy:
     aux_suitable: AuxMatrix
     aux_unsuitable: AuxMatrix
     config: SimConfig = field(repr=False)
+    panels: Mapping[str, PanelData] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "compositions", tuple(self.compositions))
         object.__setattr__(self, "true_S", frozenset(int(k) for k in self.true_S))
         cfg = self.config
-        if self.panel.n_groups != cfg.n_groups or self.panel.n_periods != cfg.T:
-            raise DataValidationError("panel dimensions do not match the study config")
+        panels = dict(self.panels or {})
+        if panels.setdefault(cfg.aggregation, self.panel) is not self.panel:
+            raise DataValidationError(f"panels[{cfg.aggregation!r}] must be the study panel")
+        object.__setattr__(self, "panels", MappingProxyType(panels))
+        for aggregation, panel in panels.items():
+            if aggregation not in AGGREGATIONS:
+                raise DataValidationError(f"unknown aggregation {aggregation!r}")
+            if panel.n_groups != cfg.n_groups or panel.n_periods != cfg.T:
+                raise DataValidationError("panel dimensions do not match the study config")
         if cfg.composition_mode == "invariant_split" and len(self.true_S) != cfg.S_cardinality:
             raise DataValidationError(
                 f"invariant_split study must have |S| = {cfg.S_cardinality}, got {len(self.true_S)}"
@@ -304,31 +328,78 @@ def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFa
     return float(functions.conditional_mean[:, t - 1] @ composition.probs)
 
 
-def _draw_cell(
+def _category_cdf(composition: GroupComposition) -> np.ndarray:
+    """Cumulative table of a composition, built as Generator.choice builds it."""
+    cdf = composition.probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(
     rng: np.random.Generator,
-    composition: GroupComposition,
-    functions: OutcomeFunctionFamily,
-    t: int,
+    cdf: np.ndarray,
+    values: np.ndarray,
     n: int,
-    shift: float,
+    noise_sd: float = 0.0,
+    shift: float = 0.0,
 ) -> np.ndarray:
-    x = rng.choice(composition.n_categories, size=n, p=composition.probs)
-    y = functions.conditional_mean[x, t - 1].copy()
-    if functions.noise_sd > 0:
-        y += rng.normal(0.0, functions.noise_sd, n)
+    """``values`` at the categories of n fresh individuals, plus noise and shift.
+
+    ``cdf.searchsorted(rng.random(n), side="right")`` is what
+    ``rng.choice(K, size=n, p=probs)`` computes once it has validated
+    ``probs`` (GroupComposition checks them more strictly), so the stream is
+    consumed, and the individuals drawn, exactly as by that call followed by
+    ``rng.normal``.
+    """
+    y = values[cdf.searchsorted(rng.random(n), side="right")]
+    if noise_sd > 0:
+        y += rng.normal(0.0, noise_sd, n)
     if shift != 0.0:
         y += shift
     return y
 
 
-def simulate_panel(cfg: SimConfig, rng: np.random.Generator | None = None) -> SimulatedStudy:
+def _mean(y: np.ndarray) -> float:
+    return y.sum() / y.size
+
+
+def _median(y: np.ndarray) -> float:
+    """``np.median(y)`` for finite y, from one partition of y in place."""
+    half = y.size // 2
+    y.partition(half)
+    # "+ 0.0" turns -0.0 into 0.0, as the mean inside np.median does.
+    if y.size % 2:
+        return y[half] + 0.0
+    return (y[:half].max() + y[half] + 0.0) / 2
+
+
+# Cell reducers in the order they run on one draw: the median reorders the
+# draw in place, so it must come last.
+_REDUCERS = {"mean": _mean, "median": _median}
+
+
+def simulate_panel(
+    cfg: SimConfig,
+    rng: np.random.Generator | None = None,
+    aggregations: Iterable[str] = (),
+) -> SimulatedStudy:
     """Generate a full study: panel, ground truth, and covariate blocks.
 
     ``rng`` drives the group-level draws (compositions and outcome
     functions) and defaults to a stream derived from ``cfg.seed``; the
     individual draws of each (group, period) cell always come from the
     cell's own child stream of ``cfg.seed``.
+
+    One draw per cell, reduced by each requested aggregation:
+    ``cfg.aggregation`` plus any named in ``aggregations``. ``study.panels``
+    holds one panel per aggregation and ``study.panel`` is the
+    ``cfg.aggregation`` one; every panel is bit-identical to the panel of
+    a separate call with that aggregation in the config.
     """
+    requested = {cfg.aggregation, *aggregations}
+    if not requested <= set(AGGREGATIONS):
+        raise UsageError(f"aggregations must be drawn from {AGGREGATIONS}")
+    reducers = {name: reduce for name, reduce in _REDUCERS.items() if name in requested}
     if rng is None:
         rng = _stream(cfg.seed, 0)
     compositions, true_s = sample_compositions(cfg, rng)
@@ -341,21 +412,27 @@ def simulate_panel(cfg: SimConfig, rng: np.random.Generator | None = None) -> Si
         ramp_scale=cfg.ramp_scale,
     )
 
-    outcomes = np.empty((cfg.n_groups, cfg.T))
-    aggregate = np.mean if cfg.aggregation == "mean" else np.median
+    outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
+    by_period = np.ascontiguousarray(functions.conditional_mean.T)
     for j, comp in enumerate(compositions):
+        cdf = _category_cdf(comp)
         for t in range(1, cfg.T + 1):
             shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
-            y = _draw_cell(_stream(cfg.seed, 2, j, t), comp, functions, t, cfg.N_per_group, shift)
-            outcomes[j, t - 1] = aggregate(y)
+            rng_cell = _stream(cfg.seed, 2, j, t)
+            y = _draw(rng_cell, cdf, by_period[t - 1], cfg.N_per_group, functions.noise_sd, shift)
+            for name, reduce in reducers.items():
+                outcomes[name][j, t - 1] = reduce(y)
 
-    panel = PanelData(
-        outcomes=outcomes,
-        group_labels=("target",) + tuple(f"donor_{i}" for i in range(1, cfg.num_donors + 1)),
-        time_labels=tuple(range(1, cfg.T + 1)),
-        target_index=0,
-        intervention_time=cfg.T0,
-    )
+    panels = {
+        name: PanelData(
+            outcomes=values,
+            group_labels=("target",) + tuple(f"donor_{i}" for i in range(1, cfg.num_donors + 1)),
+            time_labels=tuple(range(1, cfg.T + 1)),
+            target_index=0,
+            intervention_time=cfg.T0,
+        )
+        for name, values in outcomes.items()
+    }
     aux_suitable = _make_covariates(
         compositions, functions, cfg, cfg.covariate_count, "suitable", _stream(cfg.seed, 3)
     )
@@ -363,13 +440,14 @@ def simulate_panel(cfg: SimConfig, rng: np.random.Generator | None = None) -> Si
         compositions, functions, cfg, cfg.covariate_count, "unsuitable", _stream(cfg.seed, 4)
     )
     return SimulatedStudy(
-        panel=panel,
+        panel=panels[cfg.aggregation],
         compositions=compositions,
         functions=functions,
         true_S=true_s,
         aux_suitable=aux_suitable,
         aux_unsuitable=aux_unsuitable,
         config=cfg,
+        panels=panels,
     )
 
 
@@ -396,23 +474,23 @@ def _make_covariates(
     """
     if kind not in ("suitable", "unsuitable"):
         raise UsageError(f"covariate kind must be 'suitable' or 'unsuitable', got {kind!r}")
-    n_groups = len(compositions)
-    values = np.empty((n_groups, count))
+    cdfs = [_category_cdf(comp) for comp in compositions]
+    by_period = np.ascontiguousarray(functions.conditional_mean.T)
+    values = np.empty((len(cdfs), count))
     labels = []
     for m in range(1, count + 1):
         if kind == "suitable":
             t_star = int(rng.integers(1, cfg.T0 + 1))
             c_m = SIN_LADDER_MAX * m / count
             labels.append(f"sin{m}_t{t_star}")
-            for j, comp in enumerate(compositions):
-                y = _draw_cell(rng, comp, functions, t_star, cfg.N_per_group, 0.0)
+            for j, cdf in enumerate(cdfs):
+                y = _draw(rng, cdf, by_period[t_star - 1], cfg.N_per_group, functions.noise_sd)
                 values[j, m - 1] = np.sin(c_m * y).mean()
         else:
             codes = rng.permutation(cfg.K)
             labels.append(f"code{m}")
-            for j, comp in enumerate(compositions):
-                x = rng.choice(cfg.K, size=cfg.N_per_group, p=comp.probs)
-                values[j, m - 1] = codes[x].mean()
+            for j, cdf in enumerate(cdfs):
+                values[j, m - 1] = _draw(rng, cdf, codes, cfg.N_per_group).mean()
     return AuxMatrix(values=values, covariate_labels=tuple(labels))
 
 

@@ -198,5 +198,31 @@ class TestUsage:
         assert run(["fit", "--target", "x", "--t0", 2]) == 1
         assert "--panel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--knob", "S", "--replications", 0],
+            ["sweep", "--knob", "T", "--from", 8, "--to", 12, "--replications", 0],
+            ["sweep", "--knob", "T", "--from", 12, "--to", 8],
+            ["sweep", "--knob", "S", "--from", 5, "--to", 2],
+            ["sweep", "--knob", "S", "--step", 0],
+            ["covariates", "--replications", 0],
+        ],
+    )
+    def test_empty_sweep_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(args + ["--individuals", 40, "--out", out, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--noise-sd", "--ramp-scale", "--shift", "--tolerance", "--ridge-lam"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run(["sweep", "--knob", "S", "--from", 2, "--to", 2, "--replications", 1,
+                    "--individuals", 40, flag, "nan", "--out", out, "--quiet"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_knob(self, capsys):
         assert run(["sweep", "--knob", "Q"]) == 1

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -22,16 +24,24 @@ from conftest import make_random_panel
 SIMPLEX = FitConfig(regularizer="simplex", tolerance=1e-14)
 
 
+@lru_cache(maxsize=None)
 def simplex_grid(n_donors: int, step: int = 100) -> np.ndarray:
-    """All weight vectors with entries i/step summing to 1 (stars and bars)."""
+    """All weight vectors with entries i/step summing to 1 (stars and bars).
+
+    Memoized on (n_donors, step): each sub-grid is built once and shared,
+    so the result is read-only.
+    """
     if n_donors == 1:
-        return np.array([[step]], dtype=np.int32)
-    blocks = []
-    for first in range(step + 1):
-        rest = simplex_grid(n_donors - 1, step - first)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int32)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+        grid = np.array([[step]], dtype=np.int32)
+    else:
+        blocks = []
+        for first in range(step + 1):
+            rest = simplex_grid(n_donors - 1, step - first)
+            head = np.full((rest.shape[0], 1), first, dtype=np.int32)
+            blocks.append(np.hstack([head, rest]))
+        grid = np.vstack(blocks)
+    grid.setflags(write=False)
+    return grid
 
 
 _GRID_CACHE: dict = {}
@@ -49,6 +59,14 @@ def grid_minimum(a: np.ndarray, y: np.ndarray, step: int = 100, chunk: int = 500
         resid = part @ a.T - y
         best = min(best, float((resid * resid).sum(axis=1).min()))
     return best
+
+
+class TestFitConfigValidation:
+    @pytest.mark.parametrize("name", ["tolerance", "ridge_lam", "enet_lam1", "enet_lam2", "covariate_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(UsageError, match=name):
+            FitConfig(**{name: value})
 
 
 class TestProjection:

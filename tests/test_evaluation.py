@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from synthpanel import (
     sweep_T_mean_median,
     time_split_evaluate,
 )
-from synthpanel.evaluation import derive_seed, write_sweep_csv
+from synthpanel.evaluation import SweepPoint, derive_seed, write_sweep_csv
 from synthpanel.microsim import simulate_panel
 
 
@@ -75,6 +78,49 @@ class TestSweeps:
         assert mean_res.knob_values == median_res.knob_values == (8, 10)
         for p in mean_res.points + median_res.points:
             assert p.replications == 2
+
+    def test_sweep_t_equals_one_sweep_per_aggregation(self):
+        # The paired sweep simulates once per replication; it must score
+        # exactly what a separate simulation per aggregation scores.
+        base = tiny_cfg(N_per_group=41, aggregation="median")
+        fit_cfg = FitConfig(regularizer="elastic_net", enet_lam1=0.05, enet_lam2=0.01)
+        T_values, replications, split = (8, 11), 3, 0.75
+        mean_res, median_res = sweep_T_mean_median(base, T_values, replications, fit_cfg, split)
+        for aggregation, got in (("mean", mean_res), ("median", median_res)):
+            for i, t in enumerate(T_values):
+                observed, counterfactual = [], []
+                for r in range(replications):
+                    cfg = replace(base, T=t, T0=min(math.ceil(split * t), t - 1), seed=derive_seed(base.seed, i, r),
+                                  aggregation=aggregation, post_intervention_shift=0.0, covariate_count=0)
+                    panel = simulate_panel(cfg).panel
+                    ev = time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split)
+                    observed.append(ev.observed_mse)
+                    counterfactual.append(ev.counterfactual_mse)
+                obs, cf = np.array(observed), np.array(counterfactual)
+                assert got.points[i] == SweepPoint(
+                    knob=t,
+                    observed_mse=float(obs.mean()),
+                    counterfactual_mse=float(cf.mean()),
+                    se_observed=float(obs.std(ddof=1) / np.sqrt(replications)),
+                    se_counterfactual=float(cf.std(ddof=1) / np.sqrt(replications)),
+                    replications=replications,
+                )
+
+    def test_sweeps_reject_zero_replications(self):
+        base = tiny_cfg()
+        with pytest.raises(UsageError, match="replications"):
+            sweep_S(base, S_values=(2,), replications=0)
+        with pytest.raises(UsageError, match="replications"):
+            sweep_T_mean_median(base, T_values=(8,), replications=0)
+        with pytest.raises(UsageError, match="replications"):
+            covariate_experiment(tiny_cfg(covariate_count=2), replications=0)
+
+    def test_sweeps_reject_empty_knob_values(self):
+        base = tiny_cfg()
+        with pytest.raises(UsageError, match="knob value"):
+            sweep_S(base, S_values=(), replications=2)
+        with pytest.raises(UsageError, match="knob value"):
+            sweep_T_mean_median(base, T_values=(), replications=2)
 
     def test_se_shrinks_with_replications(self):
         # Light-tailed regime (single category, pure noise) so the sample

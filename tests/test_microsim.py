@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from synthpanel import (
 from synthpanel.microsim import (
     SIN_LADDER_MAX,
     SimulatedStudy,
+    _median,
     _stream,
     load_study_bundle,
     write_study_bundle,
@@ -338,3 +341,124 @@ class TestStudyInvariants:
             GroupComposition(np.array([0.6, 0.6]))
         with pytest.raises(DataValidationError):
             GroupComposition(np.array([-0.1, 1.1]))
+
+
+def choice_sampler(study: SimulatedStudy) -> dict:
+    """Panels and covariates rebuilt with the original cell sampler.
+
+    The reference keeps the first implementation: a fresh child stream per
+    cell, categories from ``Generator.choice(p=...)``, then ``np.mean`` or
+    ``np.median``. Any change in how the generator consumes its streams,
+    including a numpy release that changes ``choice``, shows up as a
+    mismatch against it.
+    """
+    cfg, lam = study.config, study.functions.conditional_mean
+    n, sd = cfg.N_per_group, study.functions.noise_sd
+
+    def cell(rng, probs, t, shift):
+        x = rng.choice(cfg.K, size=n, p=probs)
+        y = lam[x, t - 1].copy()
+        if sd > 0:
+            y += rng.normal(0.0, sd, n)
+        if shift != 0.0:
+            y += shift
+        return y
+
+    panels = {"mean": np.empty((cfg.n_groups, cfg.T)), "median": np.empty((cfg.n_groups, cfg.T))}
+    for j, comp in enumerate(study.compositions):
+        for t in range(1, cfg.T + 1):
+            shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
+            y = cell(_stream(cfg.seed, 2, j, t), comp.probs, t, shift)
+            panels["mean"][j, t - 1] = np.mean(y)
+            panels["median"][j, t - 1] = np.median(y)
+
+    count = cfg.covariate_count
+    suitable = np.empty((cfg.n_groups, count))
+    rng = _stream(cfg.seed, 3)
+    for m in range(1, count + 1):
+        t_star = int(rng.integers(1, cfg.T0 + 1))
+        for j, comp in enumerate(study.compositions):
+            suitable[j, m - 1] = np.sin(SIN_LADDER_MAX * m / count * cell(rng, comp.probs, t_star, 0.0)).mean()
+    unsuitable = np.empty((cfg.n_groups, count))
+    rng = _stream(cfg.seed, 4)
+    for m in range(1, count + 1):
+        codes = rng.permutation(cfg.K)
+        for j, comp in enumerate(study.compositions):
+            unsuitable[j, m - 1] = codes[rng.choice(cfg.K, size=n, p=comp.probs)].mean()
+    return {**panels, "suitable": suitable, "unsuitable": unsuitable}
+
+
+class TestDrawPathByteIdentity:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(N_per_group=201),
+            dict(N_per_group=200),
+            dict(N_per_group=1),
+            dict(N_per_group=2, noise_sd=0.0),
+            dict(noise_sd=0.0),
+            dict(post_intervention_shift=2.5),
+            dict(composition_mode="dirichlet_mask", S_cardinality=6),
+            dict(composition_mode="dirichlet_mask", S_cardinality=12, N_per_group=33),
+            dict(K=1, S_cardinality=0, N_per_group=7),
+        ],
+    )
+    @pytest.mark.parametrize("aggregation", ["mean", "median"])
+    def test_every_cell_equals_choice_sampler(self, overrides, aggregation):
+        cfg = small_cfg(seed=404, T=6, T0=4, covariate_count=3, aggregation=aggregation, **overrides)
+        study = simulate_panel(cfg, aggregations=("mean", "median"))
+        want = choice_sampler(study)
+        if cfg.composition_mode == "dirichlet_mask":
+            assert any((c.probs == 0).any() for c in study.compositions)
+        for name in ("mean", "median"):
+            assert np.array_equal(study.panels[name].outcomes, want[name]), name
+        assert np.array_equal(study.panel.outcomes, want[aggregation])
+        assert np.array_equal(study.aux_suitable.values, want["suitable"])
+        assert np.array_equal(study.aux_unsuitable.values, want["unsuitable"])
+
+    def test_single_aggregation_call_equals_paired_call(self):
+        for aggregation in ("mean", "median"):
+            cfg = small_cfg(aggregation=aggregation)
+            alone = simulate_panel(cfg)
+            paired = simulate_panel(cfg, aggregations=("mean", "median"))
+            assert tuple(alone.panels) == (aggregation,)
+            assert alone.panels[aggregation] is alone.panel
+            assert np.array_equal(alone.panel.outcomes, paired.panels[aggregation].outcomes)
+            assert paired.panel is paired.panels[aggregation]
+
+    def test_unknown_aggregation_rejected(self):
+        with pytest.raises(UsageError):
+            simulate_panel(small_cfg(), aggregations=("mode",))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | st.floats(-1e300, 1e300), min_size=1, max_size=40))
+    def test_median_equals_numpy_median(self, values):
+        y = np.array(values)
+        got, want = _median(y.copy()), np.median(y)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_sim_config_noise_sd(self, value):
+        with pytest.raises(UsageError, match="noise_sd"):
+            small_cfg(noise_sd=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_outcome_family_noise_sd(self, value):
+        with pytest.raises(UsageError, match="noise_sd"):
+            OutcomeFunctionFamily(np.zeros((2, 3)), noise_sd=value)
+
+    def test_sim_config_needs_a_category(self):
+        with pytest.raises(UsageError, match="K >= 1"):
+            small_cfg(K=0, S_cardinality=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sim_config_ramp_scale(self, value):
+        with pytest.raises(UsageError, match="ramp_scale"):
+            small_cfg(ramp_scale=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_sim_config_shift(self, value):
+        with pytest.raises(UsageError, match="post_intervention_shift"):
+            small_cfg(post_intervention_shift=value)
