@@ -54,7 +54,6 @@ from .panel import (
     aggregate_groups,
     from_csv,
     select_groups,
-    split_pre_post,
     standardize_rows,
     to_csv,
 )

@@ -13,15 +13,23 @@ Exit codes: 0 success, 1 usage error, 2 data-validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import replace
+import typing
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
 from .errors import DataValidationError, UsageError
-from .estimators import FitConfig, estimate_effect, fit, fit_result_to_json, predict_counterfactual
+from .estimators import (
+    REGULARIZERS,
+    FitConfig,
+    estimate_effect,
+    fit,
+    fit_result_to_json,
+    predict_counterfactual,
+)
 from .evaluation import covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
 from .identification import (
     minimal_invariant_set,
@@ -30,7 +38,14 @@ from .identification import (
     verify_identification,
     weights_to_json,
 )
-from .microsim import SimConfig, load_study_bundle, simulate_panel, write_study_bundle
+from .microsim import (
+    AGGREGATIONS,
+    COMPOSITION_MODES,
+    SimConfig,
+    load_study_bundle,
+    simulate_panel,
+    write_study_bundle,
+)
 from .panel import aggregate_groups, aux_from_csv, format_float, from_csv, select_groups, to_csv
 
 VERSION_STRING = f"synthpanel {__version__}"
@@ -48,6 +63,180 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+@dataclasses.dataclass(frozen=True)
+class Param:
+    """One command parameter: its config key, flag, type, default and help.
+
+    ``field`` names the SimConfig or FitConfig field the parameter sets. A
+    parameter whose default is None is optional and may also be null.
+    """
+
+    name: str
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    flag: str | None = None
+    field: str | None = None
+
+    def check(self, value) -> None:
+        if value is None and self.default is None:
+            return
+        kinds = (int, float) if self.type is float else self.type
+        if not isinstance(value, kinds) or (isinstance(value, bool) and self.type is not bool):
+            raise UsageError(f"{self.name} must be {_TYPE_NAMES[self.type]}, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise UsageError(f"{self.name} must be one of {', '.join(self.choices)}, got {value!r}")
+
+    def add_flag(self, parser) -> None:
+        flag = self.flag or "--" + self.name.replace("_", "-")
+        if self.type is bool:
+            parser.add_argument(flag, dest=self.name, action="store_true", default=None, help=self.help)
+        else:
+            parser.add_argument(flag, dest=self.name, type=self.type, choices=self.choices, help=self.help)
+
+
+def _params(*entries: Param) -> dict[str, Param]:
+    return {param.name: param for param in entries}
+
+
+_CHOICES = {"aggregation": AGGREGATIONS, "composition_mode": COMPOSITION_MODES, "regularizer": REGULARIZERS}
+
+
+def _config_params(config_cls, names: dict[str, tuple[str, str | None]], **defaults) -> dict[str, Param]:
+    """Entries for the fields of a config dataclass, keyed by CLI name.
+
+    ``names`` maps each CLI name to (field, help). Type, default and
+    choices come from the field, unless ``defaults`` overrides the default.
+    """
+    types = typing.get_type_hints(config_cls)
+    fields = {f.name: f for f in dataclasses.fields(config_cls)}
+    return {
+        name: Param(name, types[f], defaults.get(name, fields[f].default), help_text, _CHOICES.get(f), field=f)
+        for name, (f, help_text) in names.items()
+    }
+
+
+SIM_PARAMS = _config_params(
+    SimConfig,
+    {
+        "seed": ("seed", "master seed (nonnegative integer)"),
+        "s_cardinality": ("S_cardinality", "differing category count |S|"),
+        "periods": ("T", "total periods T"),
+        "t0": ("T0", "pre-intervention period count"),
+        "categories": ("K", "cause category count K"),
+        "donors": ("num_donors", "donor group count"),
+        "individuals": ("N_per_group", "individuals per group per period"),
+        "aggregation": ("aggregation", "cell reducer"),
+        "composition_mode": ("composition_mode", "how group compositions are drawn"),
+        "noise_sd": ("noise_sd", "individual noise standard deviation"),
+        "shift": ("post_intervention_shift", "post-intervention shift on target individuals"),
+        "covariate_count": ("covariate_count", "covariates per block"),
+        "ramp_scale": ("ramp_scale", "scale of the late-horizon ramp"),
+    },
+    seed=0, s_cardinality=5, periods=20, t0=15,
+)
+
+# include_covariates is not a parameter: fit sets it when --covariates is given.
+FIT_PARAMS = _config_params(
+    FitConfig,
+    {
+        "regularizer": ("regularizer", "weight constraint or penalty"),
+        "ridge_lam": ("ridge_lam", "ridge penalty"),
+        "enet_lam1": ("enet_lam1", "elastic-net L1 penalty"),
+        "enet_lam2": ("enet_lam2", "elastic-net L2 penalty"),
+        "max_iterations": ("max_iterations", "solver pass cap"),
+        "tolerance": ("tolerance", "solver convergence tolerance"),
+        "covariate_scale": ("covariate_scale", "relative weight of covariate rows"),
+    },
+)
+
+_CONFIG_PARAMS = {SimConfig: SIM_PARAMS, FitConfig: FIT_PARAMS}
+
+COMMON_PARAMS = _params(
+    Param("out", str, "out", "output directory (default: out)"),
+    Param("quiet", bool, False, "suppress stdout chatter"),
+)
+
+PANEL_PARAMS = _params(
+    Param("panel", str, help="long-format panel CSV"),
+    Param("target", str, help="target group label"),
+    Param("t0", int, help="pre-intervention period count"),
+)
+
+REPLICATION_PARAMS = _params(
+    Param("replications", int, 100, "studies per knob value"),
+    Param("split", float, 0.75, "fraction of periods in the fit window"),
+)
+
+
+def _command(*groups: dict[str, Param], **defaults) -> dict[str, Param]:
+    """One command's table: the union of groups, with some defaults replaced."""
+    table = {name: param for group in groups for name, param in group.items()}
+    for name, default in defaults.items():
+        table[name] = dataclasses.replace(table[name], default=default)
+    return table
+
+
+COMMAND_HELP = {
+    "fit": "fit synthetic-control weights on a panel CSV",
+    "simulate": "generate a study bundle with ground truth",
+    "sweep": "replication sweep over S or T",
+    "covariates": "outcome-only vs suitable vs unsuitable covariates",
+    "diagnose": "identification report for a simulated bundle",
+    "aggregate": "merge panel groups into super-groups",
+}
+
+COMMAND_PARAMS = {
+    "fit": _command(
+        COMMON_PARAMS,
+        PANEL_PARAMS,
+        _params(
+            Param("donors", str, help="comma-separated donor labels (default: all non-target)"),
+            Param("covariates", str, help="covariate CSV to stack into the fit"),
+        ),
+        FIT_PARAMS,
+        regularizer="simplex",
+    ),
+    "simulate": _command(COMMON_PARAMS, SIM_PARAMS),
+    "sweep": _command(
+        COMMON_PARAMS,
+        SIM_PARAMS,
+        FIT_PARAMS,
+        _params(
+            Param("knob", str, "S", "swept parameter", choices=("S", "T")),
+            Param("from_value", int, 2, "first knob value", flag="--from"),
+            Param("to_value", int, 11, "last knob value (inclusive)", flag="--to"),
+            Param("step", int, 1, "knob increment"),
+        ),
+        REPLICATION_PARAMS,
+    ),
+    "covariates": _command(COMMON_PARAMS, SIM_PARAMS, FIT_PARAMS, REPLICATION_PARAMS, periods=15, t0=11),
+    "diagnose": _command(
+        COMMON_PARAMS,
+        _params(
+            Param("bundle", str, help="directory written by `synthpanel simulate`"),
+            Param("tol", float, 1e-9, "composition tolerance of the invariant set and oracle"),
+            Param("verify_tol", float, 1e-8, "tolerance of the all-period verification"),
+        ),
+    ),
+    "aggregate": _command(
+        COMMON_PARAMS,
+        PANEL_PARAMS,
+        _params(Param("grouping", str, help="grouping JSON (default: packaged census divisions)")),
+    ),
+}
+
+
+def _config(config_cls, params: dict, **extra):
+    """The config_cls instance that the materialized params describe."""
+    fields = {param.field: params[name] for name, param in _CONFIG_PARAMS[config_cls].items()}
+    return config_cls(**fields, **extra)
+
+
 def _load_config_file(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -59,20 +248,26 @@ def _load_config_file(path) -> dict:
     return document
 
 
-def _materialize(defaults: dict, config_path, cli_values: dict) -> dict:
-    """defaults < config file < explicit CLI flags; unknown keys rejected."""
-    merged = dict(defaults)
+def _materialize(table: dict[str, Param], config_path, cli_values: dict) -> dict:
+    """defaults < config file < explicit CLI flags; unknown keys rejected.
+
+    Every value is checked against its table entry, and none is coerced,
+    so the manifest echoes the config document as written.
+    """
+    merged = {name: param.default for name, param in table.items()}
     if config_path is not None:
         document = _load_config_file(config_path)
-        unknown = sorted(set(document) - set(defaults))
+        unknown = sorted(set(document) - set(table))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         merged.update(document)
     for key, value in cli_values.items():
         if value is not None:
-            if key not in defaults:
+            if key not in table:
                 raise UsageError(f"unknown parameter {key!r}")
             merged[key] = value
+    for name, value in merged.items():
+        table[name].check(value)
     return merged
 
 
@@ -95,74 +290,6 @@ def _outdir(params: dict) -> Path:
     return out
 
 
-def _fit_config(params: dict) -> FitConfig:
-    return FitConfig(
-        regularizer=params["regularizer"],
-        ridge_lam=params["ridge_lam"],
-        enet_lam1=params["enet_lam1"],
-        enet_lam2=params["enet_lam2"],
-        max_iterations=params["max_iterations"],
-        tolerance=params["tolerance"],
-        include_covariates=params.get("covariates") is not None,
-        covariate_scale=params["covariate_scale"],
-    )
-
-
-def _sim_config(params: dict, **overrides) -> SimConfig:
-    cfg = SimConfig(
-        S_cardinality=params["s_cardinality"],
-        T=params["periods"],
-        T0=params["t0"],
-        seed=params["seed"],
-        K=params["categories"],
-        num_donors=params["donors"],
-        N_per_group=params["individuals"],
-        aggregation=params["aggregation"],
-        composition_mode=params["composition_mode"],
-        noise_sd=params["noise_sd"],
-        post_intervention_shift=params["shift"],
-        covariate_count=params["covariate_count"],
-        ramp_scale=params["ramp_scale"],
-    )
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-FIT_DEFAULTS = {
-    "panel": None,
-    "target": None,
-    "t0": None,
-    "donors": None,
-    "covariates": None,
-    "regularizer": "simplex",
-    "ridge_lam": 0.0,
-    "enet_lam1": 0.0,
-    "enet_lam2": 0.0,
-    "max_iterations": 10_000,
-    "tolerance": 1e-10,
-    "covariate_scale": 1.0,
-    "out": "out",
-    "quiet": False,
-}
-
-SIM_DEFAULTS = {
-    "seed": 0,
-    "s_cardinality": 5,
-    "periods": 20,
-    "t0": 15,
-    "categories": 12,
-    "donors": 5,
-    "individuals": 2000,
-    "aggregation": "mean",
-    "composition_mode": "invariant_split",
-    "noise_sd": 1.0,
-    "shift": 0.0,
-    "covariate_count": 10,
-    "ramp_scale": 1.0,
-    "out": "out",
-    "quiet": False,
-}
-
-
 def _require(params: dict, *keys) -> None:
     for key in keys:
         if params[key] is None:
@@ -180,7 +307,7 @@ def cmd_fit(params: dict) -> int:
     aux = None
     if params["covariates"] is not None:
         aux = aux_from_csv(params["covariates"], panel.group_labels)
-    cfg = _fit_config(params)
+    cfg = _config(FitConfig, params, include_covariates=params["covariates"] is not None)
     weights = fit(panel, donors, aux, cfg)
     effect = estimate_effect(weights, panel)
     synthetic = predict_counterfactual(weights, panel)
@@ -206,7 +333,7 @@ def cmd_fit(params: dict) -> int:
 
 
 def cmd_simulate(params: dict) -> int:
-    study = simulate_panel(_sim_config(params))
+    study = simulate_panel(_config(SimConfig, params))
     outdir = _outdir(params)
     write_study_bundle(study, outdir)
     _write_manifest(outdir, "simulate", params)
@@ -216,18 +343,15 @@ def cmd_simulate(params: dict) -> int:
 
 
 def cmd_sweep(params: dict) -> int:
-    fit_cfg = _fit_config({**params, "covariates": None})
+    sweep = dict(replications=params["replications"], fit_cfg=_config(FitConfig, params), split=params["split"])
     if params["step"] < 1:
         raise UsageError("--step must be at least 1")
     values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
-    sweep = dict(replications=params["replications"], fit_cfg=fit_cfg, split=params["split"])
     if params["knob"] == "S":
-        outputs = {"sweep.csv": sweep_S(_sim_config(params), S_values=values, **sweep)}
-    elif params["knob"] == "T":
-        mean_result, median_result = sweep_T_mean_median(_sim_config(params), T_values=values, **sweep)
-        outputs = {"sweep_mean.csv": mean_result, "sweep_median.csv": median_result}
+        outputs = {"sweep.csv": sweep_S(_config(SimConfig, params), S_values=values, **sweep)}
     else:
-        raise UsageError(f"unknown sweep knob {params['knob']!r}; choose S or T")
+        mean_result, median_result = sweep_T_mean_median(_config(SimConfig, params), T_values=values, **sweep)
+        outputs = {"sweep_mean.csv": mean_result, "sweep_median.csv": median_result}
     outdir = _outdir(params)
     for name, result in outputs.items():
         write_sweep_csv(result, outdir / name)
@@ -238,11 +362,10 @@ def cmd_sweep(params: dict) -> int:
 
 
 def cmd_covariates(params: dict) -> int:
-    fit_cfg = _fit_config({**params, "covariates": None})
     result = covariate_experiment(
-        _sim_config(params),
+        _config(SimConfig, params),
         replications=params["replications"],
-        fit_cfg=fit_cfg,
+        fit_cfg=_config(FitConfig, params),
         split=params["split"],
     )
     outdir = _outdir(params)
@@ -292,8 +415,14 @@ def _load_grouping(path) -> tuple[dict, list]:
     else:
         document = _load_config_file(path)
     if "divisions" in document:
-        return dict(document["divisions"]), list(document.get("excluded", []))
-    return dict(document), []
+        grouping, excluded = document["divisions"], document.get("excluded", [])
+    else:
+        grouping, excluded = document, []
+    if not isinstance(grouping, dict) or not all(isinstance(v, str) for v in grouping.values()):
+        raise DataValidationError(f"{path or 'grouping'}: divisions must map group labels to division labels")
+    if not isinstance(excluded, list) or not all(isinstance(g, str) for g in excluded):
+        raise DataValidationError(f"{path or 'grouping'}: excluded must be a list of group labels")
+    return dict(grouping), list(excluded)
 
 
 def cmd_aggregate(params: dict) -> int:
@@ -315,116 +444,17 @@ def cmd_aggregate(params: dict) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON parameter document; CLI flags override it")
-    parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--quiet", action="store_true", default=None, help="suppress stdout chatter")
-
-
-def _add_fit_flags(parser):
-    parser.add_argument("--regularizer", choices=["none", "ridge", "elastic_net", "simplex"])
-    parser.add_argument("--ridge-lam", dest="ridge_lam", type=float)
-    parser.add_argument("--enet-lam1", dest="enet_lam1", type=float)
-    parser.add_argument("--enet-lam2", dest="enet_lam2", type=float)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--tolerance", type=float)
-    parser.add_argument("--covariate-scale", dest="covariate_scale", type=float)
-
-
-def _add_sim_flags(parser):
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--s-cardinality", dest="s_cardinality", type=int)
-    parser.add_argument("--periods", type=int, help="total periods T")
-    parser.add_argument("--t0", type=int, help="pre-intervention period count")
-    parser.add_argument("--categories", type=int, help="cause category count K")
-    parser.add_argument("--donors", type=int, help="donor group count")
-    parser.add_argument("--individuals", type=int, help="individuals per group per period")
-    parser.add_argument("--aggregation", choices=["mean", "median"])
-    parser.add_argument("--composition-mode", dest="composition_mode", choices=["invariant_split", "dirichlet_mask"])
-    parser.add_argument("--noise-sd", dest="noise_sd", type=float)
-    parser.add_argument("--shift", type=float, help="post-intervention shift on target individuals")
-    parser.add_argument("--covariate-count", dest="covariate_count", type=int)
-    parser.add_argument("--ramp-scale", dest="ramp_scale", type=float)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="synthpanel", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=VERSION_STRING)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit synthetic-control weights on a panel CSV")
-    _add_common(p)
-    p.add_argument("--panel", help="long-format panel CSV")
-    p.add_argument("--target", help="target group label")
-    p.add_argument("--t0", type=int, help="pre-intervention period count")
-    p.add_argument("--donors", help="comma-separated donor labels (default: all non-target)")
-    p.add_argument("--covariates", help="covariate CSV to stack into the fit")
-    _add_fit_flags(p)
-
-    p = sub.add_parser("simulate", help="generate a study bundle with ground truth")
-    _add_common(p)
-    _add_sim_flags(p)
-
-    p = sub.add_parser("sweep", help="replication sweep over S or T")
-    _add_common(p)
-    _add_sim_flags(p)
-    _add_fit_flags(p)
-    p.add_argument("--knob", choices=["S", "T"])
-    p.add_argument("--from", dest="from_value", type=int)
-    p.add_argument("--to", dest="to_value", type=int)
-    p.add_argument("--step", type=int)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--split", type=float)
-
-    p = sub.add_parser("covariates", help="outcome-only vs suitable vs unsuitable covariates")
-    _add_common(p)
-    _add_sim_flags(p)
-    _add_fit_flags(p)
-    p.add_argument("--replications", type=int)
-    p.add_argument("--split", type=float)
-
-    p = sub.add_parser("diagnose", help="identification report for a simulated bundle")
-    _add_common(p)
-    p.add_argument("--bundle", help="directory written by `synthpanel simulate`")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--verify-tol", dest="verify_tol", type=float)
-
-    p = sub.add_parser("aggregate", help="merge panel groups into super-groups")
-    _add_common(p)
-    p.add_argument("--panel", help="long-format panel CSV with population column")
-    p.add_argument("--target", help="target group label (passes through unaggregated)")
-    p.add_argument("--t0", type=int)
-    p.add_argument("--grouping", help="grouping JSON (default: packaged census divisions)")
-
+    for command, help_text in COMMAND_HELP.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON parameter document; CLI flags override it")
+        for param in COMMAND_PARAMS[command].values():
+            param.add_flag(p)
     return parser
 
-
-COMMAND_DEFAULTS = {
-    "fit": FIT_DEFAULTS,
-    "simulate": SIM_DEFAULTS,
-    "sweep": {
-        **SIM_DEFAULTS,
-        **{k: v for k, v in FIT_DEFAULTS.items() if k not in ("panel", "target", "t0", "donors", "covariates")},
-        "regularizer": "none",
-        "knob": "S",
-        "from_value": 2,
-        "to_value": 11,
-        "step": 1,
-        "replications": 100,
-        "split": 0.75,
-    },
-    "covariates": {
-        **SIM_DEFAULTS,
-        **{k: v for k, v in FIT_DEFAULTS.items() if k not in ("panel", "target", "t0", "donors", "covariates")},
-        "regularizer": "none",
-        "periods": 15,
-        "t0": 11,
-        "replications": 100,
-        "split": 0.75,
-    },
-    "diagnose": {"bundle": None, "tol": 1e-9, "verify_tol": 1e-8, "out": "out", "quiet": False},
-    "aggregate": {"panel": None, "target": None, "t0": None, "grouping": None, "out": "out", "quiet": False},
-}
 
 COMMANDS = {
     "fit": cmd_fit,
@@ -441,7 +471,7 @@ def run(argv=None) -> int:
     namespace = vars(parser.parse_args(argv))
     command = namespace.pop("command")
     config_path = namespace.pop("config", None)
-    params = _materialize(COMMAND_DEFAULTS[command], config_path, namespace)
+    params = _materialize(COMMAND_PARAMS[command], config_path, namespace)
     return COMMANDS[command](params)
 
 

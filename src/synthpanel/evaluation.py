@@ -2,10 +2,18 @@
 
 The evaluation protocol fits weights on the leading fraction of an
 untreated panel and scores mean squared tracking error separately on the
-fit window ("observed") and the held-out tail ("counterfactual"). Sweeps
-rerun that protocol over a knob with freshly seeded studies; seeds derive
-deterministically from (master seed, knob index, replication index), so
-paired designs share identical draws and reruns are bit-identical.
+fit window ("observed") and the held-out tail ("counterfactual").
+
+All three experiments (the S sweep, the mean/median horizon sweep and the
+covariate study) run on one engine. It walks a sequence of knob points,
+each a set of :class:`SimConfig` overrides; at point ``i`` it simulates
+``replications`` fresh untreated studies and scores each with every
+evaluator of the experiment, then summarizes each evaluator's MSEs.
+
+Seed contract: replication ``r`` at point ``i`` uses the study seed
+``derive_seed(base.seed, i, r)``, whatever else the point changes. Every
+evaluator of a replication scores the same study, so paired designs share
+identical draws, and reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,13 +22,13 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import UsageError
 from .estimators import FitConfig, fit, predict_counterfactual
-from .microsim import SimConfig, simulate_panel
+from .microsim import SimConfig, SimulatedStudy, simulate_panel
 from .panel import AuxMatrix, PanelData
 from .panel import format_float as _fmt
 
@@ -129,18 +137,49 @@ def _summarize(knob, observed: list[float], counterfactual: list[float]) -> Swee
     )
 
 
-def _evaluate(panel: PanelData, fit_cfg: FitConfig, split: float) -> SplitEvaluation:
-    return time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split)
+def _evaluate(panel: PanelData, fit_cfg: FitConfig, split: float, aux: AuxMatrix | None = None) -> SplitEvaluation:
+    return time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split, aux)
 
 
-def _check_sweep(values: Sequence, replications: int) -> tuple:
-    """The knob values as a tuple; a sweep with nothing to summarize is an error."""
-    values = tuple(values)
-    if not values:
+def _sweep(
+    base: SimConfig,
+    knob_name: str,
+    points: Iterable[tuple[int, dict]],
+    replications: int,
+    evaluators: Mapping[str, Callable[[SimulatedStudy], SplitEvaluation]],
+    aggregations: Sequence[str] = (),
+) -> dict[str, list[SweepPoint]]:
+    """The one replication loop behind every sweep.
+
+    Replication ``r`` at point ``i`` simulates the untreated study
+    ``replace(base, seed=derive_seed(base.seed, i, r),
+    post_intervention_shift=0.0, **overrides)``, reduced by
+    ``aggregations`` as well, and scores it with every evaluator. Returns
+    each evaluator's summaries, one per point in the order given.
+    """
+    points = tuple(points)
+    if not points:
         raise UsageError("a sweep needs at least one knob value")
     if replications < 1:
         raise UsageError(f"replications must be at least 1, got {replications}")
-    return values
+    summaries = {name: [] for name in evaluators}
+    for i, (knob, overrides) in enumerate(points):
+        scores = {name: ([], []) for name in evaluators}
+        flagged = False
+        for r in range(replications):
+            cfg = replace(base, seed=derive_seed(base.seed, i, r), post_intervention_shift=0.0, **overrides)
+            study = simulate_panel(cfg, aggregations=aggregations)
+            for name, evaluate in evaluators.items():
+                ev = evaluate(study)
+                flagged = flagged or ev.underdetermined
+                scores[name][0].append(ev.observed_mse)
+                scores[name][1].append(ev.counterfactual_mse)
+        if flagged:
+            # Two frames up: the caller of the public sweep function.
+            warnings.warn(f"underdetermined fits at {knob_name}={knob}", stacklevel=3)
+        for name, collected in scores.items():
+            summaries[name].append(_summarize(knob, *collected))
+    return summaries
 
 
 def sweep_S(
@@ -154,27 +193,10 @@ def sweep_S(
 
     Studies are untreated controls; covariates are not generated.
     """
-    S_values = _check_sweep(S_values, replications)
-    points = []
-    for i, s in enumerate(S_values):
-        observed, counterfactual = [], []
-        flagged = False
-        for r in range(replications):
-            cfg = replace(
-                base,
-                S_cardinality=s,
-                seed=derive_seed(base.seed, i, r),
-                post_intervention_shift=0.0,
-                covariate_count=0,
-            )
-            ev = _evaluate(simulate_panel(cfg).panel, fit_cfg, split)
-            flagged = flagged or ev.underdetermined
-            observed.append(ev.observed_mse)
-            counterfactual.append(ev.counterfactual_mse)
-        if flagged:
-            warnings.warn(f"underdetermined fits at S_cardinality={s}", stacklevel=2)
-        points.append(_summarize(s, observed, counterfactual))
-    return SweepResult(knob_name="S", points=tuple(points))
+    points = ((s, dict(S_cardinality=s, covariate_count=0)) for s in S_values)
+    evaluators = {"S": lambda study: _evaluate(study.panel, fit_cfg, split)}
+    summaries = _sweep(base, "S_cardinality", points, replications, evaluators)
+    return SweepResult(knob_name="S", points=tuple(summaries["S"]))
 
 
 # The two channels of the horizon sweep, in the order it returns them.
@@ -195,33 +217,16 @@ def sweep_T_mean_median(
     results equal two separate sweeps, one per aggregation, at the same
     seeds.
     """
-    T_values = _check_sweep(T_values, replications)
-    points = {aggregation: [] for aggregation in CHANNELS}
-    for i, t in enumerate(T_values):
-        t0 = min(math.ceil(split * t), t - 1)
-        scores = {aggregation: ([], []) for aggregation in CHANNELS}
-        flagged = False
-        for r in range(replications):
-            cfg = replace(
-                base,
-                T=t,
-                T0=t0,
-                seed=derive_seed(base.seed, i, r),
-                aggregation="mean",
-                post_intervention_shift=0.0,
-                covariate_count=0,
-            )
-            study = simulate_panel(cfg, aggregations=CHANNELS)
-            for aggregation, (observed, counterfactual) in scores.items():
-                ev = _evaluate(study.panels[aggregation], fit_cfg, split)
-                flagged = flagged or ev.underdetermined
-                observed.append(ev.observed_mse)
-                counterfactual.append(ev.counterfactual_mse)
-        if flagged:
-            warnings.warn(f"underdetermined fits at T={t}", stacklevel=2)
-        for aggregation, collected in scores.items():
-            points[aggregation].append(_summarize(t, *collected))
-    return tuple(SweepResult(knob_name="T", points=tuple(points[a])) for a in CHANNELS)
+    points = (
+        (t, dict(T=t, T0=min(math.ceil(split * t), t - 1), aggregation="mean", covariate_count=0))
+        for t in T_values
+    )
+    evaluators = {
+        aggregation: lambda study, aggregation=aggregation: _evaluate(study.panels[aggregation], fit_cfg, split)
+        for aggregation in CHANNELS
+    }
+    summaries = _sweep(base, "T", points, replications, evaluators, aggregations=CHANNELS)
+    return tuple(SweepResult(knob_name="T", points=tuple(summaries[a])) for a in CHANNELS)
 
 
 COVARIATE_ROWS = ("outcome_only", "suitable", "unsuitable")
@@ -236,26 +241,19 @@ def covariate_experiment(
     """Outcome-only vs +suitable vs +unsuitable covariate fits, paired.
 
     All three rows of each replication reuse one simulated study, so the
-    comparison isolates the effect of stacking each covariate block.
+    comparison isolates the effect of stacking each covariate block. The
+    study is the single point (index 0) of a sweep at ``base.T``.
     """
     if base.covariate_count < 1:
         raise UsageError("covariate_experiment needs covariate_count >= 1")
-    _check_sweep(COVARIATE_ROWS, replications)
-    collected = {row: ([], []) for row in COVARIATE_ROWS}
     with_cov = replace(fit_cfg, include_covariates=True)
-    for r in range(replications):
-        cfg = replace(base, seed=derive_seed(base.seed, 0, r), post_intervention_shift=0.0)
-        study = simulate_panel(cfg)
-        donors = study.panel.donor_indices()
-        runs = {
-            "outcome_only": time_split_evaluate(study.panel, donors, fit_cfg, split),
-            "suitable": time_split_evaluate(study.panel, donors, with_cov, split, study.aux_suitable),
-            "unsuitable": time_split_evaluate(study.panel, donors, with_cov, split, study.aux_unsuitable),
-        }
-        for row, ev in runs.items():
-            collected[row][0].append(ev.observed_mse)
-            collected[row][1].append(ev.counterfactual_mse)
-    points = tuple(_summarize(row, *collected[row]) for row in COVARIATE_ROWS)
+    evaluators = {
+        "outcome_only": lambda study: _evaluate(study.panel, fit_cfg, split),
+        "suitable": lambda study: _evaluate(study.panel, with_cov, split, study.aux_suitable),
+        "unsuitable": lambda study: _evaluate(study.panel, with_cov, split, study.aux_unsuitable),
+    }
+    summaries = _sweep(base, "T", [(base.T, {})], replications, evaluators)
+    points = tuple(replace(summaries[row][0], knob=row) for row in COVARIATE_ROWS)
     return SweepResult(knob_name="covariates", points=points)
 
 

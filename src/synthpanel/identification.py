@@ -10,6 +10,7 @@ compositions, never on estimated panels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +74,11 @@ class OracleWeights:
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def _validate_selection(
     compositions: Sequence[GroupComposition], target: int, donors: Sequence[int]
 ) -> list[int]:
@@ -100,8 +106,7 @@ def minimal_invariant_set(
     tol: float = 1e-9,
 ) -> InvariantSetReport:
     """Categories where any selected group deviates from the target by > tol."""
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
+    _check_tolerance(tol)
     donors = _validate_selection(compositions, target, donors)
     target_probs = compositions[target].probs
     donor_probs = np.array([compositions[j].probs for j in donors])
@@ -133,8 +138,7 @@ def solve_oracle_weights(
     first donor alone (weight 1) is returned. Infeasibility is in-band:
     ``exists`` is False when the residual exceeds ``tol``.
     """
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
+    _check_tolerance(tol)
     donors = _validate_selection(compositions, target, donors)
     s = sorted(int(i) for i in S)
     if any(not 0 <= i < compositions[0].n_categories for i in s):
@@ -158,8 +162,7 @@ def verify_identification(study: SimulatedStudy, weights: OracleWeights, tol: fl
     True iff the target's expected control outcome equals the weighted
     combination of the donors' at every period of the study.
     """
-    if tol <= 0:
-        raise UsageError("tolerance must be positive")
+    _check_tolerance(tol)
     target = study.panel.target_index
     for t in range(1, study.config.T + 1):
         lhs = expected_outcome(study.compositions[target], study.functions, t)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -167,6 +168,8 @@ class SimConfig:
     ramp_scale: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.K < 1:
             raise UsageError("need at least one category (K >= 1)")
         if not 0 <= self.S_cardinality <= self.K:

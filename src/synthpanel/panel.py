@@ -19,7 +19,6 @@ from .errors import DataValidationError, UsageError
 
 __all__ = [
     "PanelData",
-    "PanelView",
     "AuxMatrix",
     "EffectEstimate",
     "from_csv",
@@ -28,9 +27,7 @@ __all__ = [
     "aux_to_csv",
     "aggregate_groups",
     "select_groups",
-    "split_pre_post",
     "standardize_rows",
-    "destandardize_rows",
 ]
 
 
@@ -115,20 +112,6 @@ class PanelData:
     def donor_indices(self) -> tuple[int, ...]:
         """All group indices except the target, in panel order."""
         return tuple(j for j in range(self.n_groups) if j != self.target_index)
-
-
-@dataclass(frozen=True, eq=False)
-class PanelView:
-    """A window of a panel; shares the underlying outcome storage."""
-
-    outcomes: np.ndarray
-    group_labels: tuple[str, ...]
-    time_labels: tuple[int, ...]
-    target_index: int
-
-    @property
-    def n_periods(self) -> int:
-        return self.outcomes.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,29 +380,11 @@ def select_groups(panel: PanelData, labels: Sequence[str]) -> PanelData:
     )
 
 
-def split_pre_post(panel: PanelData) -> tuple[PanelView, PanelView]:
-    """Views of the pre- (t <= T0) and post-intervention periods."""
-    t0 = panel.intervention_time
-    pre = PanelView(
-        outcomes=panel.outcomes[:, :t0],
-        group_labels=panel.group_labels,
-        time_labels=panel.time_labels[:t0],
-        target_index=panel.target_index,
-    )
-    post = PanelView(
-        outcomes=panel.outcomes[:, t0:],
-        group_labels=panel.group_labels,
-        time_labels=panel.time_labels[t0:],
-        target_index=panel.target_index,
-    )
-    return pre, post
-
-
 def standardize_rows(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shift and scale each row to mean 0, unit sample standard deviation.
 
     Constant rows map to all-zeros with their scale recorded as 1, so the
-    transform is always invertible via :func:`destandardize_rows`.
+    transform is always invertible: ``standardized * scales + means`` per row.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     means = matrix.mean(axis=1)
@@ -427,9 +392,3 @@ def standardize_rows(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     scales = np.where(scales > 0, scales, 1.0)
     standardized = (matrix - means[:, None]) / scales[:, None]
     return standardized, means, scales
-
-
-def destandardize_rows(standardized, means, scales) -> np.ndarray:
-    """Invert :func:`standardize_rows`."""
-    standardized = np.atleast_2d(np.asarray(standardized, dtype=float))
-    return standardized * np.asarray(scales)[:, None] + np.asarray(means)[:, None]

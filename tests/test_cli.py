@@ -226,3 +226,109 @@ class TestUsage:
 
     def test_unknown_knob(self, capsys):
         assert run(["sweep", "--knob", "Q"]) == 1
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("covariates", {"replications": "2"}),
+            ("sweep", {"noise_sd": "1"}),
+            ("sweep", {"periods": True}),
+            ("sweep", {"knob": "Q"}),
+            ("sweep", {"split": None}),
+            ("simulate", {"seed": 1.5}),
+            ("simulate", {"aggregation": "mode"}),
+            ("simulate", {"quiet": 1}),
+            ("fit", {"regularizer": "lasso"}),
+            ("diagnose", {"tol": "1e-9"}),
+            ("aggregate", {"t0": 1.0}),
+        ],
+    )
+    def test_ill_typed_config_value_is_usage_error(self, tmp_path, capsys, command, document):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_values_are_echoed_as_written(self, tmp_path):
+        # An int for a float parameter is accepted and not coerced.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"noise_sd": 1, "shift": 0}))
+        out = tmp_path / "out"
+        assert run(["simulate", "--individuals", 20, "--config", config, "--out", out, "--quiet"]) == 0
+        text = (out / "manifest.json").read_text()
+        assert '"noise_sd": 1,' in text and '"shift": 0,' in text
+
+    @pytest.mark.parametrize("args", [["--seed", -1], ["--config", "seed.json"]])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.json").write_text(json.dumps({"seed": 1.5}))
+        assert run(["simulate", "--individuals", 20, "--out", "out", *args]) == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--tol", "nan"], ["--tol", "inf"], ["--verify-tol", "nan"]])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, args):
+        assert run(["simulate", "--individuals", 20, "--out", tmp_path / "b", "--quiet"]) == 0
+        out = tmp_path / "d"
+        assert run(["diagnose", "--bundle", tmp_path / "b", *args, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "tolerance" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "document",
+        [{"divisions": [1, 2]}, {"divisions": {"a": "AB", "b": "AB"}, "excluded": "Utah"}, {"a": 1}],
+    )
+    def test_malformed_grouping_is_data_error(self, tmp_path, capsys, document):
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(panel, ["a", "b"], [1, 2], lambda g, t: 1.0 + t, populations={"a": 1.0, "b": 2.0})
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        assert run(["aggregate", "--panel", panel, "--target", "a", "--t0", 1,
+                    "--grouping", grouping, "--out", out]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestManifestRoundTrip:
+    """A run is reproducible from its manifest alone."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fit", "--panel", "{panel}", "--target", "tgt", "--t0", 6, "--regularizer", "ridge", "--ridge-lam", 0.5],
+            ["simulate", "--seed", 3, "--individuals", 40, "--shift", 1.5, "--aggregation", "median"],
+            ["sweep", "--knob", "S", "--from", 2, "--to", 3, "--replications", 2, "--individuals", 40],
+            ["sweep", "--knob", "T", "--from", 8, "--to", 9, "--replications", 2, "--individuals", 40,
+             "--regularizer", "simplex"],
+            ["covariates", "--replications", 2, "--individuals", 40, "--covariate-count", 2, "--seed", 6],
+            ["diagnose", "--bundle", "{bundle}", "--tol", 1e-8],
+            ["aggregate", "--panel", "{panel}", "--target", "tgt", "--t0", 6, "--grouping", "{grouping}"],
+        ],
+        ids=["fit", "simulate", "sweep-S", "sweep-T", "covariates", "diagnose", "aggregate"],
+    )
+    def test_manifest_parameters_reproduce_outputs(self, tmp_path, args):
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(panel, ["tgt", "a", "b"], range(1, 9),
+                        lambda g, t: {"tgt": 15.0 + 0.1 * t * t, "a": 10.0 + t, "b": 20.0 - t}[g],
+                        populations={"tgt": 3.0, "a": 1.0, "b": 2.0})
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"tgt": "tgt", "a": "ab", "b": "ab"}))
+        assert run(["simulate", "--individuals", 30, "--out", tmp_path / "bundle", "--quiet"]) == 0
+        paths = {"panel": panel, "grouping": grouping, "bundle": tmp_path / "bundle"}
+        args = [str(a).format(**paths) for a in args]
+
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(args + ["--out", first, "--quiet"]) == 0
+        config = tmp_path / "parameters.json"
+        config.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["parameters"]))
+        assert run([args[0], "--config", config, "--out", second, "--quiet"]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -24,6 +24,21 @@ def tiny_cfg(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+def reference_point(knob, evaluations) -> SweepPoint:
+    """The summary a sweep must report for these replications."""
+    obs = np.array([ev.observed_mse for ev in evaluations])
+    cf = np.array([ev.counterfactual_mse for ev in evaluations])
+    n = len(evaluations)
+    return SweepPoint(
+        knob=knob,
+        observed_mse=float(obs.mean()),
+        counterfactual_mse=float(cf.mean()),
+        se_observed=float(obs.std(ddof=1) / np.sqrt(n)),
+        se_counterfactual=float(cf.std(ddof=1) / np.sqrt(n)),
+        replications=n,
+    )
+
+
 class TestTimeSplit:
     def test_split_counts(self):
         study = simulate_panel(tiny_cfg(T=20, T0=15))
@@ -79,32 +94,39 @@ class TestSweeps:
         for p in mean_res.points + median_res.points:
             assert p.replications == 2
 
+    def test_sweep_s_equals_explicit_loop(self):
+        # Each replication is an untreated study without covariates at the
+        # seed derived from (master seed, knob index, replication index).
+        base = tiny_cfg(N_per_group=41, covariate_count=3, post_intervention_shift=2.0)
+        fit_cfg = FitConfig(regularizer="simplex")
+        S_values, replications, split = (1, 4), 3, 0.7
+        got = sweep_S(base, S_values, replications, fit_cfg, split)
+        assert got.knob_name == "S"
+        for i, s in enumerate(S_values):
+            evaluations = []
+            for r in range(replications):
+                cfg = replace(base, S_cardinality=s, seed=derive_seed(base.seed, i, r),
+                              post_intervention_shift=0.0, covariate_count=0)
+                panel = simulate_panel(cfg).panel
+                evaluations.append(time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split))
+            assert got.points[i] == reference_point(s, evaluations)
+
     def test_sweep_t_equals_one_sweep_per_aggregation(self):
         # The paired sweep simulates once per replication; it must score
         # exactly what a separate simulation per aggregation scores.
-        base = tiny_cfg(N_per_group=41, aggregation="median")
+        base = tiny_cfg(N_per_group=41, aggregation="median", post_intervention_shift=2.0)
         fit_cfg = FitConfig(regularizer="elastic_net", enet_lam1=0.05, enet_lam2=0.01)
         T_values, replications, split = (8, 11), 3, 0.75
         mean_res, median_res = sweep_T_mean_median(base, T_values, replications, fit_cfg, split)
         for aggregation, got in (("mean", mean_res), ("median", median_res)):
             for i, t in enumerate(T_values):
-                observed, counterfactual = [], []
+                evaluations = []
                 for r in range(replications):
                     cfg = replace(base, T=t, T0=min(math.ceil(split * t), t - 1), seed=derive_seed(base.seed, i, r),
                                   aggregation=aggregation, post_intervention_shift=0.0, covariate_count=0)
                     panel = simulate_panel(cfg).panel
-                    ev = time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split)
-                    observed.append(ev.observed_mse)
-                    counterfactual.append(ev.counterfactual_mse)
-                obs, cf = np.array(observed), np.array(counterfactual)
-                assert got.points[i] == SweepPoint(
-                    knob=t,
-                    observed_mse=float(obs.mean()),
-                    counterfactual_mse=float(cf.mean()),
-                    se_observed=float(obs.std(ddof=1) / np.sqrt(replications)),
-                    se_counterfactual=float(cf.std(ddof=1) / np.sqrt(replications)),
-                    replications=replications,
-                )
+                    evaluations.append(time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split))
+                assert got.points[i] == reference_point(t, evaluations)
 
     def test_sweeps_reject_zero_replications(self):
         base = tiny_cfg()
@@ -137,10 +159,22 @@ class TestSweeps:
         res = sweep_S(base, S_values=(0,), replications=3)
         assert res.points[0].counterfactual_mse <= 1e-10
 
-    def test_warns_when_underdetermined(self):
-        base = tiny_cfg(T=5, T0=3)
-        with pytest.warns(UserWarning, match="underdetermined"):
-            sweep_S(base, S_values=(2,), replications=2)
+    @pytest.mark.parametrize(
+        "run, points",
+        [
+            (lambda base: sweep_S(base, S_values=(2, 3), replications=2), 2),
+            (lambda base: sweep_T_mean_median(base, T_values=(4, 5), replications=2), 2),
+            (lambda base: covariate_experiment(base, replications=2), 1),
+        ],
+        ids=["S", "T", "covariates"],
+    )
+    def test_warns_when_underdetermined(self, run, points):
+        # One warning per knob point, attributed to the caller of the sweep.
+        base = tiny_cfg(T=5, T0=3, covariate_count=2)
+        with pytest.warns(UserWarning, match="underdetermined") as record:
+            run(base)
+        assert len(record) == points
+        assert all(w.filename == __file__ for w in record)
 
 
 class TestCovariateExperiment:
@@ -157,6 +191,23 @@ class TestCovariateExperiment:
     def test_deterministic(self):
         base = tiny_cfg(covariate_count=2, N_per_group=80)
         assert covariate_experiment(base, replications=2).points == covariate_experiment(base, replications=2).points
+
+    def test_equals_explicit_loop(self):
+        # Every row scores the same untreated study, seeded as knob index 0.
+        base = tiny_cfg(T=10, T0=7, covariate_count=2, N_per_group=41, post_intervention_shift=2.0)
+        fit_cfg = FitConfig(covariate_scale=0.3)
+        replications, split = 3, 0.75
+        got = covariate_experiment(base, replications, fit_cfg, split)
+        with_cov = replace(fit_cfg, include_covariates=True)
+        rows = {"outcome_only": [], "suitable": [], "unsuitable": []}
+        for r in range(replications):
+            study = simulate_panel(replace(base, seed=derive_seed(base.seed, 0, r), post_intervention_shift=0.0))
+            donors = study.panel.donor_indices()
+            rows["outcome_only"].append(time_split_evaluate(study.panel, donors, fit_cfg, split))
+            rows["suitable"].append(time_split_evaluate(study.panel, donors, with_cov, split, study.aux_suitable))
+            rows["unsuitable"].append(time_split_evaluate(study.panel, donors, with_cov, split, study.aux_unsuitable))
+        assert got.knob_name == "covariates"
+        assert got.points == tuple(reference_point(row, evaluations) for row, evaluations in rows.items())
 
 
 class TestCsvOutput:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,17 @@ class TestSerialization:
         assert len(rep_doc["per_category_max_gap"]) == 2
         assert isinstance(w_doc["exists"], bool)
         assert len(w_doc["beta"]) == 2
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        study = simulate_panel(SimConfig(S_cardinality=2, T=6, T0=4, seed=3, N_per_group=10))
+        donors = study.panel.donor_indices()
+        oracle = solve_oracle_weights(study.compositions, 0, donors, S=(0, 1))
+        with pytest.raises(UsageError, match="tolerance"):
+            minimal_invariant_set(study.compositions, 0, donors, tol=tol)
+        with pytest.raises(UsageError, match="tolerance"):
+            solve_oracle_weights(study.compositions, 0, donors, S=(0, 1), tol=tol)
+        with pytest.raises(UsageError, match="tolerance"):
+            verify_identification(study, oracle, tol=tol)

@@ -449,6 +449,14 @@ class TestValidation:
         with pytest.raises(UsageError, match="noise_sd"):
             OutcomeFunctionFamily(np.zeros((2, 3)), noise_sd=value)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_sim_config_seed(self, seed):
+        with pytest.raises(UsageError, match="seed"):
+            small_cfg(seed=seed)
+
+    def test_sim_config_accepts_numpy_integer_seed(self):
+        assert small_cfg(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
     def test_sim_config_needs_a_category(self):
         with pytest.raises(UsageError, match="K >= 1"):
             small_cfg(K=0, S_cardinality=0)

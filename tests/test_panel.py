@@ -14,11 +14,10 @@ from synthpanel import (
     aggregate_groups,
     from_csv,
     select_groups,
-    split_pre_post,
     standardize_rows,
     to_csv,
 )
-from synthpanel.panel import aux_from_csv, aux_to_csv, destandardize_rows
+from synthpanel.panel import aux_from_csv, aux_to_csv
 from synthpanel.panel import AuxMatrix
 
 
@@ -79,8 +78,6 @@ class TestFromCsv:
         assert panel.n_groups == 40
         assert panel.n_periods == 31
         assert panel.intervention_time == 19
-        pre, post = split_pre_post(panel)
-        assert pre.n_periods == 19 and post.n_periods == 12
 
     def test_population_column_round_trips(self, tmp_path):
         path = tmp_path / "panel.csv"
@@ -220,20 +217,6 @@ class TestAggregation:
         }
 
 
-class TestSplit:
-    def test_minimal_split(self):
-        panel = PanelData(np.ones((2, 2)), ("a", "b"), (1, 2), 0, intervention_time=1)
-        pre, post = split_pre_post(panel)
-        assert pre.n_periods == 1 and post.n_periods == 1
-
-    def test_views_share_memory(self, toy_panel):
-        pre, post = split_pre_post(toy_panel)
-        assert np.shares_memory(pre.outcomes, toy_panel.outcomes)
-        assert np.shares_memory(post.outcomes, toy_panel.outcomes)
-        assert pre.time_labels == toy_panel.time_labels[:4]
-        assert post.time_labels == toy_panel.time_labels[4:]
-
-
 class TestStandardize:
     def test_basic_row(self):
         z, means, scales = standardize_rows([[1.0, 2.0, 3.0]])
@@ -256,7 +239,7 @@ class TestStandardize:
     def test_round_trip(self, rows):
         matrix = np.array(rows)
         z, means, scales = standardize_rows(matrix)
-        back = destandardize_rows(z, means, scales)
+        back = z * scales[:, None] + means[:, None]
         assert np.allclose(back, matrix, atol=1e-12 * max(1.0, np.abs(matrix).max()))
 
 
