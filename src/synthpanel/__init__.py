@@ -19,7 +19,6 @@ from .estimators import (
     estimate_effect,
     fit,
     predict_counterfactual,
-    project_to_simplex,
 )
 from .evaluation import (
     SplitEvaluation,

@@ -148,8 +148,8 @@ FIT_PARAMS = _config_params(
         "ridge_lam": ("ridge_lam", "ridge penalty"),
         "enet_lam1": ("enet_lam1", "elastic-net L1 penalty"),
         "enet_lam2": ("enet_lam2", "elastic-net L2 penalty"),
-        "max_iterations": ("max_iterations", "solver pass cap"),
-        "tolerance": ("tolerance", "solver convergence tolerance"),
+        "max_iterations": ("max_iterations", "active-set pass cap"),
+        "tolerance": ("tolerance", "largest relative KKT residual of a converged fit"),
         "covariate_scale": ("covariate_scale", "relative weight of covariate rows"),
     },
 )

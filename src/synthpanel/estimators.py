@@ -1,10 +1,10 @@
 """Synthetic-control weight fitting and counterfactual prediction.
 
-Weights minimize the squared pre-period tracking error of the target,
-optionally stacked with row-standardized auxiliary covariates, under one
-of four regularizers: none (minimum-norm least squares), ridge, elastic
-net (coordinate descent), or the probability simplex (projected gradient
-with exact Euclidean projection and backtracking line search).
+Weights minimize the squared pre-period tracking error of the target, optionally
+stacked with row-standardized auxiliary covariates, under one of four regularizers:
+none (minimum-norm least squares) and ridge in closed form, or the elastic net and the
+probability simplex by one primal active-set method that ends on an exact face solve
+and reports the KKT residual at its point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DataValidationError, UsageError
 from .panel import AuxMatrix, EffectEstimate, PanelData, standardize_rows
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "fit",
     "predict_counterfactual",
     "estimate_effect",
-    "project_to_simplex",
     "fit_result_to_json",
 ]
 
@@ -35,11 +34,10 @@ REGULARIZERS = ("none", "ridge", "elastic_net", "simplex")
 class FitConfig:
     """Estimator settings.
 
-    ``ridge_lam`` applies under ``regularizer="ridge"``; ``enet_lam1`` and
-    ``enet_lam2`` under ``"elastic_net"``. ``covariate_scale`` is the
-    relative weight of the standardized covariate rows in the stacked
-    objective. Convergence means the relative objective decrease of an
-    iterative solver fell below ``tolerance``.
+    ``ridge_lam`` applies under ``regularizer="ridge"``; ``enet_lam1`` and ``enet_lam2`` under
+    ``"elastic_net"``. ``covariate_scale`` is the relative weight of the standardized covariate
+    rows in the stacked objective. Iterative fits converge when their relative KKT residual is
+    at most ``tolerance``; ``max_iterations`` caps their active-set passes.
     """
 
     regularizer: str = "none"
@@ -71,8 +69,10 @@ class FitConfig:
 class WeightVector:
     """Fitted donor weights plus solver diagnostics.
 
-    ``objective_trace`` records the objective after each solver pass and is
-    non-increasing by construction; closed-form solves have a single entry.
+    ``objective_trace`` holds the raw objective before the first and after each active-set
+    pass; closed-form solves have a single entry. ``kkt_residual`` is the largest violation of
+    the optimality conditions at ``beta``, relative to ``max(1, max|a'y|, max diag(a'a + lam2 I))``
+    for the stacked system; an iterative fit has ``converged`` when it is at most the tolerance.
     """
 
     donor_indices: tuple[int, ...]
@@ -80,6 +80,7 @@ class WeightVector:
     objective_value: float
     converged: bool
     objective_trace: tuple[float, ...]
+    kkt_residual: float
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
@@ -88,16 +89,6 @@ class WeightVector:
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
         if beta.shape != (len(self.donor_indices),):
             raise UsageError("beta must align with donor_indices")
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto the unit simplex (sort algorithm)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 def _stacked_system(
@@ -141,111 +132,85 @@ def _solve_ridge(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, 
     return beta, float(residual @ residual + lam * beta @ beta)
 
 
-def _solve_elastic_net(
-    a: np.ndarray, y: np.ndarray, lam1: float, lam2: float, cfg: FitConfig
-) -> tuple[np.ndarray, list[float], bool]:
-    n = a.shape[1]
-    col_sq = (a * a).sum(axis=0)
-    beta = np.zeros(n)
-    resid = y.copy()
+def _kkt_scale(gram: np.ndarray, c: np.ndarray) -> float:
+    return max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
+
+
+def _kkt_violations(gram: np.ndarray, c: np.ndarray, beta: np.ndarray, lam1=0.0, simplex=False) -> np.ndarray:
+    """Each donor's violation of its optimality condition, relative to ``_kkt_scale``.
+
+    With ``g = gram @ beta - c``, the elastic net needs ``g_j = -(lam1/2) sign(b_j)`` where ``b_j != 0``
+    and ``|g_j| <= lam1/2`` elsewhere; the simplex needs ``g_j = theta``, the support's mean, on the
+    support and ``g_j >= theta`` off it.
+    """
+    grad = gram @ beta - c
+    if simplex:
+        theta = grad[beta > 0].mean()
+        violation = np.where(beta > 0, np.abs(grad - theta), theta - grad)
+    else:
+        violation = np.where(beta != 0, np.abs(grad + 0.5 * lam1 * np.sign(beta)), np.abs(grad) - 0.5 * lam1)
+    return np.maximum(violation, 0.0) / _kkt_scale(gram, c)
+
+
+def _solve_active_set(
+    a: np.ndarray, y: np.ndarray, cfg: FitConfig, lam1: float, lam2: float, simplex: bool
+) -> tuple[np.ndarray, list[float], float]:
+    """Minimize ``|a b - y|^2 + lam1 |b|_1 + lam2 |b|^2``, or ``|a b - y|^2`` on the unit simplex.
+
+    Primal active set (Lawson & Hanson 1974; Lee et al. 2007): each pass adds the zero coordinate that
+    violates its optimality condition most, then solves the signed face exactly, dropping the first
+    coordinate that would change sign until none would. Exact passes lower the objective, so passes end
+    when none is priced or one fails to. Returns the weights, objective trace and relative KKT residual.
+    """
+    gram, c = a.T @ a + lam2 * np.eye(a.shape[1]), a.T @ y
+    scale = _kkt_scale(gram, c)
+    beta = np.zeros(a.shape[1])
+    if simplex:
+        beta[np.argmin(gram.diagonal() - 2.0 * c)] = 1.0
 
     def objective() -> float:
-        return float(resid @ resid + lam1 * np.abs(beta).sum() + lam2 * beta @ beta)
+        r = a @ beta - y
+        return float(r @ r + lam1 * np.abs(beta).sum() + lam2 * beta @ beta)
 
     trace = [objective()]
-    converged = False
-    for _ in range(cfg.max_iterations):
-        for j in range(n):
-            rho = a[:, j] @ resid + col_sq[j] * beta[j]
-            denom = col_sq[j] + lam2
-            new = 0.0 if denom == 0 else np.sign(rho) * max(abs(rho) - lam1 / 2.0, 0.0) / denom
-            if new != beta[j]:
-                resid += a[:, j] * (beta[j] - new)
-                beta[j] = new
-        current = objective()
-        decrease = trace[-1] - current
-        trace.append(min(current, trace[-1]))
-        if decrease <= cfg.tolerance * max(1.0, abs(trace[-1])):
-            converged = True
-            break
-    return beta, trace, converged
-
-
-def _restricted_affine_solve(a: np.ndarray, y: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Least squares over the support under the sum-to-one constraint (KKT)."""
-    a_s = a[:, support]
-    k = a_s.shape[1]
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * a_s.T @ a_s
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * a_s.T @ y, [1.0]])
-    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-
-
-def _polish_simplex(a: np.ndarray, y: np.ndarray, beta: np.ndarray, value: float) -> tuple[np.ndarray, float]:
-    """Fully-corrective step: exact solve on the active face, shrinking the
-    support while the constrained optimum leaves it."""
-    support = beta > 1e-12
-    while support.any():
-        solution = _restricted_affine_solve(a, y, support)
-        if solution.min() >= -1e-12:
-            candidate = np.zeros_like(beta)
-            candidate[support] = np.clip(solution, 0.0, None)
-            candidate /= candidate.sum()
-            residual = a @ candidate - y
-            candidate_value = float(residual @ residual)
-            if candidate_value <= value:
-                return candidate, candidate_value
-            return beta, value
-        drop = np.nonzero(support)[0][np.argmin(solution)]
-        support[drop] = False
-    return beta, value
-
-
-def _solve_simplex(
-    a: np.ndarray, y: np.ndarray, cfg: FitConfig
-) -> tuple[np.ndarray, list[float], bool]:
-    """Fully-corrective projected gradient on the simplex.
-
-    Gradient steps use backtracking line search (halving from 1); after
-    convergence the active face is re-solved exactly, which pins vertex
-    and face optima to machine precision.
-    """
-    n = a.shape[1]
-    beta = np.full(n, 1.0 / n)
-
-    def objective(b: np.ndarray) -> float:
-        r = a @ b - y
-        return float(r @ r)
-
-    current = objective(beta)
-    trace = [current]
-    converged = False
-    for _ in range(cfg.max_iterations):
-        grad = 2.0 * (a.T @ (a @ beta - y))
-        step = 1.0
-        candidate, value = beta, current
-        while step > 1e-20:
-            trial = project_to_simplex(beta - step * grad)
-            diff = trial - beta
-            trial_value = objective(trial)
-            # Sufficient-decrease test against the local quadratic model.
-            if trial_value <= current + grad @ diff + (diff @ diff) / (2.0 * step) + 1e-15:
-                candidate, value = trial, trial_value
+    while True:
+        violation = _kkt_violations(gram, c, beta, lam1, simplex)
+        priced = np.where(beta == 0, violation, 0.0)
+        entering = int(np.argmax(priced))
+        if priced[entering] == 0 or len(trace) > cfg.max_iterations:
+            return beta, trace, float(violation.max())
+        previous = beta.copy()
+        support = np.append(np.flatnonzero(beta), entering)
+        s = np.sign(beta[support])
+        s[-1] = 1.0 if simplex else -np.sign(gram[entering] @ beta - c[entering])
+        while support.size:
+            b, k = beta[support], support.size
+            face = gram[np.ix_(support, support)]
+            gap = c[support] - 0.5 * lam1 * s - face @ b
+            if simplex:  # sum-to-one border, scaled to the face so lstsq keeps it
+                border = np.full((k, 1), scale)
+                face = np.block([[face, border], [border.T, np.zeros((1, 1))]])
+                gap = np.append(gap, scale * (1.0 - b.sum()))
+            step, _, rank, _ = np.linalg.lstsq(face, gap, rcond=None)
+            r, step, limit = (gap - face @ step)[:k], step[:k], 1.0
+            if not simplex and rank < k and np.abs(r).max() > 1e-12 * scale and (s * r < 0).any():
+                # Inconsistent face: its objective falls without bound along r, in null(face),
+                # unless r is rounding: a step along rounding can carry the weights anywhere.
+                step, limit = r, np.inf
+            shrinking = np.flatnonzero(s * step < 0)
+            ratios = -b[shrinking] / step[shrinking]
+            if ratios.min(initial=np.inf) >= limit:
+                beta[support] = np.where(s * (b + step) > 0, b + step, 0.0)
                 break
-            step *= 0.5
-        if value > current:
-            candidate, value = beta, current
-        decrease = current - value
-        beta, current = candidate, value
-        trace.append(current)
-        if decrease <= cfg.tolerance * max(1.0, abs(current)):
-            converged = True
-            break
-    beta, current = _polish_simplex(a, y, beta, current)
-    trace.append(current)
-    return beta, trace, converged
+            beta[support] = b + ratios.min() * step
+            beta[support[shrinking[np.argmin(ratios)]]] = 0.0
+            keep = s * beta[support] > 0
+            beta[support[~keep]] = 0.0
+            support, s = support[keep], s[keep]
+        value = objective()
+        if value >= trace[-1]:
+            return previous, trace, float(violation.max())
+        trace.append(value)
 
 
 def fit(
@@ -278,20 +243,22 @@ def fit(
             )
 
     a, y = _stacked_system(panel, donors, aux, cfg)
-    if cfg.regularizer == "none":
-        beta, objective = _solve_least_squares(a, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, c = a.T @ a, a.T @ y
+    if not (np.isfinite(gram).all() and np.isfinite(c).all()):
+        raise DataValidationError("outcomes too large to fit: the normal equations overflow")
+    if cfg.regularizer in ("none", "ridge"):
+        lam = cfg.ridge_lam if cfg.regularizer == "ridge" else 0.0
+        beta, objective = _solve_ridge(a, y, lam) if cfg.regularizer == "ridge" else _solve_least_squares(a, y)
         trace, converged = [objective], True
-    elif cfg.regularizer == "ridge":
-        beta, objective = _solve_ridge(a, y, cfg.ridge_lam)
-        trace, converged = [objective], True
-    elif cfg.regularizer == "elastic_net":
-        beta, trace, converged = _solve_elastic_net(a, y, cfg.enet_lam1, cfg.enet_lam2, cfg)
-        objective = trace[-1]
+        kkt_residual = float(_kkt_violations(gram + lam * np.eye(len(donors)), c, beta).max())
     else:
-        beta, trace, converged = _solve_simplex(a, y, cfg)
-        objective = trace[-1]
-        if beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-9:
-            raise RuntimeError("simplex projection returned an infeasible point")
+        simplex = cfg.regularizer == "simplex"
+        lam1, lam2 = (0.0, 0.0) if simplex else (cfg.enet_lam1, cfg.enet_lam2)
+        beta, trace, kkt_residual = _solve_active_set(a, y, cfg, lam1, lam2, simplex)
+        objective, converged = trace[-1], kkt_residual <= cfg.tolerance
+        if simplex and (beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-9):
+            raise RuntimeError("simplex fit returned an infeasible point")
 
     return WeightVector(
         donor_indices=tuple(donors),
@@ -299,6 +266,7 @@ def fit(
         objective_value=float(objective),
         converged=converged,
         objective_trace=tuple(float(v) for v in trace),
+        kkt_residual=kkt_residual,
     )
 
 
@@ -337,5 +305,6 @@ def fit_result_to_json(weights: WeightVector, panel: PanelData, cfg: FitConfig) 
         "beta": [float(b) for b in weights.beta],
         "objective_value": weights.objective_value,
         "converged": weights.converged,
+        "kkt_residual": weights.kkt_residual,
         "config": asdict(cfg),
     }

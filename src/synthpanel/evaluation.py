@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DataValidationError, UsageError
 from .estimators import FitConfig, fit, predict_counterfactual
 from .microsim import SimConfig, SimulatedStudy, simulate_panel
 from .panel import AuxMatrix, PanelData
@@ -109,9 +109,13 @@ def time_split_evaluate(
     weights = fit(fit_panel, donors, aux, cfg)
     synthetic = predict_counterfactual(weights, panel)
     gaps = panel.outcomes[panel.target_index] - synthetic
+    with np.errstate(over="ignore"):
+        observed_mse, counterfactual_mse = float(np.mean(gaps[:n_fit] ** 2)), float(np.mean(gaps[n_fit:] ** 2))
+    if not (math.isfinite(observed_mse) and math.isfinite(counterfactual_mse)):
+        raise DataValidationError("outcomes too large to score: the tracking MSE is not finite")
     return SplitEvaluation(
-        observed_mse=float(np.mean(gaps[:n_fit] ** 2)),
-        counterfactual_mse=float(np.mean(gaps[n_fit:] ** 2)),
+        observed_mse=observed_mse,
+        counterfactual_mse=counterfactual_mse,
         split_fraction=split,
         n_fit=n_fit,
         n_eval=t - n_fit,

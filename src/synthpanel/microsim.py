@@ -168,7 +168,11 @@ class SimConfig:
     ramp_scale: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        for name in ("S_cardinality", "T", "T0", "seed", "K", "num_donors", "N_per_group", "covariate_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.K < 1:
             raise UsageError("need at least one category (K >= 1)")

@@ -84,6 +84,30 @@ class TestFit:
         assert code == 3
         assert json.loads((out / "weights.json").read_text())["converged"] is False
 
+    def test_elastic_net_converges_on_prop99_sized_study(self, tmp_path):
+        # Coordinate descent ran out of its 10 000 passes on this study (exit 3).
+        bundle, out = tmp_path / "bundle", tmp_path / "fit"
+        assert run(["simulate", "--seed", 38, "--donors", 38, "--periods", 31, "--t0", 19,
+                    "--individuals", 300, "--out", bundle, "--quiet"]) == 0
+        assert run(["fit", "--panel", bundle / "panel.csv", "--target", "target", "--t0", 19,
+                    "--regularizer", "elastic_net", "--enet-lam1", 0.05, "--enet-lam2", 0.01,
+                    "--out", out, "--quiet"]) == 0
+        weights = json.loads((out / "weights.json").read_text())
+        assert weights["converged"] is True and weights["kkt_residual"] <= weights["config"]["tolerance"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regularizer", ["none", "ridge", "simplex", "elastic_net"])
+    def test_overflowing_outcomes_are_data_error(self, tmp_path, capsys, regularizer):
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, ["tgt", "a", "b"], range(1, 9),
+                        lambda g, t: {"tgt": 1.0, "a": 2.0, "b": 0.5}[g] * t * 1e200)
+        out = tmp_path / "run"
+        assert run(["fit", "--panel", path, "--target", "tgt", "--t0", 6, "--regularizer", regularizer,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_and_unknown_key(self, tmp_path, blend_panel):
         good = tmp_path / "cfg.json"
         good.write_text(json.dumps({"regularizer": "none", "quiet": True}))
@@ -222,6 +246,17 @@ class TestUsage:
         assert run(["sweep", "--knob", "S", "--from", 2, "--to", 2, "--replications", 1,
                     "--individuals", 40, flag, "nan", "--out", out, "--quiet"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regularizer", ["none", "simplex", "elastic_net"])
+    def test_overflowing_sweep_is_data_error(self, tmp_path, capsys, regularizer):
+        # Noise of 1e200 overflows the normal equations: exit 2 before any output.
+        out = tmp_path / "out"
+        assert run(["sweep", "--knob", "T", "--from", 20, "--to", 20, "--replications", 1, "--individuals", 5,
+                    "--noise-sd", 1e200, "--regularizer", regularizer, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_knob(self, capsys):

@@ -2,9 +2,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from synthpanel import (
+    DataValidationError,
     FitConfig,
     PanelData,
     SimConfig,
@@ -12,7 +15,6 @@ from synthpanel import (
     estimate_effect,
     fit,
     predict_counterfactual,
-    project_to_simplex,
     simulate_panel,
 )
 from synthpanel.estimators import fit_result_to_json
@@ -61,36 +63,24 @@ def grid_minimum(a: np.ndarray, y: np.ndarray, step: int = 100, chunk: int = 500
     return best
 
 
+def system_panel(a: np.ndarray, y: np.ndarray) -> PanelData:
+    """A panel whose pre-period system is exactly (a, y), plus one post period."""
+    rows, donors = a.shape
+    return PanelData(
+        np.hstack([np.vstack([y, a.T]), np.zeros((donors + 1, 1))]),
+        tuple(f"g{i}" for i in range(donors + 1)),
+        tuple(range(1, rows + 2)),
+        0,
+        intervention_time=rows,
+    )
+
+
 class TestFitConfigValidation:
     @pytest.mark.parametrize("name", ["tolerance", "ridge_lam", "enet_lam1", "enet_lam2", "covariate_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(UsageError, match=name):
             FitConfig(**{name: value})
-
-
-class TestProjection:
-    def test_already_feasible(self):
-        v = np.array([0.2, 0.3, 0.5])
-        assert np.allclose(project_to_simplex(v), v)
-
-    def test_known_projection(self):
-        # Projection of (1, 0.5) onto the simplex: shift both by theta=0.25.
-        assert np.allclose(project_to_simplex(np.array([1.0, 0.5])), [0.75, 0.25])
-
-    def test_random_feasibility_and_optimality(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            v = rng.normal(0, 3, rng.integers(1, 8))
-            p = project_to_simplex(v)
-            assert p.min() >= 0.0
-            assert abs(p.sum() - 1.0) < 1e-9
-            # No feasible point from a random probe set is closer to v.
-            probes = np.abs(rng.normal(0, 1, (50, v.size)))
-            probes /= probes.sum(axis=1, keepdims=True)
-            d_p = ((p - v) ** 2).sum()
-            d_q = ((probes - v) ** 2).sum(axis=1).min()
-            assert d_p <= d_q + 1e-12
 
 
 class TestSimplexFit:
@@ -150,6 +140,17 @@ class TestSimplexFit:
             constraints=[{"type": "eq", "fun": lambda b: b.sum() - 1}],
         )
         assert w.objective_value <= res.fun + 1e-8
+
+    @pytest.mark.parametrize("seed", [16, 30])
+    def test_converges_on_large_rank_deficient_system(self, seed):
+        # Entries near 1e3 put the face near 1e8 against the unit sum-to-one
+        # row; the border is scaled so that lstsq does not drop the row.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0, 1, (19, 4)) @ rng.normal(0, 1, (4, 26)) * 1000
+        y = a @ rng.dirichlet(np.ones(26)) + rng.normal(0, 10, 19)
+        panel = system_panel(a, y)
+        w = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="simplex"))
+        assert w.converged and w.beta.min() >= 0.0 and abs(w.beta.sum() - 1.0) <= 1e-9
 
     def test_feasibility_on_random_fits(self):
         rng = np.random.default_rng(11)
@@ -237,8 +238,6 @@ class TestClosedFormFits:
 
 class TestElasticNet:
     def test_zero_penalty_matches_ols_objective(self, toy_panel):
-        # Coordinate descent converges linearly on exact-fit problems, so
-        # match the minimum-zero objective to 1e-6 rather than exactly.
         enet = fit(toy_panel, (1, 2, 3), cfg=FitConfig(regularizer="elastic_net"))
         ols = fit(toy_panel, (1, 2, 3), cfg=FitConfig())
         assert enet.objective_value == pytest.approx(ols.objective_value, abs=1e-6)
@@ -272,11 +271,99 @@ class TestElasticNet:
         assert np.all(np.diff(w.objective_trace) <= 1e-15)
         assert w.converged
 
+    def test_duplicate_donors_share_their_weight(self):
+        # The small ridge term makes the optimum split each duplicated donor's weight evenly. The
+        # relative KKT residual falls below the tolerance long before the split is made.
+        rng = np.random.default_rng(0)
+        half = rng.normal(0, 1, (17, 4)).cumsum(axis=0) * 100
+        a = np.hstack([half, half])
+        panel = system_panel(a, half @ rng.dirichlet(np.ones(4)) + rng.normal(0, 1, 17))
+        cfg = FitConfig(regularizer="elastic_net", enet_lam1=0.2 * float(np.abs(a).mean()), enet_lam2=1e-3)
+        w = fit(panel, panel.donor_indices(), cfg=cfg)
+        assert w.converged
+        assert np.allclose(w.beta[:4], w.beta[4:], rtol=1e-4)
+
     def test_l1_sparsifies(self):
         rng = np.random.default_rng(29)
         panel = make_random_panel(rng, n_groups=7)
         heavy = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="elastic_net", enet_lam1=50.0))
         assert np.sum(heavy.beta == 0.0) >= 1
+
+
+class TestActiveSetAgainstScipy:
+    """The active-set optimum is never worse than an independent optimizer's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 8),
+        donors=st.integers(1, 7),
+        duplicate=st.booleans(),
+        lam1=st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+        lam2=st.sampled_from([0.0, 0.01, 1.0]),
+    )
+    # lambda2 = 0 with more donors than rows: singular, inconsistent faces.
+    @example(seed=5, rows=3, donors=7, duplicate=False, lam1=0.5, lam2=0.0)
+    @example(seed=9, rows=2, donors=6, duplicate=True, lam1=0.05, lam2=0.0)
+    def test_elastic_net_and_simplex(self, seed, rows, donors, duplicate, lam1, lam2):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 1.0, (rows, donors)) * rng.choice([1.0, 10.0])
+        if duplicate and donors > 1:
+            a[:, -1] = a[:, 0]
+        y = rng.normal(0.0, 1.0, rows) * rng.choice([1.0, 10.0])
+        panel = system_panel(a, y)
+
+        def enet(b):
+            return ((a @ b - y) ** 2).sum() + lam1 * np.abs(b).sum() + lam2 * (b**2).sum()
+
+        def split(uv):  # b = u - v with u, v >= 0 makes the L1 term smooth
+            u, v = uv[:donors], uv[donors:]
+            grad_b = 2.0 * a.T @ (a @ (u - v) - y) + 2.0 * lam2 * (u - v)
+            return enet(u - v), np.concatenate([grad_b + lam1, -grad_b + lam1])
+
+        res = optimize.minimize(split, np.zeros(2 * donors), jac=True, method="L-BFGS-B",
+                                bounds=[(0.0, None)] * (2 * donors),
+                                options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 20000})
+        reference = enet(res.x[:donors] - res.x[donors:])
+        cfg = FitConfig(regularizer="elastic_net", enet_lam1=lam1, enet_lam2=lam2)
+        w = fit(panel, panel.donor_indices(), cfg=cfg)
+        assert w.objective_value <= reference + 1e-9 * max(1.0, abs(reference))
+        assert w.kkt_residual <= cfg.tolerance and w.converged
+
+        res = optimize.minimize(lambda b: ((a @ b - y) ** 2).sum(), np.full(donors, 1.0 / donors),
+                                method="SLSQP", bounds=[(0.0, 1.0)] * donors,
+                                constraints=[{"type": "eq", "fun": lambda b: b.sum() - 1.0}],
+                                options={"ftol": 1e-15, "maxiter": 1000})
+        feasible = np.clip(res.x, 0.0, None) / np.clip(res.x, 0.0, None).sum()
+        reference = ((a @ feasible - y) ** 2).sum()
+        cfg = FitConfig(regularizer="simplex")
+        w = fit(panel, panel.donor_indices(), cfg=cfg)
+        assert w.objective_value <= reference + 1e-9 * max(1.0, abs(reference))
+        assert w.kkt_residual <= cfg.tolerance and w.converged
+
+
+class TestKktCertificate:
+    @pytest.mark.parametrize(
+        "cfg",
+        [FitConfig(), FitConfig(regularizer="ridge", ridge_lam=0.3), SIMPLEX,
+         FitConfig(regularizer="elastic_net", enet_lam1=0.2, enet_lam2=0.1)],
+        ids=["none", "ridge", "simplex", "elastic_net"],
+    )
+    def test_every_regularizer_reports_its_residual(self, toy_panel, cfg):
+        w = fit(toy_panel, (1, 2, 3), cfg=cfg)
+        assert 0.0 <= w.kkt_residual <= cfg.tolerance
+        doc = fit_result_to_json(w, toy_panel, cfg)
+        assert doc["kkt_residual"] == w.kkt_residual
+
+    def test_residual_measures_the_returned_point(self):
+        # One pass from the best vertex leaves this simplex fit short of its optimum.
+        rng = np.random.default_rng(41)
+        panel = make_random_panel(rng)
+        full = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="simplex"))
+        short = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="simplex", max_iterations=1))
+        assert len(short.objective_trace) == 2
+        assert short.kkt_residual > FitConfig().tolerance and not short.converged
+        assert full.converged and full.objective_value < short.objective_value
 
 
 class TestNonConvergence:
@@ -285,6 +372,16 @@ class TestNonConvergence:
         panel = make_random_panel(rng)
         w = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="simplex", max_iterations=1, tolerance=1e-16))
         assert not w.converged  # in-band, no exception
+
+
+class TestFiniteSystem:
+    @pytest.mark.parametrize("regularizer", ["none", "ridge", "elastic_net", "simplex"])
+    def test_overflowing_normal_equations_are_rejected(self, regularizer):
+        rng = np.random.default_rng(3)
+        panel = make_random_panel(rng)
+        huge = PanelData(panel.outcomes * 1e200, panel.group_labels, panel.time_labels, 0, panel.intervention_time)
+        with pytest.raises(DataValidationError, match="overflow"):
+            fit(huge, huge.donor_indices(), cfg=FitConfig(regularizer=regularizer))
 
 
 class TestPredictAndEffect:
@@ -298,9 +395,9 @@ class TestPredictAndEffect:
         )
         from synthpanel.estimators import WeightVector
 
-        w = WeightVector((1, 2), np.array([0.5, 0.5]), 0.0, True, (0.0,))
+        w = WeightVector((1, 2), np.array([0.5, 0.5]), 0.0, True, (0.0,), 0.0)
         assert np.allclose(predict_counterfactual(w, panel), [15.0, 18.0])
-        w1 = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,))
+        w1 = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,), 0.0)
         assert np.allclose(predict_counterfactual(w1, panel), [10.0, 12.0])
 
     def test_period_out_of_range(self, toy_panel):
@@ -319,7 +416,7 @@ class TestPredictAndEffect:
         )
         from synthpanel.estimators import WeightVector
 
-        w = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,))
+        w = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,), 0.0)
         effect = estimate_effect(w, panel)
         assert effect.tau == pytest.approx(-7.6)
         assert effect.per_period == ((1989, 82.4, 90.0, 82.4 - 90.0),)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from synthpanel import (
+    DataValidationError,
     FitConfig,
     PanelData,
     SimConfig,
@@ -56,6 +57,15 @@ class TestTimeSplit:
         ev = time_split_evaluate(toy_panel, (1, 2), FitConfig(), split=0.5)
         assert ev.observed_mse <= 1e-18
         assert ev.counterfactual_mse <= 1e-18
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_mse_is_data_error(self, toy_panel):
+        # The fit window is ordinary; only the held-out tail overflows when squared.
+        outcomes = toy_panel.outcomes.copy()
+        outcomes[0, -1] = 1e200
+        panel = PanelData(outcomes, toy_panel.group_labels, toy_panel.time_labels, 0, toy_panel.intervention_time)
+        with pytest.raises(DataValidationError, match="MSE"):
+            time_split_evaluate(panel, (1, 2), FitConfig(), split=0.5)
 
     def test_noiseless_degenerate_composition_regime(self):
         # With one category, empirical frequencies equal the composition, so

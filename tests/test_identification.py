@@ -186,7 +186,7 @@ class TestOracleWeightsAsEstimator:
         report = minimal_invariant_set(study.compositions, 0, donors)
         oracle = solve_oracle_weights(study.compositions, 0, donors, report.S_indices)
         assert oracle.exists
-        weights = WeightVector(oracle.donor_indices, oracle.beta, 0.0, True, (0.0,))
+        weights = WeightVector(oracle.donor_indices, oracle.beta, 0.0, True, (0.0,), 0.0)
         prediction = predict_counterfactual(weights, panel)
         assert np.allclose(prediction, expected[0], atol=1e-8)
 

@@ -454,6 +454,20 @@ class TestValidation:
         with pytest.raises(UsageError, match="seed"):
             small_cfg(seed=seed)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("T", 8.5), ("T0", 6.0), ("K", True), ("S_cardinality", "3"), ("N_per_group", 10.0),
+         ("num_donors", False), ("covariate_count", 1.5)],
+    )
+    def test_sim_config_integer_fields(self, name, value):
+        with pytest.raises(UsageError, match=f"{name} must be an integer"):
+            small_cfg(**{name: value})
+
+    def test_sim_config_accepts_numpy_integers(self):
+        fields = dict(S_cardinality=5, T=10, T0=7, K=12, num_donors=5, N_per_group=200, covariate_count=2)
+        cfg = small_cfg(**{name: np.int32(v) for name, v in fields.items()})
+        assert simulate_panel(cfg).panel.outcomes.shape == (6, 10)
+
     def test_sim_config_accepts_numpy_integer_seed(self):
         assert small_cfg(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
