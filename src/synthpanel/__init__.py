@@ -42,7 +42,6 @@ from .microsim import (
     SimulatedStudy,
     conditional_mean_default,
     expected_outcome,
-    generate_covariates,
     sample_compositions,
     simulate_panel,
 )

@@ -46,7 +46,7 @@ from .microsim import (
     simulate_panel,
     write_study_bundle,
 )
-from .panel import aggregate_groups, aux_from_csv, format_float, from_csv, select_groups, to_csv
+from .panel import aggregate_groups, aux_from_csv, format_float, from_csv, select_groups, to_csv, write_json
 
 VERSION_STRING = f"synthpanel {__version__}"
 
@@ -140,7 +140,6 @@ SIM_PARAMS = _config_params(
     seed=0, s_cardinality=5, periods=20, t0=15,
 )
 
-# include_covariates is not a parameter: fit sets it when --covariates is given.
 FIT_PARAMS = _config_params(
     FitConfig,
     {
@@ -231,10 +230,10 @@ COMMAND_PARAMS = {
 }
 
 
-def _config(config_cls, params: dict, **extra):
+def _config(config_cls, params: dict):
     """The config_cls instance that the materialized params describe."""
     fields = {param.field: params[name] for name, param in _CONFIG_PARAMS[config_cls].items()}
-    return config_cls(**fields, **extra)
+    return config_cls(**fields)
 
 
 def _load_config_file(path) -> dict:
@@ -271,17 +270,11 @@ def _materialize(table: dict[str, Param], config_path, cli_values: dict) -> dict
     return merged
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
-
-
 def _write_manifest(outdir: Path, command: str, params: dict) -> None:
     # out/quiet are execution context, not science config; leaving them out
     # keeps reruns byte-identical regardless of where results land.
     echoed = {k: v for k, v in params.items() if k not in ("out", "quiet")}
-    _write_json({"command": command, "parameters": echoed, "version": VERSION_STRING}, outdir / "manifest.json")
+    write_json({"command": command, "parameters": echoed, "version": VERSION_STRING}, outdir / "manifest.json")
 
 
 def _outdir(params: dict) -> Path:
@@ -307,13 +300,13 @@ def cmd_fit(params: dict) -> int:
     aux = None
     if params["covariates"] is not None:
         aux = aux_from_csv(params["covariates"], panel.group_labels)
-    cfg = _config(FitConfig, params, include_covariates=params["covariates"] is not None)
+    cfg = _config(FitConfig, params)
     weights = fit(panel, donors, aux, cfg)
     effect = estimate_effect(weights, panel)
     synthetic = predict_counterfactual(weights, panel)
 
     outdir = _outdir(params)
-    _write_json(fit_result_to_json(weights, panel, cfg), outdir / "weights.json")
+    write_json(fit_result_to_json(weights, panel, cfg), outdir / "weights.json")
     with open(outdir / "series.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("time,observed,synthetic,gap\n")
         observed = panel.outcomes[panel.target_index]
@@ -386,7 +379,7 @@ def cmd_diagnose(params: dict) -> int:
     )
     verified = verify_identification(study, oracle, tol=params["verify_tol"])
     outdir = _outdir(params)
-    _write_json(
+    write_json(
         {
             "invariant_set": report_to_json(report),
             "oracle_weights": weights_to_json(oracle),

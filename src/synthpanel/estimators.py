@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .panel import AuxMatrix, EffectEstimate, PanelData, standardize_rows
+from .panel import AuxMatrix, EffectEstimate, PanelData, check_donors, standardize_rows
 
 __all__ = [
     "FitConfig",
@@ -36,8 +36,9 @@ class FitConfig:
 
     ``ridge_lam`` applies under ``regularizer="ridge"``; ``enet_lam1`` and ``enet_lam2`` under
     ``"elastic_net"``. ``covariate_scale`` is the relative weight of the standardized covariate
-    rows in the stacked objective. Iterative fits converge when their relative KKT residual is
-    at most ``tolerance``; ``max_iterations`` caps their active-set passes.
+    rows in the stacked objective, which :func:`fit` builds when it is given an ``AuxMatrix``.
+    Iterative fits converge when their relative KKT residual is at most ``tolerance``;
+    ``max_iterations`` caps their active-set passes.
     """
 
     regularizer: str = "none"
@@ -46,7 +47,6 @@ class FitConfig:
     enet_lam2: float = 0.0
     max_iterations: int = 10_000
     tolerance: float = 1e-10
-    include_covariates: bool = False
     covariate_scale: float = 1.0
 
     def __post_init__(self):
@@ -99,7 +99,7 @@ def _stacked_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the (rows x donors) design matrix and target vector.
 
-    Rows are the pre-intervention periods, then (if configured) one row
+    Rows are the pre-intervention periods, then (given ``aux``) one row
     per covariate, standardized across {target} + donors and scaled by
     sqrt(covariate_scale).
     """
@@ -107,7 +107,7 @@ def _stacked_system(
     t0 = panel.intervention_time
     a = panel.outcomes[donors, :t0].T
     y = panel.outcomes[panel.target_index, :t0]
-    if cfg.include_covariates:
+    if aux is not None:
         selection = [panel.target_index] + donors
         rows = aux.values[selection].T
         standardized, _, _ = standardize_rows(rows)
@@ -221,26 +221,15 @@ def fit(
 ) -> WeightVector:
     """Fit donor weights on the target's pre-intervention outcomes.
 
-    Non-convergence of an iterative solver is reported in-band through
-    ``converged=False``, never raised.
+    Given ``aux``, its covariate rows are stacked under the outcome rows
+    (see :func:`_stacked_system`). Non-convergence of an iterative solver
+    is reported in-band through ``converged=False``, never raised.
     """
-    donors = [int(j) for j in donors]
-    if not donors:
-        raise UsageError("donor set must not be empty")
-    if len(set(donors)) != len(donors):
-        raise UsageError("donor indices must be distinct")
-    for j in donors:
-        if not 0 <= j < panel.n_groups:
-            raise UsageError(f"donor index {j} out of range")
-    if panel.target_index in donors:
-        raise UsageError("the target cannot be its own donor")
-    if cfg.include_covariates:
-        if aux is None:
-            raise UsageError("include_covariates=True requires an AuxMatrix")
-        if aux.values.shape[0] != panel.n_groups:
-            raise UsageError(
-                f"covariate matrix has {aux.values.shape[0]} rows for {panel.n_groups} panel groups"
-            )
+    donors = check_donors(donors, panel.target_index, panel.n_groups)
+    if aux is not None and aux.values.shape[0] != panel.n_groups:
+        raise UsageError(
+            f"covariate matrix has {aux.values.shape[0]} rows for {panel.n_groups} panel groups"
+        )
 
     a, y = _stacked_system(panel, donors, aux, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,18 +262,12 @@ def fit(
 def predict_counterfactual(
     weights: WeightVector,
     panel: PanelData,
-    periods: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Weighted donor combination at the requested periods (time labels)."""
-    for j in weights.donor_indices:
-        if not 0 <= j < panel.n_groups or j == panel.target_index:
-            raise UsageError(f"donor index {j} is not a donor of this panel")
-    if periods is None:
-        columns = np.arange(panel.n_periods)
-    else:
-        columns = np.array([panel.time_index(t) for t in periods])
-    donor_outcomes = panel.outcomes[list(weights.donor_indices)][:, columns]
-    return weights.beta @ donor_outcomes
+    """Weighted donor combination at every period of the panel."""
+    donors = check_donors(weights.donor_indices, panel.target_index, panel.n_groups)
+    # beta @ a Fortran-ordered copy sums in the order the written series and
+    # sweep files were made with, so their last bits stay put.
+    return weights.beta @ np.asfortranarray(panel.outcomes[donors])
 
 
 def estimate_effect(weights: WeightVector, panel: PanelData) -> EffectEstimate:

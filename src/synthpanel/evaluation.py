@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DataValidationError, UsageError
 from .estimators import FitConfig, fit, predict_counterfactual
-from .microsim import SimConfig, SimulatedStudy, simulate_panel
+from .microsim import AGGREGATIONS, SimConfig, SimulatedStudy, simulate_panel
 from .panel import AuxMatrix, PanelData
 from .panel import format_float as _fmt
 
@@ -73,10 +73,6 @@ class SweepPoint:
 class SweepResult:
     knob_name: str
     points: tuple[SweepPoint, ...]
-
-    @property
-    def knob_values(self) -> tuple:
-        return tuple(p.knob for p in self.points)
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -203,10 +199,6 @@ def sweep_S(
     return SweepResult(knob_name="S", points=tuple(summaries["S"]))
 
 
-# The two channels of the horizon sweep, in the order it returns them.
-CHANNELS = ("mean", "median")
-
-
 def sweep_T_mean_median(
     base: SimConfig,
     T_values: Sequence[int] = tuple(range(20, 91, 10)),
@@ -218,8 +210,8 @@ def sweep_T_mean_median(
 
     Each replication simulates one study and reduces every cell's draw
     both ways, so the two channels score the very same individuals. The
-    results equal two separate sweeps, one per aggregation, at the same
-    seeds.
+    results, in ``AGGREGATIONS`` order, equal two separate sweeps, one per
+    aggregation, at the same seeds.
     """
     points = (
         (t, dict(T=t, T0=min(math.ceil(split * t), t - 1), aggregation="mean", covariate_count=0))
@@ -227,10 +219,10 @@ def sweep_T_mean_median(
     )
     evaluators = {
         aggregation: lambda study, aggregation=aggregation: _evaluate(study.panels[aggregation], fit_cfg, split)
-        for aggregation in CHANNELS
+        for aggregation in AGGREGATIONS
     }
-    summaries = _sweep(base, "T", points, replications, evaluators, aggregations=CHANNELS)
-    return tuple(SweepResult(knob_name="T", points=tuple(summaries[a])) for a in CHANNELS)
+    summaries = _sweep(base, "T", points, replications, evaluators, aggregations=AGGREGATIONS)
+    return tuple(SweepResult(knob_name="T", points=tuple(summaries[a])) for a in AGGREGATIONS)
 
 
 COVARIATE_ROWS = ("outcome_only", "suitable", "unsuitable")
@@ -250,11 +242,10 @@ def covariate_experiment(
     """
     if base.covariate_count < 1:
         raise UsageError("covariate_experiment needs covariate_count >= 1")
-    with_cov = replace(fit_cfg, include_covariates=True)
     evaluators = {
         "outcome_only": lambda study: _evaluate(study.panel, fit_cfg, split),
-        "suitable": lambda study: _evaluate(study.panel, with_cov, split, study.aux_suitable),
-        "unsuitable": lambda study: _evaluate(study.panel, with_cov, split, study.aux_unsuitable),
+        "suitable": lambda study: _evaluate(study.panel, fit_cfg, split, study.aux_suitable),
+        "unsuitable": lambda study: _evaluate(study.panel, fit_cfg, split, study.aux_unsuitable),
     }
     summaries = _sweep(base, "T", [(base.T, {})], replications, evaluators)
     points = tuple(replace(summaries[row][0], knob=row) for row in COVARIATE_ROWS)

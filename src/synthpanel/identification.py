@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import UsageError
 from .microsim import GroupComposition, SimulatedStudy, expected_outcome
+from .panel import check_donors
 
 __all__ = [
     "InvariantSetReport",
@@ -82,20 +83,11 @@ def _check_tolerance(tol: float) -> None:
 def _validate_selection(
     compositions: Sequence[GroupComposition], target: int, donors: Sequence[int]
 ) -> list[int]:
-    donors = [int(j) for j in donors]
-    if not donors:
-        raise UsageError("donor set must not be empty")
+    donors = check_donors(donors, target, len(compositions))
     k = compositions[0].n_categories
     for comp in compositions:
         if comp.n_categories != k:
             raise UsageError("compositions disagree on the number of categories")
-    for j in [target, *donors]:
-        if not 0 <= j < len(compositions):
-            raise UsageError(f"group index {j} out of range")
-    if target in donors:
-        raise UsageError("the target cannot be its own donor")
-    if len(set(donors)) != len(donors):
-        raise UsageError("donor indices must be distinct")
     return donors
 
 

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, from_csv, to_csv
+from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, from_csv, to_csv, write_json
 
 __all__ = [
     "GroupComposition",
@@ -42,7 +42,6 @@ __all__ = [
     "conditional_mean_default",
     "simulate_panel",
     "expected_outcome",
-    "generate_covariates",
     "write_study_bundle",
     "load_study_bundle",
 ]
@@ -120,14 +119,12 @@ class OutcomeFunctionFamily:
     """Conditional outcome means per (category, period), plus noise model.
 
     ``conditional_mean[k, t-1]`` is the expected control outcome of an
-    individual in category ``k`` at period ``t``. ``post_intervention_shift``
-    is added to target individuals' outcomes after the intervention only;
-    it never enters the conditional means.
+    individual in category ``k`` at period ``t``. The intervention's shift
+    is not part of the family: it is ``SimConfig.post_intervention_shift``.
     """
 
     conditional_mean: np.ndarray
     noise_sd: float = 1.0
-    post_intervention_shift: float = 0.0
 
     def __post_init__(self):
         lam = np.array(self.conditional_mean, dtype=float)
@@ -295,7 +292,6 @@ def conditional_mean_default(
     T: int,
     rng: np.random.Generator,
     noise_sd: float = 1.0,
-    post_intervention_shift: float = 0.0,
     ramp_scale: float = 1.0,
 ) -> OutcomeFunctionFamily:
     """Smooth nonlinear time-varying conditional means.
@@ -323,7 +319,7 @@ def conditional_mean_default(
         + osc_loadings @ oscillations
         + ramp_loadings[:, None] * (t / T) ** RAMP_POWER
     )
-    return OutcomeFunctionFamily(lam, noise_sd=noise_sd, post_intervention_shift=post_intervention_shift)
+    return OutcomeFunctionFamily(lam, noise_sd=noise_sd)
 
 
 def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFamily, t: int) -> float:
@@ -387,15 +383,14 @@ _REDUCERS = {"mean": _mean, "median": _median}
 
 def simulate_panel(
     cfg: SimConfig,
-    rng: np.random.Generator | None = None,
     aggregations: Iterable[str] = (),
 ) -> SimulatedStudy:
     """Generate a full study: panel, ground truth, and covariate blocks.
 
-    ``rng`` drives the group-level draws (compositions and outcome
-    functions) and defaults to a stream derived from ``cfg.seed``; the
-    individual draws of each (group, period) cell always come from the
-    cell's own child stream of ``cfg.seed``.
+    The group-level draws (compositions and outcome functions) come from
+    child stream 0 of ``cfg.seed``, the individual draws of each (group,
+    period) cell from the cell's own child stream, and the target's
+    individuals after ``cfg.T0`` carry ``cfg.post_intervention_shift``.
 
     One draw per cell, reduced by each requested aggregation:
     ``cfg.aggregation`` plus any named in ``aggregations``. ``study.panels``
@@ -407,15 +402,13 @@ def simulate_panel(
     if not requested <= set(AGGREGATIONS):
         raise UsageError(f"aggregations must be drawn from {AGGREGATIONS}")
     reducers = {name: reduce for name, reduce in _REDUCERS.items() if name in requested}
-    if rng is None:
-        rng = _stream(cfg.seed, 0)
+    rng = _stream(cfg.seed, 0)
     compositions, true_s = sample_compositions(cfg, rng)
     functions = conditional_mean_default(
         cfg.K,
         cfg.T,
         rng,
         noise_sd=cfg.noise_sd,
-        post_intervention_shift=cfg.post_intervention_shift,
         ramp_scale=cfg.ramp_scale,
     )
 
@@ -441,10 +434,10 @@ def simulate_panel(
         for name, values in outcomes.items()
     }
     aux_suitable = _make_covariates(
-        compositions, functions, cfg, cfg.covariate_count, "suitable", _stream(cfg.seed, 3)
+        compositions, functions, cfg, "suitable", _stream(cfg.seed, 3)
     )
     aux_unsuitable = _make_covariates(
-        compositions, functions, cfg, cfg.covariate_count, "unsuitable", _stream(cfg.seed, 4)
+        compositions, functions, cfg, "unsuitable", _stream(cfg.seed, 4)
     )
     return SimulatedStudy(
         panel=panels[cfg.aggregation],
@@ -462,11 +455,10 @@ def _make_covariates(
     compositions: Sequence[GroupComposition],
     functions: OutcomeFunctionFamily,
     cfg: SimConfig,
-    count: int,
     kind: str,
     rng: np.random.Generator,
 ) -> AuxMatrix:
-    """Sample group-level covariates of the requested kind.
+    """Sample ``cfg.covariate_count`` group-level covariates of one kind.
 
     suitable: per covariate m, the mean of sin(c_m * Y) over individuals
     sampled at one fixed pre-period, with c_m = SIN_LADDER_MAX * m / count.
@@ -478,9 +470,9 @@ def _make_covariates(
 
     Draw order per covariate: the covariate's parameter (period choice or
     code permutation) first, then each group's individuals in panel order.
+    Any ``kind`` other than "suitable" is unsuitable.
     """
-    if kind not in ("suitable", "unsuitable"):
-        raise UsageError(f"covariate kind must be 'suitable' or 'unsuitable', got {kind!r}")
+    count = cfg.covariate_count
     cdfs = [_category_cdf(comp) for comp in compositions]
     by_period = np.ascontiguousarray(functions.conditional_mean.T)
     values = np.empty((len(cdfs), count))
@@ -501,13 +493,6 @@ def _make_covariates(
     return AuxMatrix(values=values, covariate_labels=tuple(labels))
 
 
-def generate_covariates(
-    study: SimulatedStudy, count: int, kind: str, rng: np.random.Generator
-) -> AuxMatrix:
-    """Fresh covariate block for an existing study (see _make_covariates)."""
-    return _make_covariates(study.compositions, study.functions, study.config, count, kind, rng)
-
-
 def write_study_bundle(study: SimulatedStudy, outdir) -> None:
     """Export a study as panel.csv, truth.json, and two covariate CSVs."""
     outdir = Path(outdir)
@@ -520,32 +505,43 @@ def write_study_bundle(study: SimulatedStudy, outdir) -> None:
         "compositions": [list(map(float, c.probs)) for c in study.compositions],
         "conditional_mean": [list(map(float, row)) for row in study.functions.conditional_mean],
         "noise_sd": study.functions.noise_sd,
-        "post_intervention_shift": study.functions.post_intervention_shift,
+        "post_intervention_shift": study.config.post_intervention_shift,
         "true_S": sorted(study.true_S),
         "config": asdict(study.config),
     }
-    with open(outdir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    write_json(truth, outdir / "truth.json")
 
 
 def load_study_bundle(indir) -> SimulatedStudy:
-    """Reconstruct a study from a bundle written by write_study_bundle."""
+    """Reconstruct a study from a bundle written by write_study_bundle.
+
+    A truth.json that is not such a document raises DataValidationError.
+    """
     indir = Path(indir)
     with open(indir / "truth.json", encoding="utf-8") as fh:
-        truth = json.load(fh)
-    cfg = SimConfig(**truth["config"])
-    panel = from_csv(indir / "panel.csv", target=truth["group_labels"][0], intervention_time=cfg.T0)
-    functions = OutcomeFunctionFamily(
-        conditional_mean=np.array(truth["conditional_mean"]),
-        noise_sd=truth["noise_sd"],
-        post_intervention_shift=truth["post_intervention_shift"],
-    )
+        text = fh.read()
+    try:
+        truth = json.loads(text)
+        cfg = SimConfig(**truth["config"])
+        target = truth["group_labels"][0]
+        compositions = tuple(GroupComposition(np.array(p)) for p in truth["compositions"])
+        functions = OutcomeFunctionFamily(
+            conditional_mean=np.array(truth["conditional_mean"]),
+            noise_sd=truth["noise_sd"],
+        )
+        true_s = frozenset(int(k) for k in truth["true_S"])
+    except (UsageError, DataValidationError):
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataValidationError(
+            f"{indir / 'truth.json'}: malformed study truth ({type(exc).__name__}: {exc})"
+        ) from None
+    panel = from_csv(indir / "panel.csv", target=target, intervention_time=cfg.T0)
     return SimulatedStudy(
         panel=panel,
-        compositions=tuple(GroupComposition(np.array(p)) for p in truth["compositions"]),
+        compositions=compositions,
         functions=functions,
-        true_S=frozenset(truth["true_S"]),
+        true_S=true_s,
         aux_suitable=aux_from_csv(indir / "covariates_suitable.csv", panel.group_labels),
         aux_unsuitable=aux_from_csv(indir / "covariates_unsuitable.csv", panel.group_labels),
         config=cfg,

@@ -9,6 +9,7 @@ all operations are pure.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -28,6 +29,7 @@ __all__ = [
     "aggregate_groups",
     "select_groups",
     "standardize_rows",
+    "check_donors",
 ]
 
 
@@ -103,15 +105,28 @@ class PanelData:
         except ValueError:
             raise UsageError(f"unknown group label {label!r}") from None
 
-    def time_index(self, time: int) -> int:
-        try:
-            return self.time_labels.index(int(time))
-        except ValueError:
-            raise UsageError(f"period {time} is outside the panel range") from None
-
     def donor_indices(self) -> tuple[int, ...]:
         """All group indices except the target, in panel order."""
         return tuple(j for j in range(self.n_groups) if j != self.target_index)
+
+
+def check_donors(donors: Sequence[int], target: int, n_groups: int) -> list[int]:
+    """The donor indices as ints, once they are known to be a valid donor set.
+
+    Valid: nonempty, distinct, each in ``0..n_groups-1`` and none equal to
+    the target, which must itself be in range.
+    """
+    donors = [int(j) for j in donors]
+    if not donors:
+        raise UsageError("donor set must not be empty")
+    if len(set(donors)) != len(donors):
+        raise UsageError("donor indices must be distinct")
+    for j in [target, *donors]:
+        if not 0 <= j < n_groups:
+            raise UsageError(f"group index {j} out of range for {n_groups} groups")
+    if target in donors:
+        raise UsageError("the target cannot be its own donor")
+    return donors
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +148,6 @@ class AuxMatrix:
             )
         if not np.all(np.isfinite(values)):
             raise DataValidationError("covariate values contain non-finite entries")
-
-    @property
-    def n_covariates(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +257,13 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def write_json(payload, path) -> None:
+    """Canonical JSON file: sorted keys, indent 2, UTF-8 text, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
 def to_csv(panel: PanelData, path) -> None:
     """Write a panel back out in the long-format CSV schema."""
     has_population = panel.populations is not None
@@ -271,7 +289,7 @@ def aux_to_csv(aux: AuxMatrix, group_labels: Sequence[str], path) -> None:
 
 
 def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
-    """Read a covariate CSV, reordering rows to match ``group_labels``."""
+    """Read a covariate CSV, one row per group, reordering rows to match ``group_labels``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -286,6 +304,8 @@ def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
                 continue
             if len(row) != len(header):
                 raise DataValidationError(f"{path}: wrong field count on line {line_no}")
+            if row[0] in rows:
+                raise DataValidationError(f"{path}: duplicate covariate row for {row[0]!r} on line {line_no}")
             rows[row[0]] = [_parse_float(v, line_no, "covariate") for v in row[1:]]
     missing = [g for g in group_labels if g not in rows]
     if missing:

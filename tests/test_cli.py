@@ -56,6 +56,16 @@ class TestFit:
         assert manifest["parameters"]["regularizer"] == "simplex"
         assert "tau" in capsys.readouterr().out
 
+    def test_duplicate_covariate_row_is_data_error(self, tmp_path, blend_panel, capsys):
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text("group,u\ntgt,1.0\na,0.5\nb,1.5\na,0.7\n")
+        out = tmp_path / "run"
+        assert run(["fit", "--panel", blend_panel, "--target", "tgt", "--t0", 6,
+                    "--covariates", covariates, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate" in err and "line 5" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file_is_usage_error(self, capsys):
         assert run(["fit", "--panel", "/no/such/file.csv", "--target", "x", "--t0", 2]) == 1
         assert "/no/such/file.csv" in capsys.readouterr().err
@@ -128,6 +138,32 @@ class TestSimulateDiagnose:
         for name in ("panel.csv", "truth.json", "covariates_suitable.csv",
                      "covariates_unsuitable.csv", "manifest.json"):
             assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda truth: truth.pop("config"),
+            lambda truth: truth.pop("true_S"),
+            lambda truth: truth["config"].update(mystery=1),
+            lambda truth: truth["compositions"][0].__setitem__(0, "a lot"),
+            None,
+        ],
+        ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document"],
+    )
+    def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
+        bundle = tmp_path / "b"
+        assert run(["simulate", "--individuals", 20, "--out", bundle, "--quiet"]) == 0
+        truth = json.loads((bundle / "truth.json").read_text())
+        if edit is None:
+            truth = [truth]
+        else:
+            edit(truth)
+        (bundle / "truth.json").write_text(json.dumps(truth))
+        out = tmp_path / "d"
+        assert run(["diagnose", "--bundle", bundle, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "truth.json" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_diagnose_identified_bundle(self, tmp_path, capsys):
         assert run(["simulate", "--seed", 11, "--s-cardinality", 5, "--individuals", 50,

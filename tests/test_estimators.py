@@ -400,11 +400,6 @@ class TestPredictAndEffect:
         w1 = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,), 0.0)
         assert np.allclose(predict_counterfactual(w1, panel), [10.0, 12.0])
 
-    def test_period_out_of_range(self, toy_panel):
-        w = fit(toy_panel, (1, 2), cfg=SIMPLEX)
-        with pytest.raises(UsageError, match="outside"):
-            predict_counterfactual(w, toy_panel, periods=[99])
-
     def test_tau_is_final_period_gap(self):
         # Observed 82.4 vs synthetic 90.0 at the final period.
         panel = PanelData(
@@ -461,18 +456,14 @@ class TestCovariateStacking:
             toy_panel,
             (1, 2, 3),
             aux,
-            FitConfig(include_covariates=True, covariate_scale=0.0),
+            FitConfig(covariate_scale=0.0),
         )
         assert np.allclose(plain.beta, stacked.beta, atol=1e-9)
-
-    def test_requires_aux(self, toy_panel):
-        with pytest.raises(UsageError, match="AuxMatrix"):
-            fit(toy_panel, (1, 2), cfg=FitConfig(include_covariates=True))
 
     def test_row_count_checked(self, toy_panel):
         aux = AuxMatrix(values=np.ones((2, 1)), covariate_labels=("u",))
         with pytest.raises(UsageError, match="rows"):
-            fit(toy_panel, (1, 2), aux, FitConfig(include_covariates=True))
+            fit(toy_panel, (1, 2), aux, FitConfig())
 
 
 class TestValidation:

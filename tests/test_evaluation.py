@@ -91,7 +91,7 @@ class TestSweeps:
         a = sweep_S(base, S_values=(2, 4), replications=3)
         b = sweep_S(base, S_values=(2, 4), replications=3)
         assert a.points == b.points
-        assert a.knob_values == (2, 4)
+        assert tuple(p.knob for p in a.points) == (2, 4)
 
     def test_derive_seed_stable(self):
         assert derive_seed(42, 1, 2) == derive_seed(42, 1, 2)
@@ -100,7 +100,7 @@ class TestSweeps:
     def test_sweep_t_pairs_by_seed(self):
         base = tiny_cfg()
         mean_res, median_res = sweep_T_mean_median(base, T_values=(8, 10), replications=2)
-        assert mean_res.knob_values == median_res.knob_values == (8, 10)
+        assert tuple(p.knob for p in mean_res.points) == tuple(p.knob for p in median_res.points) == (8, 10)
         for p in mean_res.points + median_res.points:
             assert p.replications == 2
 
@@ -191,7 +191,7 @@ class TestCovariateExperiment:
     def test_three_paired_rows(self):
         base = tiny_cfg(T=8, T0=6, covariate_count=2, N_per_group=80)
         res = covariate_experiment(base, replications=3)
-        assert res.knob_values == ("outcome_only", "suitable", "unsuitable")
+        assert tuple(p.knob for p in res.points) == ("outcome_only", "suitable", "unsuitable")
         assert all(p.replications == 3 for p in res.points)
 
     def test_requires_covariates(self):
@@ -208,14 +208,13 @@ class TestCovariateExperiment:
         fit_cfg = FitConfig(covariate_scale=0.3)
         replications, split = 3, 0.75
         got = covariate_experiment(base, replications, fit_cfg, split)
-        with_cov = replace(fit_cfg, include_covariates=True)
         rows = {"outcome_only": [], "suitable": [], "unsuitable": []}
         for r in range(replications):
             study = simulate_panel(replace(base, seed=derive_seed(base.seed, 0, r), post_intervention_shift=0.0))
             donors = study.panel.donor_indices()
             rows["outcome_only"].append(time_split_evaluate(study.panel, donors, fit_cfg, split))
-            rows["suitable"].append(time_split_evaluate(study.panel, donors, with_cov, split, study.aux_suitable))
-            rows["unsuitable"].append(time_split_evaluate(study.panel, donors, with_cov, split, study.aux_unsuitable))
+            rows["suitable"].append(time_split_evaluate(study.panel, donors, fit_cfg, split, study.aux_suitable))
+            rows["unsuitable"].append(time_split_evaluate(study.panel, donors, fit_cfg, split, study.aux_unsuitable))
         assert got.knob_name == "covariates"
         assert got.points == tuple(reference_point(row, evaluations) for row, evaluations in rows.items())
 

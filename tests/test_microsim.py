@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthpanel import (
-    AuxMatrix,
     DataValidationError,
     GroupComposition,
     OutcomeFunctionFamily,
@@ -14,13 +13,13 @@ from synthpanel import (
     UsageError,
     conditional_mean_default,
     expected_outcome,
-    generate_covariates,
     sample_compositions,
     simulate_panel,
 )
 from synthpanel.microsim import (
     SIN_LADDER_MAX,
     SimulatedStudy,
+    _make_covariates,
     _median,
     _stream,
     load_study_bundle,
@@ -255,47 +254,25 @@ class TestCovariates:
 
     def test_constant_outcome_gives_exact_sine(self):
         y0 = 1.3
-        cfg = small_cfg(noise_sd=0.0, covariate_count=0)
+        cfg = small_cfg(noise_sd=0.0, covariate_count=3)
         fam = OutcomeFunctionFamily(np.full((cfg.K, cfg.T), y0), noise_sd=0.0)
         study = simulate_panel(cfg)
-        study = SimulatedStudy(
-            panel=study.panel,
-            compositions=study.compositions,
-            functions=fam,
-            true_S=study.true_S,
-            aux_suitable=AuxMatrix(np.empty((6, 0)), ()),
-            aux_unsuitable=AuxMatrix(np.empty((6, 0)), ()),
-            config=cfg,
-        )
-        aux = generate_covariates(study, count=3, kind="suitable", rng=_stream(9, 5))
+        aux = _make_covariates(study.compositions, fam, cfg, "suitable", _stream(9, 5))
         for m in range(1, 4):
             c_m = SIN_LADDER_MAX * m / 3
             assert np.allclose(aux.values[:, m - 1], np.sin(c_m * y0), atol=1e-12)
 
     def test_point_mass_unsuitable_is_exact_code(self):
-        cfg = small_cfg(covariate_count=0)
+        cfg = small_cfg(covariate_count=1)
         study = simulate_panel(cfg)
         k_star = 4
         probs = np.zeros(cfg.K)
         probs[k_star] = 1.0
-        study = SimulatedStudy(
-            panel=study.panel,
-            compositions=tuple(GroupComposition(probs) for _ in range(6)),
-            functions=study.functions,
-            true_S=study.true_S,
-            aux_suitable=AuxMatrix(np.empty((6, 0)), ()),
-            aux_unsuitable=AuxMatrix(np.empty((6, 0)), ()),
-            config=cfg,
-        )
+        compositions = tuple(GroupComposition(probs) for _ in range(6))
         seed_key = (13, 8)
-        aux = generate_covariates(study, count=1, kind="unsuitable", rng=_stream(*seed_key))
+        aux = _make_covariates(compositions, study.functions, cfg, "unsuitable", _stream(*seed_key))
         codes = _stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
-
-    def test_bad_kind_rejected(self):
-        study = simulate_panel(small_cfg())
-        with pytest.raises(UsageError):
-            generate_covariates(study, 2, "mystery", _stream(1, 1))
 
 
 class TestBundleIO:
