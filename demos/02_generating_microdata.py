@@ -31,9 +31,10 @@ print("note: columns outside the differing set are identical across groups")
 # The realized cell is the average over N sampled individuals; it hugs the
 # noiseless expectation within sampling error ~ sd/sqrt(N).
 print("\nrealized vs expected outcome, target group:")
+expected = expected_outcome(study.compositions[0], study.functions)
 for period in (1, 5, 9, 12):
     realized = study.panel.outcomes[0, period - 1]
-    expect = expected_outcome(study.compositions[0], study.functions, period)
+    expect = expected[period - 1]
     print(f"  t={period:>2}: realized {realized:+.3f}  expected {expect:+.3f}  gap {realized - expect:+.4f}")
 
 # Identical config (same seed) regenerates the identical study, bit for bit.

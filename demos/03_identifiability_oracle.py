@@ -57,10 +57,8 @@ report = minimal_invariant_set(study.compositions, 0, donors)
 weights = solve_oracle_weights(study.compositions, 0, donors, report.S_indices)
 from synthpanel import expected_outcome
 
-gaps = [
-    expected_outcome(study.compositions[0], study.functions, t)
-    - sum(b * expected_outcome(study.compositions[j], study.functions, t)
-          for j, b in zip(weights.donor_indices, weights.beta))
-    for t in range(1, 21)
-]
+gaps = expected_outcome(study.compositions[0], study.functions) - sum(
+    b * expected_outcome(study.compositions[j], study.functions)
+    for j, b in zip(weights.donor_indices, weights.beta)
+)
 print("max |gap| over t = 1..20:", f"{np.abs(gaps).max():.2e}")

@@ -1,23 +1,23 @@
 """Command-line front end.
 
-Commands: fit, simulate, sweep, covariates, diagnose, aggregate. Every
-run materializes its full parameter set (defaults included) into a
-manifest.json in the output directory, so a run is reproducible from its
-manifest alone. Outputs are deterministic given config and seed: JSON is
-written with sorted keys and no timestamps.
+Commands: fit, simulate, sweep, covariates, diagnose, aggregate. Each
+command computes and checks its results and returns them as an
+:class:`Output`; :func:`_deliver` alone creates the output directory and
+writes into it, with the run's full parameter set, so a rejected run leaves
+no directory and a written run is reproducible from its directory alone.
+Outputs are deterministic given config and seed.
 
-Exit codes: 0 success, 1 usage error, 2 data-validation error,
-3 solver non-convergence.
+Exit codes: 0 success, 1 usage error (a missing input file or an unusable
+output directory included), 2 data-validation error (an input file that
+cannot be read, decoded or parsed included), 3 solver non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import typing
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -31,13 +31,7 @@ from .estimators import (
     predict_counterfactual,
 )
 from .evaluation import covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
-from .identification import (
-    minimal_invariant_set,
-    report_to_json,
-    solve_oracle_weights,
-    verify_identification,
-    weights_to_json,
-)
+from .identification import minimal_invariant_set, solve_oracle_weights, verify_identification
 from .microsim import (
     AGGREGATIONS,
     COMPOSITION_MODES,
@@ -46,7 +40,16 @@ from .microsim import (
     simulate_panel,
     write_study_bundle,
 )
-from .panel import aggregate_groups, aux_from_csv, format_float, from_csv, select_groups, to_csv, write_json
+from .panel import (
+    aggregate_groups,
+    aux_from_csv,
+    format_float,
+    from_csv,
+    read_json,
+    select_groups,
+    to_csv,
+    write_json,
+)
 
 VERSION_STRING = f"synthpanel {__version__}"
 
@@ -54,6 +57,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
+
+CENSUS_DIVISIONS = Path(__file__).parent / "data" / "census_divisions.json"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,12 +241,8 @@ def _config(config_cls, params: dict):
     return config_cls(**fields)
 
 
-def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(f"{path}: invalid JSON ({exc})") from None
+def _json_object(path) -> dict:
+    document = read_json(path)
     if not isinstance(document, dict):
         raise DataValidationError(f"{path}: config must be a JSON object")
     return document
@@ -255,7 +256,7 @@ def _materialize(table: dict[str, Param], config_path, cli_values: dict) -> dict
     """
     merged = {name: param.default for name, param in table.items()}
     if config_path is not None:
-        document = _load_config_file(config_path)
+        document = _json_object(config_path)
         unknown = sorted(set(document) - set(table))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -270,17 +271,35 @@ def _materialize(table: dict[str, Param], config_path, cli_values: dict) -> dict
     return merged
 
 
-def _write_manifest(outdir: Path, command: str, params: dict) -> None:
+@dataclasses.dataclass(frozen=True)
+class Output:
+    """A command's results: their writer into a given output directory, the
+    stdout line (``{out}`` there names that directory) and the exit code."""
+
+    write: typing.Callable[[Path], None]
+    summary: str
+    code: int = EXIT_OK
+
+
+def _deliver(command: str, params: dict, output: Output) -> int:
+    """Write a command's results and manifest.json (its materialized parameters,
+    defaults included) into --out; report; return the exit code. An OSError
+    while writing is a usage error: --out cannot be used."""
+    out = Path(params["out"])
     # out/quiet are execution context, not science config; leaving them out
     # keeps reruns byte-identical regardless of where results land.
     echoed = {k: v for k, v in params.items() if k not in ("out", "quiet")}
-    write_json({"command": command, "parameters": echoed, "version": VERSION_STRING}, outdir / "manifest.json")
-
-
-def _outdir(params: dict) -> Path:
-    out = Path(params["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        output.write(out)
+        write_json({"command": command, "parameters": echoed, "version": VERSION_STRING}, out / "manifest.json")
+    except OSError as exc:
+        raise UsageError(f"cannot write output directory {out}: {exc.strerror or exc}") from None
+    if not params["quiet"]:
+        print(output.summary.format(out=out))
+        if output.code == EXIT_NO_CONVERGENCE:
+            print("solver did not converge", file=sys.stderr)
+    return output.code
 
 
 def _require(params: dict, *keys) -> None:
@@ -289,7 +308,7 @@ def _require(params: dict, *keys) -> None:
             raise UsageError(f"--{key.replace('_', '-')} is required")
 
 
-def cmd_fit(params: dict) -> int:
+def cmd_fit(params: dict) -> Output:
     _require(params, "panel", "target", "t0")
     panel = from_csv(params["panel"], target=params["target"], intervention_time=params["t0"])
     if params["donors"]:
@@ -304,72 +323,62 @@ def cmd_fit(params: dict) -> int:
     weights = fit(panel, donors, aux, cfg)
     effect = estimate_effect(weights, panel)
     synthetic = predict_counterfactual(weights, panel)
+    record = fit_result_to_json(weights, panel, cfg)
+    observed = panel.outcomes[panel.target_index]
 
-    outdir = _outdir(params)
-    write_json(fit_result_to_json(weights, panel, cfg), outdir / "weights.json")
-    with open(outdir / "series.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("time,observed,synthetic,gap\n")
-        observed = panel.outcomes[panel.target_index]
-        for t, time in enumerate(panel.time_labels):
-            gap = observed[t] - synthetic[t]
-            fh.write(
-                f"{time},{format_float(observed[t])},{format_float(synthetic[t])},{format_float(gap)}\n"
-            )
-    _write_manifest(outdir, "fit", params)
-    if not params["quiet"]:
-        print(f"tau = {format_float(effect.tau)}")
-    if not weights.converged:
-        if not params["quiet"]:
-            print("solver did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    def write(out: Path) -> None:
+        write_json(record, out / "weights.json")
+        with open(out / "series.csv", "w", encoding="utf-8", newline="") as fh:
+            fh.write("time,observed,synthetic,gap\n")
+            for time, y, y_hat in zip(panel.time_labels, observed, synthetic):
+                fh.write(f"{time},{format_float(y)},{format_float(y_hat)},{format_float(y - y_hat)}\n")
+
+    return Output(
+        write,
+        f"tau = {format_float(effect.tau)}",
+        EXIT_OK if weights.converged else EXIT_NO_CONVERGENCE,
+    )
 
 
-def cmd_simulate(params: dict) -> int:
+def cmd_simulate(params: dict) -> Output:
     study = simulate_panel(_config(SimConfig, params))
-    outdir = _outdir(params)
-    write_study_bundle(study, outdir)
-    _write_manifest(outdir, "simulate", params)
-    if not params["quiet"]:
-        print(f"wrote study bundle to {outdir} (|S| = {len(study.true_S)})")
-    return EXIT_OK
+    return Output(
+        lambda out: write_study_bundle(study, out),
+        f"wrote study bundle to {{out}} (|S| = {len(study.true_S)})",
+    )
 
 
-def cmd_sweep(params: dict) -> int:
+def cmd_sweep(params: dict) -> Output:
     sweep = dict(replications=params["replications"], fit_cfg=_config(FitConfig, params), split=params["split"])
     if params["step"] < 1:
         raise UsageError("--step must be at least 1")
     values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
     if params["knob"] == "S":
-        outputs = {"sweep.csv": sweep_S(_config(SimConfig, params), S_values=values, **sweep)}
+        results = {"sweep.csv": sweep_S(_config(SimConfig, params), S_values=values, **sweep)}
     else:
         mean_result, median_result = sweep_T_mean_median(_config(SimConfig, params), T_values=values, **sweep)
-        outputs = {"sweep_mean.csv": mean_result, "sweep_median.csv": median_result}
-    outdir = _outdir(params)
-    for name, result in outputs.items():
-        write_sweep_csv(result, outdir / name)
-    _write_manifest(outdir, "sweep", params)
-    if not params["quiet"]:
-        print(f"wrote sweep results to {outdir}")
-    return EXIT_OK
+        results = {"sweep_mean.csv": mean_result, "sweep_median.csv": median_result}
+
+    def write(out: Path) -> None:
+        for name, result in results.items():
+            write_sweep_csv(result, out / name)
+
+    return Output(write, "wrote sweep results to {out}")
 
 
-def cmd_covariates(params: dict) -> int:
+def cmd_covariates(params: dict) -> Output:
     result = covariate_experiment(
         _config(SimConfig, params),
         replications=params["replications"],
         fit_cfg=_config(FitConfig, params),
         split=params["split"],
     )
-    outdir = _outdir(params)
-    write_sweep_csv(result, outdir / "covariates.csv")
-    _write_manifest(outdir, "covariates", params)
-    if not params["quiet"]:
-        print(f"wrote covariate experiment to {outdir}")
-    return EXIT_OK
+    return Output(
+        lambda out: write_sweep_csv(result, out / "covariates.csv"), "wrote covariate experiment to {out}"
+    )
 
 
-def cmd_diagnose(params: dict) -> int:
+def cmd_diagnose(params: dict) -> Output:
     _require(params, "bundle")
     study = load_study_bundle(params["bundle"])
     donors = study.panel.donor_indices()
@@ -378,63 +387,48 @@ def cmd_diagnose(params: dict) -> int:
         study.compositions, study.panel.target_index, donors, report.S_indices, tol=params["tol"]
     )
     verified = verify_identification(study, oracle, tol=params["verify_tol"])
-    outdir = _outdir(params)
-    write_json(
-        {
-            "invariant_set": report_to_json(report),
-            "oracle_weights": weights_to_json(oracle),
-            "verified": verified,
-            "tol": params["tol"],
-            "verify_tol": params["verify_tol"],
-        },
-        outdir / "diagnosis.json",
+    diagnosis = {
+        "invariant_set": report,
+        "oracle_weights": oracle,
+        "verified": verified,
+        "tol": params["tol"],
+        "verify_tol": params["verify_tol"],
+    }
+    return Output(
+        lambda out: write_json(diagnosis, out / "diagnosis.json"),
+        f"|S| = {report.S_cardinality}, donors = {report.donor_count}, "
+        f"a3 = {report.a3_holds}, a4 = {report.a4_holds}, "
+        f"exists = {oracle.exists}, verified = {verified}",
     )
-    _write_manifest(outdir, "diagnose", params)
-    if not params["quiet"]:
-        print(
-            f"|S| = {report.S_cardinality}, donors = {report.donor_count}, "
-            f"a3 = {report.a3_holds}, a4 = {report.a4_holds}, "
-            f"exists = {oracle.exists}, verified = {verified}"
-        )
-    return EXIT_OK
 
 
 def _load_grouping(path) -> tuple[dict, list]:
-    if path is None:
-        with resources.files("synthpanel").joinpath("data/census_divisions.json").open(
-            encoding="utf-8"
-        ) as fh:
-            document = json.load(fh)
-    else:
-        document = _load_config_file(path)
+    """The grouping document at ``path``, or the packaged census map when it is None."""
+    path = CENSUS_DIVISIONS if path is None else path
+    document = _json_object(path)
     if "divisions" in document:
         grouping, excluded = document["divisions"], document.get("excluded", [])
     else:
         grouping, excluded = document, []
     if not isinstance(grouping, dict) or not all(isinstance(v, str) for v in grouping.values()):
-        raise DataValidationError(f"{path or 'grouping'}: divisions must map group labels to division labels")
+        raise DataValidationError(f"{path}: divisions must map group labels to division labels")
     if not isinstance(excluded, list) or not all(isinstance(g, str) for g in excluded):
-        raise DataValidationError(f"{path or 'grouping'}: excluded must be a list of group labels")
+        raise DataValidationError(f"{path}: excluded must be a list of group labels")
     return dict(grouping), list(excluded)
 
 
-def cmd_aggregate(params: dict) -> int:
+def cmd_aggregate(params: dict) -> Output:
     _require(params, "panel", "target", "t0")
     panel = from_csv(params["panel"], target=params["target"], intervention_time=params["t0"])
     grouping, excluded = _load_grouping(params["grouping"])
-    keep = [
-        g for g in panel.group_labels if g == panel.target_label or g not in set(excluded)
-    ]
+    keep = [g for g in panel.group_labels if g == panel.target_label or g not in set(excluded)]
     panel = select_groups(panel, keep)
-    grouping = dict(grouping)
     grouping[panel.target_label] = panel.target_label
     aggregated = aggregate_groups(panel, grouping)
-    outdir = _outdir(params)
-    to_csv(aggregated, outdir / "aggregated.csv")
-    _write_manifest(outdir, "aggregate", params)
-    if not params["quiet"]:
-        print(f"aggregated {panel.n_groups} groups into {aggregated.n_groups}")
-    return EXIT_OK
+    return Output(
+        lambda out: to_csv(aggregated, out / "aggregated.csv"),
+        f"aggregated {panel.n_groups} groups into {aggregated.n_groups}",
+    )
 
 
 def build_parser() -> _Parser:
@@ -465,7 +459,7 @@ def run(argv=None) -> int:
     command = namespace.pop("command")
     config_path = namespace.pop("config", None)
     params = _materialize(COMMAND_PARAMS[command], config_path, namespace)
-    return COMMANDS[command](params)
+    return _deliver(command, params, COMMANDS[command](params))
 
 
 def main(argv=None) -> int:

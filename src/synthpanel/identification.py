@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .microsim import GroupComposition, SimulatedStudy, expected_outcome
+from .microsim import GroupComposition, SimulatedStudy
 from .panel import check_donors
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "minimal_invariant_set",
     "solve_oracle_weights",
     "verify_identification",
-    "report_to_json",
-    "weights_to_json",
 ]
 
 
@@ -152,36 +150,12 @@ def verify_identification(study: SimulatedStudy, weights: OracleWeights, tol: fl
     """Check the weighted-donor identity on noiseless expected outcomes.
 
     True iff the target's expected control outcome equals the weighted
-    combination of the donors' at every period of the study.
+    combination of the donors' at every period of the study, each within
+    ``tol``.
     """
     _check_tolerance(tol)
-    target = study.panel.target_index
-    for t in range(1, study.config.T + 1):
-        lhs = expected_outcome(study.compositions[target], study.functions, t)
-        rhs = sum(
-            float(b) * expected_outcome(study.compositions[j], study.functions, t)
-            for j, b in zip(weights.donor_indices, weights.beta)
-        )
-        if abs(lhs - rhs) > tol:
-            return False
-    return True
-
-
-def report_to_json(report: InvariantSetReport) -> dict:
-    return {
-        "S_indices": list(report.S_indices),
-        "S_cardinality": report.S_cardinality,
-        "donor_count": report.donor_count,
-        "a3_holds": report.a3_holds,
-        "a4_holds": report.a4_holds,
-        "per_category_max_gap": [float(g) for g in report.per_category_max_gap],
-    }
-
-
-def weights_to_json(weights: OracleWeights) -> dict:
-    return {
-        "donor_indices": list(weights.donor_indices),
-        "beta": [float(b) for b in weights.beta],
-        "residual_norm": weights.residual_norm,
-        "exists": weights.exists,
-    }
+    groups = [study.panel.target_index, *weights.donor_indices]
+    # One product gives every period of expected_outcome for every group.
+    expected = np.array([study.compositions[j].probs for j in groups]) @ study.functions.conditional_mean
+    gaps = expected[0] - weights.beta @ expected[1:]
+    return bool(np.all(np.abs(gaps) <= tol))

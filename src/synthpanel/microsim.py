@@ -4,8 +4,9 @@ Groups are distributions over K cause categories; an individual's outcome
 is a nonlinear, time-varying function of their category plus Gaussian
 noise; the panel cell is the mean (or median) over fresh individuals drawn
 each period. Because the generator keeps its compositions and conditional
-means, every study carries its own noiseless oracle
-(:func:`expected_outcome`).
+means, every study carries its own noiseless oracle:
+:func:`expected_outcome` gives a group's expected control outcome at every
+period at once, as its composition times the conditional-mean table.
 
 Randomness is organized as independent child streams of the master seed:
 one stream for group compositions and outcome functions, one per
@@ -20,10 +21,10 @@ very same individuals.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -31,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, from_csv, to_csv, write_json
+from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, from_csv, read_json, to_csv, write_json
 
 __all__ = [
     "GroupComposition",
@@ -104,8 +105,8 @@ class GroupComposition:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise DataValidationError("composition must be a 1-D probability vector")
-        if probs.min() < 0:
-            raise DataValidationError("composition entries must be nonnegative")
+        if not probs.min() >= 0:  # a NaN entry fails this too
+            raise DataValidationError("composition entries must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise DataValidationError(f"composition sums to {probs.sum()!r}, not 1")
 
@@ -135,14 +136,6 @@ class OutcomeFunctionFamily:
         if not np.all(np.isfinite(lam)):
             raise DataValidationError("conditional_mean contains non-finite values")
         _require_nonnegative("noise_sd", self.noise_sd)
-
-    @property
-    def n_categories(self) -> int:
-        return self.conditional_mean.shape[0]
-
-    @property
-    def n_periods(self) -> int:
-        return self.conditional_mean.shape[1]
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,8 @@ class SimConfig:
 class SimulatedStudy:
     """A generated panel together with its hidden ground truth.
 
-    ``compositions`` is ordered target first, matching the panel's groups.
+    ``compositions`` is ordered target first, matching the panel's groups,
+    each over ``config.K`` categories; ``functions`` is a K x T table.
     ``panels`` maps each aggregation the study was reduced by to its panel;
     it always holds ``panel`` under ``config.aggregation``.
     """
@@ -219,6 +213,12 @@ class SimulatedStudy:
         object.__setattr__(self, "compositions", tuple(self.compositions))
         object.__setattr__(self, "true_S", frozenset(int(k) for k in self.true_S))
         cfg = self.config
+        if self.functions.conditional_mean.shape != (cfg.K, cfg.T):
+            raise DataValidationError(f"conditional_mean must be a K x T = {cfg.K} x {cfg.T} table")
+        if len(self.compositions) != cfg.n_groups:
+            raise DataValidationError(f"{len(self.compositions)} compositions for {cfg.n_groups} groups")
+        if any(c.n_categories != cfg.K for c in self.compositions):
+            raise DataValidationError(f"every composition must cover K = {cfg.K} categories")
         panels = dict(self.panels or {})
         if panels.setdefault(cfg.aggregation, self.panel) is not self.panel:
             raise DataValidationError(f"panels[{cfg.aggregation!r}] must be the study panel")
@@ -322,13 +322,11 @@ def conditional_mean_default(
     return OutcomeFunctionFamily(lam, noise_sd=noise_sd)
 
 
-def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFamily, t: int) -> float:
-    """Noiseless expected control outcome at period t (1-based)."""
-    if not 1 <= t <= functions.n_periods:
-        raise UsageError(f"period {t} outside 1..{functions.n_periods}")
-    if composition.n_categories != functions.n_categories:
+def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFamily) -> np.ndarray:
+    """Noiseless expected control outcome at every period: entry t-1 is period t."""
+    if composition.n_categories != functions.conditional_mean.shape[0]:
         raise UsageError("composition and outcome family disagree on K")
-    return float(functions.conditional_mean[:, t - 1] @ composition.probs)
+    return composition.probs @ functions.conditional_mean
 
 
 def _category_cdf(composition: GroupComposition) -> np.ndarray:
@@ -501,48 +499,46 @@ def write_study_bundle(study: SimulatedStudy, outdir) -> None:
     aux_to_csv(study.aux_suitable, study.panel.group_labels, outdir / "covariates_suitable.csv")
     aux_to_csv(study.aux_unsuitable, study.panel.group_labels, outdir / "covariates_unsuitable.csv")
     truth = {
-        "group_labels": list(study.panel.group_labels),
-        "compositions": [list(map(float, c.probs)) for c in study.compositions],
-        "conditional_mean": [list(map(float, row)) for row in study.functions.conditional_mean],
+        "group_labels": study.panel.group_labels,
+        "compositions": [c.probs for c in study.compositions],
+        "conditional_mean": study.functions.conditional_mean,
         "noise_sd": study.functions.noise_sd,
         "post_intervention_shift": study.config.post_intervention_shift,
         "true_S": sorted(study.true_S),
-        "config": asdict(study.config),
+        "config": study.config,
     }
     write_json(truth, outdir / "truth.json")
+
+
+@contextmanager
+def _study_truth(path):
+    """Report any fault found in a bundle's ground truth as a data error naming ``path``."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:  # UsageError and DataValidationError too
+        raise DataValidationError(f"{path}: malformed study truth ({type(exc).__name__}: {exc})") from None
 
 
 def load_study_bundle(indir) -> SimulatedStudy:
     """Reconstruct a study from a bundle written by write_study_bundle.
 
-    A truth.json that is not such a document raises DataValidationError.
+    A truth.json that is not such a document, or that disagrees with the
+    bundle's panel, raises DataValidationError.
     """
     indir = Path(indir)
-    with open(indir / "truth.json", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        truth = json.loads(text)
+    truth_path = indir / "truth.json"
+    truth = read_json(truth_path)
+    with _study_truth(truth_path):
         cfg = SimConfig(**truth["config"])
         target = truth["group_labels"][0]
         compositions = tuple(GroupComposition(np.array(p)) for p in truth["compositions"])
-        functions = OutcomeFunctionFamily(
-            conditional_mean=np.array(truth["conditional_mean"]),
-            noise_sd=truth["noise_sd"],
-        )
+        functions = OutcomeFunctionFamily(np.array(truth["conditional_mean"]), noise_sd=truth["noise_sd"])
         true_s = frozenset(int(k) for k in truth["true_S"])
-    except (UsageError, DataValidationError):
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise DataValidationError(
-            f"{indir / 'truth.json'}: malformed study truth ({type(exc).__name__}: {exc})"
-        ) from None
-    panel = from_csv(indir / "panel.csv", target=target, intervention_time=cfg.T0)
-    return SimulatedStudy(
-        panel=panel,
-        compositions=compositions,
-        functions=functions,
-        true_S=true_s,
-        aux_suitable=aux_from_csv(indir / "covariates_suitable.csv", panel.group_labels),
-        aux_unsuitable=aux_from_csv(indir / "covariates_unsuitable.csv", panel.group_labels),
-        config=cfg,
-    )
+    try:
+        panel = from_csv(indir / "panel.csv", target=target, intervention_time=cfg.T0)
+    except UsageError as exc:  # the truth names a target the panel does not hold
+        raise DataValidationError(f"{indir / 'panel.csv'}: {exc}") from None
+    aux_suitable = aux_from_csv(indir / "covariates_suitable.csv", panel.group_labels)
+    aux_unsuitable = aux_from_csv(indir / "covariates_unsuitable.csv", panel.group_labels)
+    with _study_truth(truth_path):
+        return SimulatedStudy(panel, compositions, functions, true_s, aux_suitable, aux_unsuitable, cfg)

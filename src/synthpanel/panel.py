@@ -9,9 +9,10 @@ all operations are pure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -180,6 +181,41 @@ def _parse_int(text: str, line_no: int, column: str) -> int:
         raise DataValidationError(f"non-integer {column} {text!r} on line {line_no}") from None
 
 
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, line endings untranslated: the one place input files are opened.
+
+    A missing file raises FileNotFoundError; any other failure to open or
+    decode it raises DataValidationError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise DataValidationError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_json(path):
+    """The JSON document in a file; invalid JSON raises DataValidationError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataValidationError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _csv_rows(path) -> list[list[str]]:
+    """Every record of a CSV file, parsed as from a file opened with newline=""."""
+    try:
+        rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}: malformed CSV ({exc})") from None
+    if not rows:
+        raise DataValidationError(f"{path}: empty file")
+    return rows
+
+
 def from_csv(path, target: str, intervention_time: int) -> PanelData:
     """Read a long-format panel CSV into a validated :class:`PanelData`.
 
@@ -188,48 +224,41 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     exactly once; rows may arrive in any order. Group order in the result
     follows first appearance in the file; periods are sorted.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header[:3] != ["group", "time", "outcome"] or len(header) > 4:
-            raise DataValidationError(
-                f"{path}: expected header 'group,time,outcome[,population]', got {','.join(header)}"
-            )
-        has_population = len(header) == 4 and header[3] == "population"
-        if len(header) == 4 and not has_population:
-            raise DataValidationError(f"{path}: unknown fourth column {header[3]!r}")
+    header, *records = _csv_rows(path)
+    header = [h.strip() for h in header]
+    if header[:3] != ["group", "time", "outcome"] or len(header) > 4:
+        raise DataValidationError(
+            f"{path}: expected header 'group,time,outcome[,population]', got {','.join(header)}"
+        )
+    has_population = len(header) == 4 and header[3] == "population"
+    if len(header) == 4 and not has_population:
+        raise DataValidationError(f"{path}: unknown fourth column {header[3]!r}")
 
-        cells: dict[tuple[str, int], float] = {}
-        groups: list[str] = []
-        seen_groups: set[str] = set()
-        times: set[int] = set()
-        populations: dict[str, float] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataValidationError(f"{path}: wrong field count on line {line_no}")
-            group = row[0].strip()
-            time = _parse_int(row[1].strip(), line_no, "time")
-            outcome = _parse_float(row[2].strip(), line_no, "outcome")
-            if (group, time) in cells:
-                raise DataValidationError(f"{path}: duplicate cell ({group}, {time}) on line {line_no}")
-            cells[(group, time)] = outcome
-            if group not in seen_groups:
-                seen_groups.add(group)
-                groups.append(group)
-            times.add(time)
-            if has_population and row[3].strip() != "":
-                pop = _parse_float(row[3].strip(), line_no, "population")
-                if group in populations and populations[group] != pop:
-                    raise DataValidationError(
-                        f"{path}: conflicting population for {group!r} on line {line_no}"
-                    )
-                populations[group] = pop
+    cells: dict[tuple[str, int], float] = {}
+    groups: list[str] = []
+    seen_groups: set[str] = set()
+    times: set[int] = set()
+    populations: dict[str, float] = {}
+    for line_no, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataValidationError(f"{path}: wrong field count on line {line_no}")
+        group = row[0].strip()
+        time = _parse_int(row[1].strip(), line_no, "time")
+        outcome = _parse_float(row[2].strip(), line_no, "outcome")
+        if (group, time) in cells:
+            raise DataValidationError(f"{path}: duplicate cell ({group}, {time}) on line {line_no}")
+        cells[(group, time)] = outcome
+        if group not in seen_groups:
+            seen_groups.add(group)
+            groups.append(group)
+        times.add(time)
+        if has_population and row[3].strip() != "":
+            pop = _parse_float(row[3].strip(), line_no, "population")
+            if group in populations and populations[group] != pop:
+                raise DataValidationError(f"{path}: conflicting population for {group!r} on line {line_no}")
+            populations[group] = pop
 
     if not cells:
         raise DataValidationError(f"{path}: no data rows")
@@ -257,10 +286,20 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def _jsonable(value):
+    """JSON form of the values json cannot encode: dataclasses and numpy data."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json(payload, path) -> None:
-    """Canonical JSON file: sorted keys, indent 2, UTF-8 text, trailing newline."""
+    """Canonical JSON file: sorted keys, indent 2, UTF-8 text, trailing newline.
+    Dataclasses are written as objects of their fields, numpy data as lists and numbers."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
+        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False, default=_jsonable)
         fh.write("\n")
 
 
@@ -290,23 +329,18 @@ def aux_to_csv(aux: AuxMatrix, group_labels: Sequence[str], path) -> None:
 
 def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
     """Read a covariate CSV, one row per group, reordering rows to match ``group_labels``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        if not header or header[0] != "group":
-            raise DataValidationError(f"{path}: first column must be 'group'")
-        rows = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataValidationError(f"{path}: wrong field count on line {line_no}")
-            if row[0] in rows:
-                raise DataValidationError(f"{path}: duplicate covariate row for {row[0]!r} on line {line_no}")
-            rows[row[0]] = [_parse_float(v, line_no, "covariate") for v in row[1:]]
+    header, *records = _csv_rows(path)
+    if not header or header[0] != "group":
+        raise DataValidationError(f"{path}: first column must be 'group'")
+    rows = {}
+    for line_no, row in enumerate(records, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataValidationError(f"{path}: wrong field count on line {line_no}")
+        if row[0] in rows:
+            raise DataValidationError(f"{path}: duplicate covariate row for {row[0]!r} on line {line_no}")
+        rows[row[0]] = [_parse_float(v, line_no, "covariate") for v in row[1:]]
     missing = [g for g in group_labels if g not in rows]
     if missing:
         raise DataValidationError(f"{path}: missing covariate rows for {missing}")

@@ -9,6 +9,7 @@ the per-criterion lines.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from synthpanel import (
     solve_oracle_weights,
     sweep_S,
     sweep_T_mean_median,
+    to_csv,
     verify_identification,
 )
 from synthpanel.cli import main as cli_main
@@ -208,32 +210,41 @@ def test_criterion_7_divisional_prop99():
 
 
 def test_criterion_8_byte_identical_reruns(tmp_path):
-    """Reruns with identical config and seed write identical bytes."""
+    """Reruns with identical config and seed write identical bytes, in every file."""
+    runs = 0
 
-    def run_twice(args, names):
-        d1, d2 = tmp_path / f"a{hash(tuple(args)) % 10_000}", tmp_path / f"b{hash(tuple(args)) % 10_000}"
+    def run_twice(args):
+        nonlocal runs
+        runs += 1
+        d1, d2 = tmp_path / f"a{runs}", tmp_path / f"b{runs}"
         assert cli_main([*args, "--out", str(d1), "--quiet"]) == 0
         assert cli_main([*args, "--out", str(d2), "--quiet"]) == 0
+        names = sorted(p.name for p in d1.iterdir())
+        assert "manifest.json" in names and names == sorted(p.name for p in d2.iterdir())
         for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+        return names
 
+    assert len(run_twice(["simulate", "--seed", "7", "--individuals", "80"])) == 5
     run_twice(
-        ["simulate", "--seed", "7", "--individuals", "80"],
-        ("panel.csv", "truth.json", "covariates_suitable.csv", "covariates_unsuitable.csv", "manifest.json"),
+        ["sweep", "--knob", "S", "--from", "2", "--to", "4", "--replications", "2", "--individuals", "40", "--seed", "9"]
     )
+    assert run_twice(
+        ["sweep", "--knob", "T", "--from", "8", "--to", "12", "--step", "4", "--replications", "2",
+         "--individuals", "40", "--seed", "9"]
+    ) == ["manifest.json", "sweep_mean.csv", "sweep_median.csv"]
     run_twice(
-        ["sweep", "--knob", "S", "--from", "2", "--to", "4", "--replications", "2", "--individuals", "40", "--seed", "9"],
-        ("sweep.csv", "manifest.json"),
-    )
-    run_twice(
-        ["covariates", "--replications", "2", "--individuals", "40", "--covariate-count", "2", "--seed", "3"],
-        ("covariates.csv", "manifest.json"),
+        ["covariates", "--replications", "2", "--individuals", "40", "--covariate-count", "2", "--seed", "3"]
     )
     bundle = tmp_path / "bundle"
     assert cli_main(["simulate", "--seed", "5", "--individuals", "60", "--out", str(bundle), "--quiet"]) == 0
-    run_twice(["diagnose", "--bundle", str(bundle)], ("diagnosis.json", "manifest.json"))
-    run_twice(
-        ["fit", "--panel", str(bundle / "panel.csv"), "--target", "target", "--t0", "15"],
-        ("weights.json", "series.csv", "manifest.json"),
-    )
-    print("ACCEPTANCE 8: PASS (simulate/sweep/covariates/diagnose/fit reruns byte-identical)")
+    run_twice(["diagnose", "--bundle", str(bundle)])
+    run_twice(["fit", "--panel", str(bundle / "panel.csv"), "--target", "target", "--t0", "15"])
+    panel = from_csv(bundle / "panel.csv", target="target", intervention_time=15)
+    populations = {label: float(j + 1) for j, label in enumerate(panel.group_labels)}
+    to_csv(replace(panel, populations=populations), tmp_path / "population.csv")
+    grouping = {label: ("west" if j % 2 else "east") for j, label in enumerate(panel.group_labels)}
+    (tmp_path / "grouping.json").write_text(json.dumps(grouping))
+    run_twice(["aggregate", "--panel", str(tmp_path / "population.csv"), "--target", "target", "--t0", "15",
+               "--grouping", str(tmp_path / "grouping.json")])
+    print("ACCEPTANCE 8: PASS (simulate/sweep S/sweep T/covariates/diagnose/fit/aggregate reruns byte-identical)")

@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthpanel.cli import main
 
@@ -147,8 +154,13 @@ class TestSimulateDiagnose:
             lambda truth: truth["config"].update(mystery=1),
             lambda truth: truth["compositions"][0].__setitem__(0, "a lot"),
             None,
+            lambda truth: truth.update(noise_sd=-1),
+            lambda truth: truth["config"].update(T0=0),
+            lambda truth: truth.update(conditional_mean=[row[:5] for row in truth["conditional_mean"]]),
+            lambda truth: truth["compositions"][1].__setitem__(0, float("nan")),
         ],
-        ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document"],
+        ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
+             "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
         bundle = tmp_path / "b"
@@ -403,3 +415,79 @@ class TestManifestRoundTrip:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+class TestIOContract:
+    """A missing input or an unusable --out exits 1; an unreadable, undecodable
+    or malformed input file exits 2. Either way: one stderr line, no output."""
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("panel-is-directory", 2),
+            ("panel-not-utf8", 2),
+            ("config-is-directory", 2),
+            ("bundle-is-file", 2),
+            ("out-is-file", 1),
+            ("out-under-file", 1),
+        ],
+    )
+    def test_unusable_path(self, tmp_path, capsys, case, code):
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file.csv"
+        a_dir.mkdir()
+        a_file.write_bytes(b"group,time,outcome\nA,1,1.0\n\xff,2,1.0\n")
+        out = tmp_path / "out"
+        fit = ["fit", "--target", "A", "--t0", 1]
+        simulate = ["simulate", "--individuals", 20]
+        args = {
+            "panel-is-directory": [*fit, "--panel", a_dir, "--out", out],
+            "panel-not-utf8": [*fit, "--panel", a_file, "--out", out],
+            "config-is-directory": [*simulate, "--config", a_dir, "--out", out],
+            "bundle-is-file": ["diagnose", "--bundle", a_file, "--out", out],
+            "out-is-file": [*simulate, "--out", a_file],
+            "out-under-file": [*simulate, "--out", a_file / "sub"],
+        }[case]
+        assert run(args) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() and a_file.is_file()
+
+
+@pytest.fixture(scope="module")
+def pristine_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("pristine") / "bundle"
+    assert run(["simulate", "--seed", 2, "--individuals", 20, "--covariate-count", 2,
+                "--out", bundle, "--quiet"]) == 0
+    return bundle
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["truth.json", "panel.csv", "covariates_suitable.csv", "covariates_unsuitable.csv"]),
+    damage=st.sampled_from(["truncate", "flip", "delete"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    mask=st.integers(1, 255),
+)
+def test_damaged_bundle_fails_cleanly(pristine_bundle, name, damage, where, mask):
+    with tempfile.TemporaryDirectory() as scratch:
+        bundle = Path(scratch) / "bundle"
+        shutil.copytree(pristine_bundle, bundle)
+        target = bundle / name
+        data = bytearray(target.read_bytes())
+        at = int(where * len(data))
+        if damage == "delete":
+            target.unlink()
+        elif damage == "truncate":
+            target.write_bytes(data[:at])
+        else:
+            data[at] ^= mask
+            target.write_bytes(bytes(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["diagnose", "--bundle", bundle, "--out", Path(scratch) / "d", "--quiet"])
+        assert (Path(scratch) / "d").exists() == (code == 0)
+    # A deleted file is a missing input (exit 1); any other damage is a data error or harmless.
+    assert code in ({1} if damage == "delete" else {0, 2})
+    text = err.getvalue()
+    assert "Traceback" not in text
+    assert text.count("\n") == (0 if code == 0 else 1)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from synthpanel import (
     solve_oracle_weights,
     verify_identification,
 )
-from synthpanel.identification import OracleWeights, report_to_json, weights_to_json
+from synthpanel.identification import OracleWeights
 from synthpanel.microsim import _stream, sample_compositions
+from synthpanel.panel import write_json
 
 
 def comps(*rows):
@@ -151,6 +153,28 @@ class TestVerification:
         bumped = OracleWeights(w.donor_indices, w.beta + np.array([0.1, 0, 0, 0, 0]), w.residual_norm, w.exists)
         assert not verify_identification(study, bumped, tol=1e-8)
 
+    @pytest.mark.parametrize("seed, bump", [(seed, bump) for seed in range(6) for bump in (0.0, 1e-6)])
+    def test_matches_per_period_reference(self, seed, bump):
+        # The reference checks the identity one period at a time, with each
+        # expected outcome summed over categories by hand.
+        cfg = SimConfig(S_cardinality=(0, 2, 4, 5, 6, 7)[seed], T=15, T0=10, seed=seed, N_per_group=5,
+                        covariate_count=0)
+        study = simulate_panel(cfg)
+        donors = study.panel.donor_indices()
+        report = minimal_invariant_set(study.compositions, 0, donors)
+        w = solve_oracle_weights(study.compositions, 0, donors, report.S_indices)
+        w = OracleWeights(w.donor_indices, w.beta + bump, w.residual_norm, w.exists)
+
+        def expected(j, t):
+            probs, lam = study.compositions[j].probs, study.functions.conditional_mean
+            return sum(probs[k] * lam[k, t - 1] for k in range(cfg.K))
+
+        reference = all(
+            abs(expected(0, t) - sum(b * expected(j, t) for j, b in zip(w.donor_indices, w.beta))) <= 1e-8
+            for t in range(1, cfg.T + 1)
+        )
+        assert verify_identification(study, w, tol=1e-8) == reference
+
     def test_minimal_horizon_passes(self):
         # Shortest legal horizon: one pre and one post period.
         cfg = SimConfig(S_cardinality=3, T=2, T0=1, seed=5, N_per_group=5, covariate_count=0)
@@ -173,12 +197,7 @@ class TestOracleWeightsAsEstimator:
 
         cfg = SimConfig(S_cardinality=4, T=14, T0=10, seed=8, N_per_group=5, covariate_count=0)
         study = simulate_panel(cfg)
-        expected = np.array(
-            [
-                [expected_outcome(c, study.functions, t) for t in range(1, cfg.T + 1)]
-                for c in study.compositions
-            ]
-        )
+        expected = np.array([expected_outcome(c, study.functions) for c in study.compositions])
         panel = PanelData(
             expected, study.panel.group_labels, study.panel.time_labels, 0, cfg.T0
         )
@@ -192,15 +211,22 @@ class TestOracleWeightsAsEstimator:
 
 
 class TestSerialization:
-    def test_json_payloads(self):
+    def test_json_payloads(self, tmp_path):
         groups = comps([0.2, 0.8], [0.4, 0.6], [0.1, 0.9])
         report = minimal_invariant_set(groups, 0, (1, 2))
         w = solve_oracle_weights(groups, 0, (1, 2), report.S_indices)
-        rep_doc, w_doc = report_to_json(report), weights_to_json(w)
-        assert rep_doc["S_cardinality"] == 2
-        assert len(rep_doc["per_category_max_gap"]) == 2
-        assert isinstance(w_doc["exists"], bool)
-        assert len(w_doc["beta"]) == 2
+        write_json({"invariant_set": report, "oracle_weights": w}, tmp_path / "doc.json")
+        doc = json.loads((tmp_path / "doc.json").read_text())
+        rep_doc, w_doc = doc["invariant_set"], doc["oracle_weights"]
+        assert sorted(rep_doc) == [
+            "S_cardinality", "S_indices", "a3_holds", "a4_holds", "donor_count", "per_category_max_gap"
+        ]
+        assert rep_doc["S_cardinality"] == 2 and rep_doc["S_indices"] == [0, 1]
+        assert rep_doc["per_category_max_gap"] == [float(g) for g in report.per_category_max_gap]
+        assert rep_doc["a3_holds"] is True and rep_doc["a4_holds"] is True
+        assert sorted(w_doc) == ["beta", "donor_indices", "exists", "residual_norm"]
+        assert w_doc["beta"] == [float(b) for b in w.beta] and w_doc["donor_indices"] == [1, 2]
+        assert isinstance(w_doc["exists"], bool) and w_doc["residual_norm"] == w.residual_norm
 
 
 class TestTolerance:

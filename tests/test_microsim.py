@@ -122,12 +122,12 @@ class TestExpectedOutcome:
     def test_two_category_average(self):
         fam = OutcomeFunctionFamily(np.array([[1.0], [2.0]]))
         comp = GroupComposition(np.array([0.5, 0.5]))
-        assert expected_outcome(comp, fam, 1) == pytest.approx(1.5)
+        assert expected_outcome(comp, fam) == pytest.approx([1.5])
 
     def test_point_mass(self):
         fam = OutcomeFunctionFamily(np.array([[1.0, 4.0], [2.0, 8.0]]))
         comp = GroupComposition(np.array([0.0, 1.0]))
-        assert expected_outcome(comp, fam, 2) == pytest.approx(8.0)
+        assert expected_outcome(comp, fam) == pytest.approx([2.0, 8.0])
 
     def test_mixture_linearity(self):
         rng = np.random.default_rng(9)
@@ -136,23 +136,23 @@ class TestExpectedOutcome:
         q = GroupComposition(rng.dirichlet(np.ones(6)))
         alpha = 0.3
         mix = GroupComposition(alpha * p.probs + (1 - alpha) * q.probs)
-        for t in range(1, 9):
-            blended = alpha * expected_outcome(p, fam, t) + (1 - alpha) * expected_outcome(q, fam, t)
-            assert expected_outcome(mix, fam, t) == pytest.approx(blended, abs=1e-12)
+        blended = alpha * expected_outcome(p, fam) + (1 - alpha) * expected_outcome(q, fam)
+        assert expected_outcome(mix, fam).shape == (8,)
+        assert np.allclose(expected_outcome(mix, fam), blended, atol=1e-12, rtol=0)
 
     def test_large_n_monte_carlo_limit(self):
         # Noiseless cells converge to the expected outcome as N grows.
         cfg = small_cfg(N_per_group=1_000_000, noise_sd=0.0, T=2, T0=1, covariate_count=0, seed=501)
         study = simulate_panel(cfg)
         got = study.panel.outcomes[0, 0]
-        want = expected_outcome(study.compositions[0], study.functions, 1)
+        want = expected_outcome(study.compositions[0], study.functions)[0]
         assert abs(got - want) <= 1e-3
 
-    def test_period_validation(self):
+    def test_category_count_validation(self):
         fam = OutcomeFunctionFamily(np.ones((2, 3)))
-        comp = GroupComposition(np.array([0.5, 0.5]))
+        comp = GroupComposition(np.array([0.2, 0.3, 0.5]))
         with pytest.raises(UsageError):
-            expected_outcome(comp, fam, 4)
+            expected_outcome(comp, fam)
 
 
 class TestSimulatePanel:
@@ -312,6 +312,29 @@ class TestStudyInvariants:
                 aux_unsuitable=study.aux_unsuitable,
                 config=study.config,
             )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda study: {"functions": OutcomeFunctionFamily(study.functions.conditional_mean[:, :-1])},
+            lambda study: {"compositions": study.compositions[:-1]},
+            lambda study: {"compositions": (GroupComposition(np.full(4, 0.25)),) + study.compositions[1:]},
+        ],
+        ids=["short-table", "composition-count", "composition-length"],
+    )
+    def test_truth_must_match_config(self, change):
+        study = simulate_panel(small_cfg())
+        fields = dict(
+            panel=study.panel,
+            compositions=study.compositions,
+            functions=study.functions,
+            true_S=study.true_S,
+            aux_suitable=study.aux_suitable,
+            aux_unsuitable=study.aux_unsuitable,
+            config=study.config,
+        )
+        with pytest.raises(DataValidationError):
+            SimulatedStudy(**{**fields, **change(study)})
 
     def test_composition_validation(self):
         with pytest.raises(DataValidationError):

@@ -61,6 +61,29 @@ class TestFromCsv:
         with pytest.raises(UsageError, match="TX"):
             from_csv(path, target="TX", intervention_time=1)
 
+    def test_line_endings_and_quoted_fields(self, tmp_path):
+        # Parsed as from a file opened with newline="": CRLF, lone CR and LF
+        # all end a record, and a quoted field keeps its comma and newline.
+        path = tmp_path / "panel.csv"
+        path.write_bytes(
+            b'group,time,outcome\r\n"Wash, DC",1,1.5\r"Wash, DC",2,2.5\n"a\r\nb",1,3\r\n"a\r\nb",2,4\r\n'
+        )
+        panel = from_csv(path, target="Wash, DC", intervention_time=1)
+        assert panel.group_labels == ("Wash, DC", "a\r\nb")
+        assert panel.outcomes.tolist() == [[1.5, 2.5], [3.0, 4.0]]
+
+    def test_unreadable_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataValidationError, match="cannot read"):
+            from_csv(tmp_path, target="CA", intervention_time=1)
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"group,time,outcome\nCA,1,1.0\nCA,2,\xe9\n")
+        with pytest.raises(DataValidationError, match="not UTF-8"):
+            from_csv(path, target="CA", intervention_time=1)
+        # An unclosed quote runs past the csv module's field size limit.
+        path.write_text('group,time,outcome\n"CA,1,1.0\n' + "x" * 200_000 + "\n")
+        with pytest.raises(DataValidationError, match="malformed CSV"):
+            from_csv(path, target="CA", intervention_time=1)
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "panel.csv"
         write_rows(path, [("CA", 1, 1.0), ("CA", 1, 2.0), ("CA", 2, 3.0)])
