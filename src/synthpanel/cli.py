@@ -5,7 +5,8 @@ command computes and checks its results and returns them as an
 :class:`Output`; :func:`_deliver` alone creates the output directory and
 writes into it, with the run's full parameter set, so a rejected run leaves
 no directory and a written run is reproducible from its directory alone.
-Outputs are deterministic given config and seed.
+Outputs are deterministic given config and seed. The argument parser is
+built once per process and shared by every :func:`main` call in it.
 
 Exit codes: 0 success, 1 usage error (a missing input file or an unusable
 output directory included), 2 data-validation error (an input file that
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import typing
 from pathlib import Path
@@ -431,7 +433,14 @@ def cmd_aggregate(params: dict) -> Output:
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    argparse builds a help formatter, which reads the terminal size, for every
+    flag it adds, so building costs more than many commands. Parsing leaves the
+    parser as it was, so every call shares it; nothing may change it after it
+    is built."""
     parser = _Parser(prog="synthpanel", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=VERSION_STRING)
     sub = parser.add_subparsers(dest="command", required=True)

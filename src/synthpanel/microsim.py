@@ -312,13 +312,15 @@ def conditional_mean_default(
     level = rng.uniform(*LEVEL_RANGE, K)
     trend = rng.uniform(*TREND_RANGE, K)
     osc_loadings = rng.uniform(*OSC_LOADING_RANGE, (K, N_OSCILLATIONS))
-    ramp_loadings = ramp_scale * rng.uniform(*RAMP_LOADING_RANGE, K)
-    lam = (
-        level[:, None]
-        + trend[:, None] * np.log1p(t)
-        + osc_loadings @ oscillations
-        + ramp_loadings[:, None] * (t / T) ** RAMP_POWER
-    )
+    # A table that overflows is rejected by OutcomeFunctionFamily's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ramp_loadings = ramp_scale * rng.uniform(*RAMP_LOADING_RANGE, K)
+        lam = (
+            level[:, None]
+            + trend[:, None] * np.log1p(t)
+            + osc_loadings @ oscillations
+            + ramp_loadings[:, None] * (t / T) ** RAMP_POWER
+        )
     return OutcomeFunctionFamily(lam, noise_sd=noise_sd)
 
 
@@ -412,14 +414,16 @@ def simulate_panel(
 
     outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
     by_period = np.ascontiguousarray(functions.conditional_mean.T)
-    for j, comp in enumerate(compositions):
-        cdf = _category_cdf(comp)
-        for t in range(1, cfg.T + 1):
-            shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
-            rng_cell = _stream(cfg.seed, 2, j, t)
-            y = _draw(rng_cell, cdf, by_period[t - 1], cfg.N_per_group, functions.noise_sd, shift)
-            for name, reduce in reducers.items():
-                outcomes[name][j, t - 1] = reduce(y)
+    # A cell that overflows is rejected by the panel's finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, comp in enumerate(compositions):
+            cdf = _category_cdf(comp)
+            for t in range(1, cfg.T + 1):
+                shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
+                rng_cell = _stream(cfg.seed, 2, j, t)
+                y = _draw(rng_cell, cdf, by_period[t - 1], cfg.N_per_group, functions.noise_sd, shift)
+                for name, reduce in reducers.items():
+                    outcomes[name][j, t - 1] = reduce(y)
 
     panels = {
         name: PanelData(

@@ -234,47 +234,62 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     if len(header) == 4 and not has_population:
         raise DataValidationError(f"{path}: unknown fourth column {header[3]!r}")
 
-    cells: dict[tuple[str, int], float] = {}
-    groups: list[str] = []
-    seen_groups: set[str] = set()
+    # One pass over the records. A number is parsed as it stands and, only if
+    # that fails, again from its stripped text, which either succeeds
+    # (str.strip also removes \x1c-\x1f, which int and float do not skip) or
+    # raises quoting that text. Each line is checked in full before the next,
+    # so the first faulty line is the one reported.
+    width = len(header)
+    isfinite = math.isfinite
+    series: dict[str, dict[int, float]] = {}  # group -> time -> outcome, groups in file order
     times: set[int] = set()
     populations: dict[str, float] = {}
     for line_no, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
+        if len(row) != width:
+            if not row:
+                continue
             raise DataValidationError(f"{path}: wrong field count on line {line_no}")
         group = row[0].strip()
-        time = _parse_int(row[1].strip(), line_no, "time")
-        outcome = _parse_float(row[2].strip(), line_no, "outcome")
-        if (group, time) in cells:
+        try:
+            time = int(row[1])
+        except ValueError:
+            time = _parse_int(row[1].strip(), line_no, "time")
+        try:
+            outcome = float(row[2])
+        except ValueError:
+            outcome = math.nan
+        if not isfinite(outcome):
+            outcome = _parse_float(row[2].strip(), line_no, "outcome")
+        cells = series.get(group)
+        if cells is None:
+            cells = series[group] = {}
+        elif time in cells:
             raise DataValidationError(f"{path}: duplicate cell ({group}, {time}) on line {line_no}")
-        cells[(group, time)] = outcome
-        if group not in seen_groups:
-            seen_groups.add(group)
-            groups.append(group)
+        cells[time] = outcome
         times.add(time)
-        if has_population and row[3].strip() != "":
-            pop = _parse_float(row[3].strip(), line_no, "population")
-            if group in populations and populations[group] != pop:
+        if has_population and (text := row[3].strip()):
+            pop = _parse_float(text, line_no, "population")
+            if populations.get(group, pop) != pop:
                 raise DataValidationError(f"{path}: conflicting population for {group!r} on line {line_no}")
             populations[group] = pop
 
-    if not cells:
+    if not series:
         raise DataValidationError(f"{path}: no data rows")
-    time_labels = tuple(sorted(times))
-    for group in groups:
-        for time in time_labels:
-            if (group, time) not in cells:
-                raise DataValidationError(f"{path}: missing cell ({group}, {time})")
-    if target not in groups:
-        raise UsageError(f"target {target!r} not found among groups {groups}")
+    time_labels = sorted(times)
+    # The cells are distinct, so the grid is complete exactly when it has groups x periods of them.
+    if sum(map(len, series.values())) != len(series) * len(time_labels):
+        for group, cells in series.items():
+            for time in time_labels:
+                if time not in cells:
+                    raise DataValidationError(f"{path}: missing cell ({group}, {time})")
+    groups = tuple(series)
+    if target not in series:
+        raise UsageError(f"target {target!r} not found among groups {list(groups)}")
 
-    outcomes = np.array([[cells[(g, t)] for t in time_labels] for g in groups])
     return PanelData(
-        outcomes=outcomes,
-        group_labels=tuple(groups),
-        time_labels=time_labels,
+        outcomes=np.array([[cells[t] for t in time_labels] for cells in series.values()]),
+        group_labels=groups,
+        time_labels=tuple(time_labels),
         target_index=groups.index(target),
         intervention_time=int(intervention_time),
         populations=populations if populations else None,
@@ -332,15 +347,22 @@ def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
     header, *records = _csv_rows(path)
     if not header or header[0] != "group":
         raise DataValidationError(f"{path}: first column must be 'group'")
+    width = len(header)
     rows = {}
     for line_no, row in enumerate(records, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
+        if len(row) != width:
+            if not row:
+                continue
             raise DataValidationError(f"{path}: wrong field count on line {line_no}")
         if row[0] in rows:
             raise DataValidationError(f"{path}: duplicate covariate row for {row[0]!r} on line {line_no}")
-        rows[row[0]] = [_parse_float(v, line_no, "covariate") for v in row[1:]]
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            values = [math.nan]
+        if not all(map(math.isfinite, values)):
+            values = [_parse_float(v, line_no, "covariate") for v in row[1:]]
+        rows[row[0]] = values
     missing = [g for g in group_labels if g not in rows]
     if missing:
         raise DataValidationError(f"{path}: missing covariate rows for {missing}")
@@ -399,8 +421,8 @@ def aggregate_groups(
                 raise DataValidationError(f"population for {label!r} must be positive, got {pop}")
             weights.append(pop)
         total = sum(weights)
-        if total <= 0:
-            raise DataValidationError(f"super-group {super_group!r} has zero total population")
+        if not math.isfinite(total):
+            raise DataValidationError(f"total population of super-group {super_group!r} is not finite")
         weights = np.array(weights) / total
         rows.append(weights @ panel.outcomes[idx])
         new_populations[super_group] = total

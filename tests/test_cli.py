@@ -2,8 +2,13 @@ import contextlib
 import csv
 import io
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synthpanel
+from synthpanel import cli
 from synthpanel.cli import main
 
 
@@ -264,6 +271,18 @@ class TestAggregate:
         assert "California" in groups and "Pacific" not in groups
         assert len(groups) == 9
 
+    def test_overflowing_population_is_data_error(self, tmp_path, capsys):
+        panel_path = tmp_path / "states.csv"
+        write_panel_csv(panel_path, ["CA", "NV", "UT"], [1, 2], lambda g, t: 1.0 + t,
+                        populations={"CA": 3e7, "NV": 1e308, "UT": 1e308})
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"CA": "CA", "NV": "West", "UT": "West"}))
+        out = tmp_path / "agg"
+        assert run(["aggregate", "--panel", panel_path, "--target", "CA", "--t0", 1,
+                    "--grouping", grouping, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: total population of super-group 'West' is not finite\n"
+        assert not out.exists()
+
 
 class TestUsage:
     def test_missing_required_flag(self, capsys):
@@ -303,6 +322,15 @@ class TestUsage:
         out = tmp_path / "out"
         assert run(["sweep", "--knob", "T", "--from", 20, "--to", 20, "--replications", 1, "--individuals", 5,
                     "--noise-sd", 1e200, "--regularizer", regularizer, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["--noise-sd", "--ramp-scale"])
+    def test_overflowing_simulation_is_data_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert run(["simulate", "--individuals", 20, flag, 1e308, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
@@ -417,6 +445,60 @@ class TestManifestRoundTrip:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def run_alone(args, cwd):
+    """(exit code, stdout, stderr) of the args run by `python -m synthpanel.cli` in a fresh process."""
+    paths = [str(Path(synthpanel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-m", "synthpanel.cli", *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def directory_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())} if path.exists() else None
+
+
+class TestSharedParser:
+    """Every main() call in a process parses with the one parser; no call leaves state behind."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_leave_no_state(self, tmp_path, blend_panel, monkeypatch):
+        fit = ["fit", "--panel", blend_panel, "--target", "tgt", "--t0", 6, "--out", "out"]
+        sequence = [
+            (fit + ["--regularizer", "ridge", "--ridge-lam", 0.5], 0),
+            (["fit", "--regularizer", "ridge", "--donors", "a", "--t0", "six"], 1),
+            (fit, 0),
+            (["sweep", "--knob", "S", "--from", 2, "--to", 3, "--replications", 1, "--individuals", 20,
+              "--out", "out"], 0),
+        ]
+        for k, (args, code) in enumerate(sequence):
+            shared, alone = tmp_path / f"shared{k}", tmp_path / f"alone{k}"
+            shared.mkdir()
+            alone.mkdir()
+            monkeypatch.chdir(shared)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                assert run(args) == code
+            assert (code, stdout.getvalue(), stderr.getvalue()) == run_alone(args, alone)
+            assert directory_bytes(shared / "out") == directory_bytes(alone / "out")
+        manifest = json.loads((tmp_path / "shared2" / "out" / "manifest.json").read_text())
+        assert manifest["parameters"]["regularizer"] == "simplex"
+        assert manifest["parameters"]["donors"] is None
+
+
+class TestEntryPoint:
+    def test_help_lists_every_command(self, tmp_path):
+        code, stdout, stderr = run_alone(["--help"], tmp_path)
+        assert code == 0 and stderr == ""
+        listed = re.findall(r"^    (\S+)", stdout, flags=re.MULTILINE)
+        assert listed == list(cli.COMMANDS)
+
+    def test_version(self, tmp_path):
+        assert run_alone(["--version"], tmp_path) == (0, cli.VERSION_STRING + "\n", "")
+
+
 class TestIOContract:
     """A missing input or an unusable --out exits 1; an unreadable, undecodable
     or malformed input file exits 2. Either way: one stderr line, no output."""
@@ -491,3 +573,149 @@ def test_damaged_bundle_fails_cleanly(pristine_bundle, name, damage, where, mask
     text = err.getvalue()
     assert "Traceback" not in text
     assert text.count("\n") == (0 if code == 0 else 1)
+
+
+CONTRACT_INTS = {
+    "seed": st.integers(-1, 2**64),
+    "s_cardinality": st.integers(-1, 13),
+    "periods": st.integers(-1, 12),
+    "t0": st.integers(-1, 12),
+    "categories": st.integers(-1, 13),
+    "donors": st.integers(-1, 6),
+    "individuals": st.integers(-1, 30),
+    "covariate_count": st.integers(-1, 3),
+    "max_iterations": st.integers(-1, 50),
+    "replications": st.integers(-1, 2),
+    "from_value": st.integers(-1, 12),
+    "to_value": st.integers(-1, 12),
+    "step": st.integers(-1, 4),
+}
+CONTRACT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, 1e308, float("inf"), float("-inf"), float("nan")]),
+    st.floats(-5.0, 5.0),
+)
+CONTRACT_STRINGS = {
+    "panel": ["panel.csv", "huge.csv", "crowded.csv", "bad.csv", "absent.csv"],
+    "covariates": ["covariates.csv", "bad.csv", "absent.csv"],
+    "grouping": ["grouping.json", "bad_grouping.json", "absent.json"],
+    "bundle": ["bundle", "panel.csv", "absent"],
+    "target": ["tgt", "a", "zz"],
+    "donors": ["a,b", "b", "tgt", "zz", "", "a,a"],
+}
+# Each command starts from small sizes, so that no example runs for long;
+# generated flags come later and override them.
+CONTRACT_BASE = {
+    "fit": ["--panel", "panel.csv", "--target", "tgt", "--t0", 6],
+    "simulate": ["--individuals", 20, "--periods", 8, "--t0", 6],
+    "sweep": ["--individuals", 20, "--periods", 8, "--t0", 6, "--replications", 1, "--from", 2, "--to", 3],
+    "covariates": ["--individuals", 20, "--replications", 1, "--covariate-count", 2],
+    "diagnose": ["--bundle", "bundle"],
+    "aggregate": ["--panel", "panel.csv", "--target", "tgt", "--t0", 6, "--grouping", "grouping.json"],
+}
+
+
+def contract_values(param):
+    """Values, valid and not, that a generated flag or config entry gives ``param``."""
+    if param.type is int:
+        return CONTRACT_INTS[param.name]
+    if param.type is float:
+        return CONTRACT_FLOATS
+    if param.choices is not None:
+        return st.sampled_from([*param.choices, "bogus"])
+    return st.sampled_from(CONTRACT_STRINGS[param.name])
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config document or None, quiet) for one generated CLI call."""
+    command = draw(st.sampled_from(sorted(cli.COMMAND_PARAMS)))
+    table = {name: p for name, p in cli.COMMAND_PARAMS[command].items() if name not in ("out", "quiet")}
+    flags = draw(st.dictionaries(st.sampled_from(sorted(table)), st.none(), max_size=3))
+    argv = [command, *CONTRACT_BASE[command]]
+    for name in flags:
+        param = table[name]
+        argv.append(f"{param.flag or '--' + name.replace('_', '-')}={draw(contract_values(param))}")
+    quiet = draw(st.booleans())
+    if quiet:
+        argv.append("--quiet")
+    junk = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2))
+    config = None
+    keys = draw(st.none() | st.sets(st.sampled_from([*sorted(table), "mystery"]), max_size=3))
+    if keys is not None:
+        config = {key: draw(junk | contract_values(table[key]) if key in table else junk) for key in sorted(keys)}
+    return [str(a) for a in argv], config, quiet
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    series = {"tgt": lambda t: 15.0 + 0.1 * t * t, "a": lambda t: 10.0 + t, "b": lambda t: 20.0 - t}
+    populations = {"tgt": 3.0, "a": 1.0, "b": 2.0}
+    write_panel_csv(root / "panel.csv", list(series), range(1, 9), lambda g, t: series[g](t), populations)
+    write_panel_csv(root / "huge.csv", list(series), range(1, 9), lambda g, t: series[g](t) * 1e300, populations)
+    write_panel_csv(root / "crowded.csv", list(series), range(1, 9), lambda g, t: series[g](t),
+                    {"tgt": 3.0, "a": 1e308, "b": 1e308})
+    (root / "bad.csv").write_text("group,time,outcome\ntgt,1,x\n")
+    (root / "covariates.csv").write_text("group,u,v\ntgt,1.0,2.0\na,0.5,1.0\nb,1.5,3.5\n")
+    (root / "grouping.json").write_text(json.dumps({"tgt": "tgt", "a": "ab", "b": "ab"}))
+    (root / "bad_grouping.json").write_text(json.dumps({"divisions": [1]}))
+    assert run(["simulate", "--individuals", 20, "--covariate-count", 2, "--out", root / "bundle", "--quiet"]) == 0
+    return root
+
+
+def non_finite_numbers(path):
+    """The numbers in a written CSV or JSON file that are not finite."""
+    if path.suffix == ".json":
+        def walk(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return [bad for item in value for bad in walk(item)]
+            return [value] if isinstance(value, float) and not np.isfinite(value) else []
+        return walk(json.loads(path.read_text()))
+    numbers = []
+    for row in csv.reader(io.StringIO(path.read_text())):
+        for field in row:
+            try:
+                numbers.append(float(field))
+            except ValueError:
+                pass
+    return [x for x in numbers if not np.isfinite(x)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(invocation=invocations())
+def test_cli_contract(contract_inputs, invocation):
+    """Exit 0 with finite outputs, 3 with outputs and a note, or 1/2 with one error line and no output."""
+    argv, config, quiet = invocation
+    home = os.getcwd()
+    os.chdir(contract_inputs)
+    try:
+        check_contract(argv, config, quiet)
+    finally:
+        os.chdir(home)
+
+
+def check_contract(argv, config, quiet):
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out"
+        if config is not None:
+            (Path(scratch) / "config.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(Path(scratch) / "config.json")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code in (1, 2):
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+            return
+        assert err == ("solver did not converge\n" if code == 3 and not quiet else "")
+        for path in sorted(out.iterdir()):
+            if path.suffix in (".csv", ".json"):
+                assert non_finite_numbers(path) == [], path.name

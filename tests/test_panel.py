@@ -131,6 +131,90 @@ class TestFromCsv:
         assert back.populations == panel.populations
 
 
+HEADER = "group,time,outcome\n"
+POP_HEADER = "group,time,outcome,population\n"
+
+
+def write_text(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestFromCsvMessages:
+    """Every rejection names its fault in full; with several faults the
+    earliest line is reported."""
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("", DataValidationError, "{path}: empty file"),
+            ("group,year,outcome\nCA,1,1.0\n", DataValidationError,
+             "{path}: expected header 'group,time,outcome[,population]', got group,year,outcome"),
+            ("group,time,outcome,population,x\nCA,1,1.0,2,3\n", DataValidationError,
+             "{path}: expected header 'group,time,outcome[,population]', got group,time,outcome,population,x"),
+            ("group,time,outcome,weight\nCA,1,1.0,2\n", DataValidationError, "{path}: unknown fourth column 'weight'"),
+            (HEADER + "CA,1,1.0\nCA,2\n", DataValidationError, "{path}: wrong field count on line 3"),
+            (HEADER + "CA,1,1.0\n   \n", DataValidationError, "{path}: wrong field count on line 3"),
+            (HEADER + "CA,1,1.0\nCA, 2.5 ,2.0\n", DataValidationError, "non-integer time '2.5' on line 3"),
+            (HEADER + "CA,1,1.0\nCA,2, oops\n", DataValidationError, "non-numeric outcome 'oops' on line 3"),
+            (HEADER + "CA,1,inf\n", DataValidationError, "non-finite outcome 'inf' on line 2"),
+            (HEADER + "CA,1,1.0\nCA,2,nan\n", DataValidationError, "non-finite outcome 'nan' on line 3"),
+            (HEADER + "CA,1,1.0\nCA, 1,2.0\n", DataValidationError, "{path}: duplicate cell (CA, 1) on line 3"),
+            (POP_HEADER + "CA,1,1.0,lots\n", DataValidationError, "non-numeric population 'lots' on line 2"),
+            (POP_HEADER + "CA,1,1.0,5\nCA,2,1.0,-inf\n", DataValidationError,
+             "non-finite population '-inf' on line 3"),
+            (POP_HEADER + "CA,1,1.0,5\nCA,2,2.0,6\n", DataValidationError,
+             "{path}: conflicting population for 'CA' on line 3"),
+            (HEADER + "CA,1,1.0\nCA,2,2.0\nNV,2,4.0\n", DataValidationError, "{path}: missing cell (NV, 1)"),
+            (HEADER + "\n\n", DataValidationError, "{path}: no data rows"),
+            (HEADER + "CA,1,1.0\nNV,1,2.0\n", UsageError, "target 'TX' not found among groups ['CA', 'NV']"),
+        ],
+        ids=[
+            "empty-file", "bad-header", "long-header", "fourth-column", "field-count", "blank-padded-row",
+            "time", "outcome", "outcome-inf", "outcome-nan", "duplicate", "population", "population-inf",
+            "conflicting-population", "missing-cell", "no-rows", "unknown-target",
+        ],
+    )
+    def test_single_fault_message(self, tmp_path, text, error, message):
+        path = write_text(tmp_path / "panel.csv", text)
+        target = "TX" if error is UsageError else "CA"
+        with pytest.raises(error) as caught:
+            from_csv(path, target=target, intervention_time=1)
+        assert str(caught.value) == message.format(path=path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("CA,1,1.0\nCA,2,oops\nCA,3\n", "non-numeric outcome 'oops' on line 3"),
+            ("CA,1,1.0\nCA,1,2.0\nCA,x,3.0\n", "{path}: duplicate cell (CA, 1) on line 3"),
+            ("CA,1,1.0\nCA,x,oops\n", "non-integer time 'x' on line 3"),
+            ("CA,1,1.0\nNV,2,2.0\nNV,3,inf\n", "non-finite outcome 'inf' on line 4"),
+            ("CA,1,1.0\nCA,2\nCA,1,2.0\n", "{path}: wrong field count on line 3"),
+        ],
+        ids=["outcome-then-count", "duplicate-then-time", "same-line", "row-before-missing-cell", "count-first"],
+    )
+    def test_first_faulty_line_is_reported(self, tmp_path, rows, message):
+        path = write_text(tmp_path / "panel.csv", HEADER + rows)
+        with pytest.raises(DataValidationError) as caught:
+            from_csv(path, target="CA", intervention_time=1)
+        assert str(caught.value) == message.format(path=path)
+
+    def test_padded_fields_and_blank_lines(self, tmp_path):
+        # Fields are stripped of whitespace (str.strip's set, \x1f included);
+        # blank lines are skipped, and a blank or all-space population is absent.
+        path = write_text(
+            tmp_path / "panel.csv",
+            " group , time , outcome , population \r\n\r\n CA , 1 , 1.5 , 3e7 \n\n"
+            "CA,\t2\t,2.5,  \nNV,\x1f1\x1f,4.25,8e5\nNV,2,\x1f5.5 ,\n\n",
+        )
+        panel = from_csv(path, target="NV", intervention_time=1)
+        assert panel.group_labels == ("CA", "NV")
+        assert panel.time_labels == (1, 2)
+        assert panel.outcomes.tolist() == [[1.5, 2.5], [4.25, 5.5]]
+        assert panel.populations == {"CA": 3e7, "NV": 8e5}
+        assert panel.target_index == 1
+
+
 class TestPanelInvariants:
     def test_t0_bounds(self):
         with pytest.raises(DataValidationError):
@@ -210,6 +294,14 @@ class TestAggregation:
         with pytest.raises(DataValidationError, match="positive"):
             aggregate_groups(toy_panel, grouping, pops)
 
+    def test_overflowing_total_population(self, toy_panel):
+        # Each population is finite, but their sum is not.
+        grouping = {"tgt": "tgt", "d1": "x", "d2": "x", "d3": "y"}
+        pops = {"d1": 1e308, "d2": 1e308, "d3": 1.0}
+        with pytest.raises(DataValidationError) as caught:
+            aggregate_groups(toy_panel, grouping, pops)
+        assert str(caught.value) == "total population of super-group 'x' is not finite"
+
     def test_census_divisions_drop_pacific(self):
         # Full 50-state + DC panel; excluded states removed, CA kept as target.
         with resources.files("synthpanel").joinpath("data/census_divisions.json").open() as fh:
@@ -281,3 +373,24 @@ class TestAuxCsv:
         aux_to_csv(aux, ["g1"], path)
         with pytest.raises(DataValidationError, match="g9"):
             aux_from_csv(path, ["g1", "g9"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "{path}: empty file"),
+            ("grp,u\ng1,1\n", "{path}: first column must be 'group'"),
+            ("group,u\ng1,1\ng2\n", "{path}: wrong field count on line 3"),
+            ("group,u\ng1,1\n\ng1,2\n", "{path}: duplicate covariate row for 'g1' on line 4"),
+            ("group,u\ng1, x \n", "non-numeric covariate ' x ' on line 2"),
+            ("group,u,v\ng1,1,nan\n", "non-finite covariate 'nan' on line 2"),
+            ("group,u\ng1,x\ng1,2\n", "non-numeric covariate 'x' on line 2"),
+            ("group,u\ng1, 1 \n", "{path}: missing covariate rows for ['g2']"),
+        ],
+        ids=["empty-file", "header", "field-count", "duplicate", "non-numeric", "non-finite", "first-line",
+             "missing-row"],
+    )
+    def test_messages(self, tmp_path, text, message):
+        path = write_text(tmp_path / "aux.csv", text)
+        with pytest.raises(DataValidationError) as caught:
+            aux_from_csv(path, ["g1", "g2"])
+        assert str(caught.value) == message.format(path=path)
