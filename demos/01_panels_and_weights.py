@@ -31,6 +31,7 @@ panel = PanelData(
     time_labels=tuple(range(2001, 2009)),
     target_index=0,
     intervention_time=6,
+    populations={"treated": 30.0, "d1": 10.0, "d2": 1.0, "d3": 5.0},
 )
 
 weights = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="simplex"))
@@ -44,14 +45,9 @@ for row in effect.per_period:
     print("  ", tuple(round(v, 3) if isinstance(v, float) else v for v in row))
 print("estimated effect at the final period:", round(effect.tau, 3), "(injected: -5)")
 
-# Population-weighted aggregation merges groups into super-groups; a group
-# mapped to itself passes through untouched.
-populations = {"treated": 30.0, "d1": 10.0, "d2": 1.0, "d3": 5.0}
-merged = aggregate_groups(
-    panel,
-    {"treated": "treated", "d1": "west", "d2": "west", "d3": "east"},
-    populations,
-)
+# Aggregation merges groups into super-groups, weighted by the panel's
+# populations; a group mapped to itself passes through untouched.
+merged = aggregate_groups(panel, {"treated": "treated", "d1": "west", "d2": "west", "d3": "east"})
 print("\nafter aggregation:", merged.group_labels)
 print("west at 2001:", round(merged.outcomes[merged.group_index("west"), 0], 3),
       "= (10*102 + 1*79) / 11")

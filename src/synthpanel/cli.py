@@ -263,11 +263,8 @@ def _materialize(table: dict[str, Param], config_path, cli_values: dict) -> dict
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         merged.update(document)
-    for key, value in cli_values.items():
-        if value is not None:
-            if key not in table:
-                raise UsageError(f"unknown parameter {key!r}")
-            merged[key] = value
+    # argparse yields exactly the table's keys.
+    merged.update((key, value) for key, value in cli_values.items() if value is not None)
     for name, value in merged.items():
         table[name].check(value)
     return merged

@@ -117,27 +117,21 @@ def _stacked_system(
     return a, y
 
 
-def _solve_least_squares(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    beta = np.linalg.lstsq(a, y, rcond=None)[0]
-    residual = a @ beta - y
-    return beta, float(residual @ residual)
-
-
 def _solve_ridge(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    n = a.shape[1]
-    augmented = np.vstack([a, np.sqrt(lam) * np.eye(n)])
-    rhs = np.concatenate([y, np.zeros(n)])
-    beta = np.linalg.lstsq(augmented, rhs, rcond=None)[0]
+    """Minimize ``|a b - y|^2 + lam |b|^2``; at ``lam = 0``, the minimum-norm least-squares solution."""
+    design, rhs = a, y
+    if lam:
+        n = a.shape[1]
+        design, rhs = np.vstack([a, np.sqrt(lam) * np.eye(n)]), np.concatenate([y, np.zeros(n)])
+    beta = np.linalg.lstsq(design, rhs, rcond=None)[0]
     residual = a @ beta - y
     return beta, float(residual @ residual + lam * beta @ beta)
 
 
-def _kkt_scale(gram: np.ndarray, c: np.ndarray) -> float:
-    return max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
-
-
-def _kkt_violations(gram: np.ndarray, c: np.ndarray, beta: np.ndarray, lam1=0.0, simplex=False) -> np.ndarray:
-    """Each donor's violation of its optimality condition, relative to ``_kkt_scale``.
+def _kkt_violations(
+    gram: np.ndarray, c: np.ndarray, beta: np.ndarray, scale: float, lam1=0.0, simplex=False
+) -> np.ndarray:
+    """Each donor's violation of its optimality condition, relative to ``scale``.
 
     With ``g = gram @ beta - c``, the elastic net needs ``g_j = -(lam1/2) sign(b_j)`` where ``b_j != 0``
     and ``|g_j| <= lam1/2`` elsewhere; the simplex needs ``g_j = theta``, the support's mean, on the
@@ -149,21 +143,21 @@ def _kkt_violations(gram: np.ndarray, c: np.ndarray, beta: np.ndarray, lam1=0.0,
         violation = np.where(beta > 0, np.abs(grad - theta), theta - grad)
     else:
         violation = np.where(beta != 0, np.abs(grad + 0.5 * lam1 * np.sign(beta)), np.abs(grad) - 0.5 * lam1)
-    return np.maximum(violation, 0.0) / _kkt_scale(gram, c)
+    return np.maximum(violation, 0.0) / scale
 
 
 def _solve_active_set(
-    a: np.ndarray, y: np.ndarray, cfg: FitConfig, lam1: float, lam2: float, simplex: bool
+    a: np.ndarray, y: np.ndarray, gram: np.ndarray, c: np.ndarray, scale: float, cfg: FitConfig,
+    lam1: float, lam2: float, simplex: bool,
 ) -> tuple[np.ndarray, list[float], float]:
     """Minimize ``|a b - y|^2 + lam1 |b|_1 + lam2 |b|^2``, or ``|a b - y|^2`` on the unit simplex.
 
     Primal active set (Lawson & Hanson 1974; Lee et al. 2007): each pass adds the zero coordinate that
     violates its optimality condition most, then solves the signed face exactly, dropping the first
     coordinate that would change sign until none would. Exact passes lower the objective, so passes end
-    when none is priced or one fails to. Returns the weights, objective trace and relative KKT residual.
+    when none is priced or one fails to. ``gram`` is ``a'a + lam2 I``, ``c`` is ``a'y`` and ``scale`` the
+    KKT scale of :class:`WeightVector`. Returns the weights, objective trace and relative KKT residual.
     """
-    gram, c = a.T @ a + lam2 * np.eye(a.shape[1]), a.T @ y
-    scale = _kkt_scale(gram, c)
     beta = np.zeros(a.shape[1])
     if simplex:
         beta[np.argmin(gram.diagonal() - 2.0 * c)] = 1.0
@@ -174,7 +168,7 @@ def _solve_active_set(
 
     trace = [objective()]
     while True:
-        violation = _kkt_violations(gram, c, beta, lam1, simplex)
+        violation = _kkt_violations(gram, c, beta, scale, lam1, simplex)
         priced = np.where(beta == 0, violation, 0.0)
         entering = int(np.argmax(priced))
         if priced[entering] == 0 or len(trace) > cfg.max_iterations:
@@ -236,15 +230,17 @@ def fit(
         gram, c = a.T @ a, a.T @ y
     if not (np.isfinite(gram).all() and np.isfinite(c).all()):
         raise DataValidationError("outcomes too large to fit: the normal equations overflow")
+    simplex = cfg.regularizer == "simplex"
+    lam1 = cfg.enet_lam1 if cfg.regularizer == "elastic_net" else 0.0
+    lam2 = {"ridge": cfg.ridge_lam, "elastic_net": cfg.enet_lam2}.get(cfg.regularizer, 0.0)
+    gram += lam2 * np.eye(len(donors))
+    scale = max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
     if cfg.regularizer in ("none", "ridge"):
-        lam = cfg.ridge_lam if cfg.regularizer == "ridge" else 0.0
-        beta, objective = _solve_ridge(a, y, lam) if cfg.regularizer == "ridge" else _solve_least_squares(a, y)
+        beta, objective = _solve_ridge(a, y, lam2)
         trace, converged = [objective], True
-        kkt_residual = float(_kkt_violations(gram + lam * np.eye(len(donors)), c, beta).max())
+        kkt_residual = float(_kkt_violations(gram, c, beta, scale).max())
     else:
-        simplex = cfg.regularizer == "simplex"
-        lam1, lam2 = (0.0, 0.0) if simplex else (cfg.enet_lam1, cfg.enet_lam2)
-        beta, trace, kkt_residual = _solve_active_set(a, y, cfg, lam1, lam2, simplex)
+        beta, trace, kkt_residual = _solve_active_set(a, y, gram, c, scale, cfg, lam1, lam2, simplex)
         objective, converged = trace[-1], kkt_residual <= cfg.tolerance
         if simplex and (beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-9):
             raise RuntimeError("simplex fit returned an infeasible point")

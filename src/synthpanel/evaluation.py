@@ -51,9 +51,7 @@ class SplitEvaluation:
 
     observed_mse: float
     counterfactual_mse: float
-    split_fraction: float
     n_fit: int
-    n_eval: int
     underdetermined: bool
 
 
@@ -112,9 +110,7 @@ def time_split_evaluate(
     return SplitEvaluation(
         observed_mse=observed_mse,
         counterfactual_mse=counterfactual_mse,
-        split_fraction=split,
         n_fit=n_fit,
-        n_eval=t - n_fit,
         underdetermined=n_fit < len(list(donors)),
     )
 

@@ -117,15 +117,15 @@ class GroupComposition:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeFunctionFamily:
-    """Conditional outcome means per (category, period), plus noise model.
+    """Conditional outcome means per (category, period).
 
     ``conditional_mean[k, t-1]`` is the expected control outcome of an
-    individual in category ``k`` at period ``t``. The intervention's shift
-    is not part of the family: it is ``SimConfig.post_intervention_shift``.
+    individual in category ``k`` at period ``t``. Neither the individual
+    noise nor the intervention's shift is part of the family: they are
+    ``SimConfig.noise_sd`` and ``SimConfig.post_intervention_shift``.
     """
 
     conditional_mean: np.ndarray
-    noise_sd: float = 1.0
 
     def __post_init__(self):
         lam = np.array(self.conditional_mean, dtype=float)
@@ -135,7 +135,6 @@ class OutcomeFunctionFamily:
             raise DataValidationError("conditional_mean must be a (category x period) matrix")
         if not np.all(np.isfinite(lam)):
             raise DataValidationError("conditional_mean contains non-finite values")
-        _require_nonnegative("noise_sd", self.noise_sd)
 
 
 @dataclass(frozen=True)
@@ -291,10 +290,9 @@ def conditional_mean_default(
     K: int,
     T: int,
     rng: np.random.Generator,
-    noise_sd: float = 1.0,
     ramp_scale: float = 1.0,
 ) -> OutcomeFunctionFamily:
-    """Smooth nonlinear time-varying conditional means.
+    """Smooth nonlinear time-varying conditional means, without noise.
 
     Each category curve is a random loading combination of a shared basis:
     level, log trend, a few sinusoids, and a late-rising ramp (see the
@@ -321,7 +319,7 @@ def conditional_mean_default(
             + osc_loadings @ oscillations
             + ramp_loadings[:, None] * (t / T) ** RAMP_POWER
         )
-    return OutcomeFunctionFamily(lam, noise_sd=noise_sd)
+    return OutcomeFunctionFamily(lam)
 
 
 def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFamily) -> np.ndarray:
@@ -404,24 +402,18 @@ def simulate_panel(
     reducers = {name: reduce for name, reduce in _REDUCERS.items() if name in requested}
     rng = _stream(cfg.seed, 0)
     compositions, true_s = sample_compositions(cfg, rng)
-    functions = conditional_mean_default(
-        cfg.K,
-        cfg.T,
-        rng,
-        noise_sd=cfg.noise_sd,
-        ramp_scale=cfg.ramp_scale,
-    )
+    functions = conditional_mean_default(cfg.K, cfg.T, rng, ramp_scale=cfg.ramp_scale)
 
     outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
+    cdfs = [_category_cdf(comp) for comp in compositions]
     by_period = np.ascontiguousarray(functions.conditional_mean.T)
     # A cell that overflows is rejected by the panel's finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, comp in enumerate(compositions):
-            cdf = _category_cdf(comp)
+        for j, cdf in enumerate(cdfs):
             for t in range(1, cfg.T + 1):
                 shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
                 rng_cell = _stream(cfg.seed, 2, j, t)
-                y = _draw(rng_cell, cdf, by_period[t - 1], cfg.N_per_group, functions.noise_sd, shift)
+                y = _draw(rng_cell, cdf, by_period[t - 1], cfg.N_per_group, cfg.noise_sd, shift)
                 for name, reduce in reducers.items():
                     outcomes[name][j, t - 1] = reduce(y)
 
@@ -435,12 +427,8 @@ def simulate_panel(
         )
         for name, values in outcomes.items()
     }
-    aux_suitable = _make_covariates(
-        compositions, functions, cfg, "suitable", _stream(cfg.seed, 3)
-    )
-    aux_unsuitable = _make_covariates(
-        compositions, functions, cfg, "unsuitable", _stream(cfg.seed, 4)
-    )
+    aux_suitable = _make_covariates(cdfs, by_period, cfg, "suitable", _stream(cfg.seed, 3))
+    aux_unsuitable = _make_covariates(cdfs, by_period, cfg, "unsuitable", _stream(cfg.seed, 4))
     return SimulatedStudy(
         panel=panels[cfg.aggregation],
         compositions=compositions,
@@ -454,13 +442,16 @@ def simulate_panel(
 
 
 def _make_covariates(
-    compositions: Sequence[GroupComposition],
-    functions: OutcomeFunctionFamily,
+    cdfs: Sequence[np.ndarray],
+    by_period: np.ndarray,
     cfg: SimConfig,
     kind: str,
     rng: np.random.Generator,
 ) -> AuxMatrix:
     """Sample ``cfg.covariate_count`` group-level covariates of one kind.
+
+    ``cdfs`` holds each group's category CDF and ``by_period`` the period-major
+    conditional-mean table, as :func:`simulate_panel` builds them once per study.
 
     suitable: per covariate m, the mean of sin(c_m * Y) over individuals
     sampled at one fixed pre-period, with c_m = SIN_LADDER_MAX * m / count.
@@ -475,8 +466,6 @@ def _make_covariates(
     Any ``kind`` other than "suitable" is unsuitable.
     """
     count = cfg.covariate_count
-    cdfs = [_category_cdf(comp) for comp in compositions]
-    by_period = np.ascontiguousarray(functions.conditional_mean.T)
     values = np.empty((len(cdfs), count))
     labels = []
     for m in range(1, count + 1):
@@ -485,7 +474,7 @@ def _make_covariates(
             c_m = SIN_LADDER_MAX * m / count
             labels.append(f"sin{m}_t{t_star}")
             for j, cdf in enumerate(cdfs):
-                y = _draw(rng, cdf, by_period[t_star - 1], cfg.N_per_group, functions.noise_sd)
+                y = _draw(rng, cdf, by_period[t_star - 1], cfg.N_per_group, cfg.noise_sd)
                 values[j, m - 1] = np.sin(c_m * y).mean()
         else:
             codes = rng.permutation(cfg.K)
@@ -506,7 +495,7 @@ def write_study_bundle(study: SimulatedStudy, outdir) -> None:
         "group_labels": study.panel.group_labels,
         "compositions": [c.probs for c in study.compositions],
         "conditional_mean": study.functions.conditional_mean,
-        "noise_sd": study.functions.noise_sd,
+        "noise_sd": study.config.noise_sd,
         "post_intervention_shift": study.config.post_intervention_shift,
         "true_S": sorted(study.true_S),
         "config": study.config,
@@ -536,11 +525,14 @@ def load_study_bundle(indir) -> SimulatedStudy:
         cfg = SimConfig(**truth["config"])
         target = truth["group_labels"][0]
         compositions = tuple(GroupComposition(np.array(p)) for p in truth["compositions"])
-        functions = OutcomeFunctionFamily(np.array(truth["conditional_mean"]), noise_sd=truth["noise_sd"])
+        functions = OutcomeFunctionFamily(np.array(truth["conditional_mean"]))
         true_s = frozenset(int(k) for k in truth["true_S"])
+        for name in ("noise_sd", "post_intervention_shift"):
+            if truth[name] != getattr(cfg, name):
+                raise ValueError(f"{name} {truth[name]!r} differs from the config's {getattr(cfg, name)!r}")
     try:
         panel = from_csv(indir / "panel.csv", target=target, intervention_time=cfg.T0)
-    except UsageError as exc:  # the truth names a target the panel does not hold
+    except UsageError as exc:  # the truth names a target or a T0 that the panel does not hold
         raise DataValidationError(f"{indir / 'panel.csv'}: {exc}") from None
     aux_suitable = aux_from_csv(indir / "covariates_suitable.csv", panel.group_labels)
     aux_unsuitable = aux_from_csv(indir / "covariates_unsuitable.csv", panel.group_labels)

@@ -222,7 +222,8 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     Schema (header required): ``group,time,outcome`` with an optional
     fourth ``population`` column. Every (group, time) cell must be present
     exactly once; rows may arrive in any order. Group order in the result
-    follows first appearance in the file; periods are sorted.
+    follows first appearance in the file; periods are sorted. An unknown
+    ``target`` or an ``intervention_time`` outside ``1..T-1`` is a UsageError.
     """
     header, *records = _csv_rows(path)
     header = [h.strip() for h in header]
@@ -285,6 +286,10 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     groups = tuple(series)
     if target not in series:
         raise UsageError(f"target {target!r} not found among groups {list(groups)}")
+    if not 1 <= intervention_time < len(time_labels):
+        raise UsageError(
+            f"intervention_time must satisfy 1 <= T0 < T, got T0={intervention_time}, T={len(time_labels)}"
+        )
 
     return PanelData(
         outcomes=np.array([[cells[t] for t in time_labels] for cells in series.values()]),
@@ -343,8 +348,11 @@ def aux_to_csv(aux: AuxMatrix, group_labels: Sequence[str], path) -> None:
 
 
 def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
-    """Read a covariate CSV, one row per group, reordering rows to match ``group_labels``."""
+    """Read a covariate CSV, one row per group, reordering rows to match ``group_labels``.
+
+    Header fields and group labels are stripped of surrounding whitespace, as in :func:`from_csv`."""
     header, *records = _csv_rows(path)
+    header = [h.strip() for h in header]
     if not header or header[0] != "group":
         raise DataValidationError(f"{path}: first column must be 'group'")
     width = len(header)
@@ -354,15 +362,16 @@ def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
             if not row:
                 continue
             raise DataValidationError(f"{path}: wrong field count on line {line_no}")
-        if row[0] in rows:
-            raise DataValidationError(f"{path}: duplicate covariate row for {row[0]!r} on line {line_no}")
+        group = row[0].strip()
+        if group in rows:
+            raise DataValidationError(f"{path}: duplicate covariate row for {group!r} on line {line_no}")
         try:
             values = [float(v) for v in row[1:]]
         except ValueError:
             values = [math.nan]
         if not all(map(math.isfinite, values)):
             values = [_parse_float(v, line_no, "covariate") for v in row[1:]]
-        rows[row[0]] = values
+        rows[group] = values
     missing = [g for g in group_labels if g not in rows]
     if missing:
         raise DataValidationError(f"{path}: missing covariate rows for {missing}")
@@ -372,51 +381,38 @@ def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
     )
 
 
-def aggregate_groups(
-    panel: PanelData,
-    grouping: Mapping[str, str],
-    populations: Mapping[str, float] | None = None,
-) -> PanelData:
+def aggregate_groups(panel: PanelData, grouping: Mapping[str, str]) -> PanelData:
     """Merge groups into population-weighted super-groups.
 
     Each super-group outcome at time t is the population-weighted mean of
-    its members' outcomes. A group mapped alone passes through unchanged
-    (no weighting applied), so an identity map is exact. ``populations``
-    defaults to the panel's own side table and is only consulted for
+    its members' outcomes, weighted by the panel's ``populations``. A
+    group mapped alone passes through unchanged (no weighting applied), so
+    an identity map is exact; populations are only consulted for
     super-groups with more than one member. Super-group order follows the
     first appearance of a member in the panel.
     """
-    if populations is None:
-        populations = panel.populations or {}
+    populations = panel.populations or {}
     members: dict[str, list[int]] = {}
-    order: list[str] = []
     for j, group in enumerate(panel.group_labels):
         if group not in grouping:
             raise UsageError(f"group {group!r} missing from the grouping map")
-        super_group = grouping[group]
-        if super_group not in members:
-            members[super_group] = []
-            order.append(super_group)
-        members[super_group].append(j)
+        members.setdefault(grouping[group], []).append(j)
 
     rows = []
     new_populations: dict[str, float] = {}
-    for super_group in order:
-        idx = members[super_group]
-        if not idx:
-            raise DataValidationError(f"super-group {super_group!r} has no members")
+    for super_group, idx in members.items():
         if len(idx) == 1:
             rows.append(panel.outcomes[idx[0]])
             label = panel.group_labels[idx[0]]
             if label in populations:
-                new_populations[super_group] = float(populations[label])
+                new_populations[super_group] = populations[label]
             continue
         weights = []
         for j in idx:
             label = panel.group_labels[j]
             if label not in populations:
                 raise UsageError(f"no population given for group {label!r}")
-            pop = float(populations[label])
+            pop = populations[label]
             if pop <= 0:
                 raise DataValidationError(f"population for {label!r} must be positive, got {pop}")
             weights.append(pop)
@@ -427,12 +423,12 @@ def aggregate_groups(
         rows.append(weights @ panel.outcomes[idx])
         new_populations[super_group] = total
 
-    target_super = grouping[panel.target_label]
+    labels = tuple(members)
     return PanelData(
         outcomes=np.array(rows),
-        group_labels=tuple(order),
+        group_labels=labels,
         time_labels=panel.time_labels,
-        target_index=order.index(target_super),
+        target_index=labels.index(grouping[panel.target_label]),
         intervention_time=panel.intervention_time,
         populations=new_populations or None,
     )

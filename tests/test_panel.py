@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -249,9 +250,9 @@ class TestAggregation:
             (1, 2),
             0,
             intervention_time=1,
+            populations={"CA": 3e7, "NV": 10e6, "UT": 0.8e6},
         )
-        pops = {"CA": 3e7, "NV": 10e6, "UT": 0.8e6}
-        out = aggregate_groups(panel, {"CA": "CA", "NV": "West", "UT": "West"}, pops)
+        out = aggregate_groups(panel, {"CA": "CA", "NV": "West", "UT": "West"})
         expected = (10e6 * 100.0 + 0.8e6 * 120.0) / 10.8e6
         assert out.group_labels == ("CA", "West")
         assert out.outcomes[1, 0] == pytest.approx(expected, abs=1e-12)
@@ -271,35 +272,36 @@ class TestAggregation:
             tuple(range(6)),
             0,
             intervention_time=3,
+            populations={"t": 1.0, "a": 2.0, "b": 3.0, "c": 5.0},
         )
-        pops = {"t": 1.0, "a": 2.0, "b": 3.0, "c": 5.0}
         grouping = {"t": "t", "a": "x", "b": "x", "c": "y"}
-        agg = aggregate_groups(panel, grouping, pops)
+        agg = aggregate_groups(panel, grouping)
         # Averaging over time then aggregating must equal the reverse order.
         x_direct = (2.0 * panel.outcomes[1].mean() + 3.0 * panel.outcomes[2].mean()) / 5.0
         assert agg.outcomes[agg.group_index("x")].mean() == pytest.approx(x_direct, abs=1e-12)
 
     def test_missing_group_in_map(self, toy_panel):
+        panel = replace(toy_panel, populations={"d1": 1.0, "d2": 1.0})
         with pytest.raises(UsageError, match="d3"):
-            aggregate_groups(toy_panel, {"tgt": "tgt", "d1": "x", "d2": "x"}, {"d1": 1.0, "d2": 1.0})
+            aggregate_groups(panel, {"tgt": "tgt", "d1": "x", "d2": "x"})
 
     def test_missing_population(self, toy_panel):
         grouping = {"tgt": "tgt", "d1": "x", "d2": "x", "d3": "x"}
         with pytest.raises(UsageError, match="population"):
-            aggregate_groups(toy_panel, grouping, {"d1": 1.0})
+            aggregate_groups(replace(toy_panel, populations={"d1": 1.0}), grouping)
 
     def test_nonpositive_population(self, toy_panel):
         grouping = {"tgt": "tgt", "d1": "x", "d2": "x", "d3": "x"}
         pops = {"d1": 1.0, "d2": 0.0, "d3": 1.0}
         with pytest.raises(DataValidationError, match="positive"):
-            aggregate_groups(toy_panel, grouping, pops)
+            aggregate_groups(replace(toy_panel, populations=pops), grouping)
 
     def test_overflowing_total_population(self, toy_panel):
         # Each population is finite, but their sum is not.
         grouping = {"tgt": "tgt", "d1": "x", "d2": "x", "d3": "y"}
         pops = {"d1": 1e308, "d2": 1e308, "d3": 1.0}
         with pytest.raises(DataValidationError) as caught:
-            aggregate_groups(toy_panel, grouping, pops)
+            aggregate_groups(replace(toy_panel, populations=pops), grouping)
         assert str(caught.value) == "total population of super-group 'x' is not finite"
 
     def test_census_divisions_drop_pacific(self):
@@ -385,9 +387,11 @@ class TestAuxCsv:
             ("group,u,v\ng1,1,nan\n", "non-finite covariate 'nan' on line 2"),
             ("group,u\ng1,x\ng1,2\n", "non-numeric covariate 'x' on line 2"),
             ("group,u\ng1, 1 \n", "{path}: missing covariate rows for ['g2']"),
+            (" group,u\ng1,1\n", "{path}: missing covariate rows for ['g2']"),
+            ("group,u\n g1,1\n", "{path}: missing covariate rows for ['g2']"),
         ],
         ids=["empty-file", "header", "field-count", "duplicate", "non-numeric", "non-finite", "first-line",
-             "missing-row"],
+             "missing-row", "padded-header", "padded-label"],
     )
     def test_messages(self, tmp_path, text, message):
         path = write_text(tmp_path / "aux.csv", text)
