@@ -29,7 +29,6 @@ from .estimators import (
     FitConfig,
     estimate_effect,
     fit,
-    fit_result_to_json,
     predict_counterfactual,
 )
 from .evaluation import covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
@@ -50,6 +49,7 @@ from .panel import (
     read_json,
     select_groups,
     to_csv,
+    write_csv,
     write_json,
 )
 
@@ -322,15 +322,23 @@ def cmd_fit(params: dict) -> Output:
     weights = fit(panel, donors, aux, cfg)
     effect = estimate_effect(weights, panel)
     synthetic = predict_counterfactual(weights, panel)
-    record = fit_result_to_json(weights, panel, cfg)
+    record = {
+        "donors": [panel.group_labels[j] for j in weights.donor_indices],
+        "beta": weights.beta,
+        "objective_value": weights.objective_value,
+        "converged": weights.converged,
+        "kkt_residual": weights.kkt_residual,
+        "config": cfg,
+    }
     observed = panel.outcomes[panel.target_index]
+    series = [
+        [time, format_float(y), format_float(y_hat), format_float(y - y_hat)]
+        for time, y, y_hat in zip(panel.time_labels, observed, synthetic)
+    ]
 
     def write(out: Path) -> None:
         write_json(record, out / "weights.json")
-        with open(out / "series.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("time,observed,synthetic,gap\n")
-            for time, y, y_hat in zip(panel.time_labels, observed, synthetic):
-                fh.write(f"{time},{format_float(y)},{format_float(y_hat)},{format_float(y - y_hat)}\n")
+        write_csv(out / "series.csv", ["time", "observed", "synthetic", "gap"], series)
 
     return Output(
         write,
@@ -422,7 +430,11 @@ def cmd_aggregate(params: dict) -> Output:
     grouping, excluded = _load_grouping(params["grouping"])
     keep = [g for g in panel.group_labels if g == panel.target_label or g not in set(excluded)]
     panel = select_groups(panel, keep)
-    grouping[panel.target_label] = panel.target_label
+    target = panel.target_label
+    for group in panel.group_labels:
+        if group != target and grouping.get(group) == target:
+            raise DataValidationError(f"group {group!r} is mapped to {target!r}, the target's label")
+    grouping[target] = target
     aggregated = aggregate_groups(panel, grouping)
     return Output(
         lambda out: to_csv(aggregated, out / "aggregated.csv"),

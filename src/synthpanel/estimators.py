@@ -10,7 +10,7 @@ and reports the KKT residual at its point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "fit",
     "predict_counterfactual",
     "estimate_effect",
-    "fit_result_to_json",
 ]
 
 REGULARIZERS = ("none", "ridge", "elastic_net", "simplex")
@@ -110,7 +109,7 @@ def _stacked_system(
     if aux is not None:
         selection = [panel.target_index] + donors
         rows = aux.values[selection].T
-        standardized, _, _ = standardize_rows(rows)
+        standardized = standardize_rows(rows)
         weight = np.sqrt(cfg.covariate_scale)
         a = np.vstack([a, weight * standardized[:, 1:]])
         y = np.concatenate([y, weight * standardized[:, 0]])
@@ -276,14 +275,3 @@ def estimate_effect(weights: WeightVector, panel: PanelData) -> EffectEstimate:
     )
     return EffectEstimate(tau=per_period[-1][3], per_period=per_period)
 
-
-def fit_result_to_json(weights: WeightVector, panel: PanelData, cfg: FitConfig) -> dict:
-    """JSON-serializable record of a fit: labels, weights, diagnostics, config."""
-    return {
-        "donors": [panel.group_labels[j] for j in weights.donor_indices],
-        "beta": [float(b) for b in weights.beta],
-        "objective_value": weights.objective_value,
-        "converged": weights.converged,
-        "kkt_residual": weights.kkt_residual,
-        "config": asdict(cfg),
-    }

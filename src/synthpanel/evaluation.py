@@ -18,10 +18,9 @@ identical draws, and reruns are bit-identical.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import DataValidationError, UsageError
 from .estimators import FitConfig, fit, predict_counterfactual
 from .microsim import AGGREGATIONS, SimConfig, SimulatedStudy, simulate_panel
-from .panel import AuxMatrix, PanelData
+from .panel import AuxMatrix, PanelData, write_csv
 from .panel import format_float as _fmt
 
 __all__ = [
@@ -249,20 +248,6 @@ def covariate_experiment(
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """knob,observed_mse,counterfactual_mse,se_observed,se_counterfactual,replications"""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["knob", "observed_mse", "counterfactual_mse", "se_observed", "se_counterfactual", "replications"]
-        )
-        for p in result.points:
-            writer.writerow(
-                [
-                    p.knob,
-                    _fmt(p.observed_mse),
-                    _fmt(p.counterfactual_mse),
-                    _fmt(p.se_observed),
-                    _fmt(p.se_counterfactual),
-                    p.replications,
-                ]
-            )
+    """One row per point and one column per :class:`SweepPoint` field, floats in shortest round-trip form."""
+    rows = ([_fmt(v) if isinstance(v, float) else v for v in astuple(p)] for p in result.points)
+    write_csv(path, [f.name for f in fields(SweepPoint)], rows)

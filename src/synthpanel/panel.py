@@ -1,9 +1,10 @@
-"""Panel-data model: validation, CSV ingestion, and group aggregation.
+"""Panel-data model: validation, file formats, and group aggregation.
 
 The canonical object is :class:`PanelData`, a complete J x T matrix of
 group-level outcomes with a designated target group and a count of
 pre-intervention periods. All types are immutable after construction and
-all operations are pure.
+all operations are pure. This module also opens every file the package
+reads or writes; other modules only build the records.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -184,11 +185,12 @@ def _parse_int(text: str, line_no: int, column: str) -> int:
 def read_text(path) -> str:
     """The whole of a UTF-8 text file, line endings untranslated: the one place input files are opened.
 
+    A leading byte-order mark, as spreadsheet programs write, is dropped.
     A missing file raises FileNotFoundError; any other failure to open or
     decode it raises DataValidationError naming the file."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise
     except OSError as exc:
@@ -205,15 +207,28 @@ def read_json(path):
         raise DataValidationError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _csv_rows(path) -> list[list[str]]:
-    """Every record of a CSV file, parsed as from a file opened with newline=""."""
+def _csv_rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of a CSV file, parsed whole as from a file opened with newline="",
+    and a lazy iterator of its other (line number, record) pairs that skips blank records and
+    raises on reaching one whose field count is not the header's."""
     try:
         rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     except csv.Error as exc:
         raise DataValidationError(f"{path}: malformed CSV ({exc})") from None
     if not rows:
         raise DataValidationError(f"{path}: empty file")
-    return rows
+    header = [h.strip() for h in rows[0]]
+
+    def records():
+        width = len(header)
+        for line_no, row in enumerate(rows[1:], start=2):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise DataValidationError(f"{path}: wrong field count on line {line_no}")
+            yield line_no, row
+
+    return header, records()
 
 
 def from_csv(path, target: str, intervention_time: int) -> PanelData:
@@ -225,8 +240,7 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     follows first appearance in the file; periods are sorted. An unknown
     ``target`` or an ``intervention_time`` outside ``1..T-1`` is a UsageError.
     """
-    header, *records = _csv_rows(path)
-    header = [h.strip() for h in header]
+    header, records = _csv_rows(path)
     if header[:3] != ["group", "time", "outcome"] or len(header) > 4:
         raise DataValidationError(
             f"{path}: expected header 'group,time,outcome[,population]', got {','.join(header)}"
@@ -240,16 +254,11 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     # (str.strip also removes \x1c-\x1f, which int and float do not skip) or
     # raises quoting that text. Each line is checked in full before the next,
     # so the first faulty line is the one reported.
-    width = len(header)
     isfinite = math.isfinite
     series: dict[str, dict[int, float]] = {}  # group -> time -> outcome, groups in file order
     times: set[int] = set()
     populations: dict[str, float] = {}
-    for line_no, row in enumerate(records, start=2):
-        if len(row) != width:
-            if not row:
-                continue
-            raise DataValidationError(f"{path}: wrong field count on line {line_no}")
+    for line_no, row in records:
         group = row[0].strip()
         try:
             time = int(row[1])
@@ -323,45 +332,46 @@ def write_json(payload, path) -> None:
         fh.write("\n")
 
 
-def to_csv(panel: PanelData, path) -> None:
-    """Write a panel back out in the long-format CSV schema."""
-    has_population = panel.populations is not None
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Canonical CSV file: UTF-8, comma-separated, CRLF row ends, every field written as given
+    (callers format floats with :func:`format_float`)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group", "time", "outcome"] + (["population"] if has_population else []))
-        for j, group in enumerate(panel.group_labels):
-            for t, time in enumerate(panel.time_labels):
-                row = [group, str(time), format_float(panel.outcomes[j, t])]
-                if has_population:
-                    pop = panel.populations.get(group)
-                    row.append("" if pop is None else format_float(pop))
-                writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def to_csv(panel: PanelData, path) -> None:
+    """Write a panel back out in the long-format CSV schema."""
+    populations = panel.populations
+
+    def rows():
+        for group, outcomes in zip(panel.group_labels, panel.outcomes):
+            pop = [] if populations is None else [format_float(populations[group]) if group in populations else ""]
+            for time, outcome in zip(panel.time_labels, outcomes):
+                yield [group, str(time), format_float(outcome), *pop]
+
+    write_csv(path, ["group", "time", "outcome"] + ([] if populations is None else ["population"]), rows())
 
 
 def aux_to_csv(aux: AuxMatrix, group_labels: Sequence[str], path) -> None:
     """Write covariates as `group,<label>,...` with one row per group."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", *aux.covariate_labels])
-        for j, label in enumerate(group_labels):
-            writer.writerow([label, *(format_float(v) for v in aux.values[j])])
+    write_csv(
+        path,
+        ["group", *aux.covariate_labels],
+        ([label, *map(format_float, aux.values[j])] for j, label in enumerate(group_labels)),
+    )
 
 
 def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
     """Read a covariate CSV, one row per group, reordering rows to match ``group_labels``.
 
     Header fields and group labels are stripped of surrounding whitespace, as in :func:`from_csv`."""
-    header, *records = _csv_rows(path)
-    header = [h.strip() for h in header]
+    header, records = _csv_rows(path)
     if not header or header[0] != "group":
         raise DataValidationError(f"{path}: first column must be 'group'")
-    width = len(header)
     rows = {}
-    for line_no, row in enumerate(records, start=2):
-        if len(row) != width:
-            if not row:
-                continue
-            raise DataValidationError(f"{path}: wrong field count on line {line_no}")
+    for line_no, row in records:
         group = row[0].strip()
         if group in rows:
             raise DataValidationError(f"{path}: duplicate covariate row for {group!r} on line {line_no}")
@@ -452,15 +462,12 @@ def select_groups(panel: PanelData, labels: Sequence[str]) -> PanelData:
     )
 
 
-def standardize_rows(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def standardize_rows(matrix) -> np.ndarray:
     """Shift and scale each row to mean 0, unit sample standard deviation.
 
-    Constant rows map to all-zeros with their scale recorded as 1, so the
-    transform is always invertible: ``standardized * scales + means`` per row.
+    Constant rows (and rows of one entry) map to all-zeros.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    means = matrix.mean(axis=1)
     scales = matrix.std(axis=1, ddof=1) if matrix.shape[1] > 1 else np.zeros(matrix.shape[0])
     scales = np.where(scales > 0, scales, 1.0)
-    standardized = (matrix - means[:, None]) / scales[:, None]
-    return standardized, means, scales
+    return (matrix - matrix.mean(axis=1)[:, None]) / scales[:, None]

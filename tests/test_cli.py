@@ -70,6 +70,20 @@ class TestFit:
         assert manifest["parameters"]["regularizer"] == "simplex"
         assert "tau" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("regularizer", ["none", "ridge", "elastic_net", "simplex"])
+    def test_weights_echo_the_library_fit(self, tmp_path, blend_panel, regularizer):
+        out = tmp_path / "run"
+        assert run(["fit", "--panel", blend_panel, "--target", "tgt", "--t0", 6, "--donors", "b,a",
+                    "--regularizer", regularizer, "--out", out, "--quiet"]) == 0
+        panel = synthpanel.from_csv(blend_panel, target="tgt", intervention_time=6)
+        w = synthpanel.fit(panel, (2, 1), cfg=synthpanel.FitConfig(regularizer=regularizer))
+        weights = json.loads((out / "weights.json").read_text())
+        assert weights["donors"] == ["b", "a"]
+        assert weights["beta"] == w.beta.tolist()
+        assert weights["kkt_residual"] == w.kkt_residual
+        assert weights["converged"] is w.converged is True
+        assert weights["config"]["regularizer"] == regularizer
+
     def test_duplicate_covariate_row_is_data_error(self, tmp_path, blend_panel, capsys):
         covariates = tmp_path / "covariates.csv"
         covariates.write_text("group,u\ntgt,1.0\na,0.5\nb,1.5\na,0.7\n")
@@ -132,9 +146,10 @@ class TestFit:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_config_file_and_unknown_key(self, tmp_path, blend_panel):
+    @pytest.mark.parametrize("byte_order_mark", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_config_file_and_unknown_key(self, tmp_path, blend_panel, byte_order_mark):
         good = tmp_path / "cfg.json"
-        good.write_text(json.dumps({"regularizer": "none", "quiet": True}))
+        good.write_text(byte_order_mark + json.dumps({"regularizer": "none", "quiet": True}), encoding="utf-8")
         out = tmp_path / "run"
         code = run(["fit", "--panel", blend_panel, "--target", "tgt", "--t0", 6, "--out", out, "--config", good])
         assert code == 0
@@ -296,6 +311,19 @@ class TestAggregate:
         assert run(["aggregate", "--panel", panel_path, "--target", "CA", "--t0", 1,
                     "--grouping", grouping, "--out", out]) == 2
         assert capsys.readouterr().err == "error: total population of super-group 'West' is not finite\n"
+        assert not out.exists()
+
+    def test_group_mapped_to_target_label_is_data_error(self, tmp_path, capsys):
+        # The target passes through alone; merging NV into it would change its outcomes.
+        panel_path = tmp_path / "states.csv"
+        write_panel_csv(panel_path, ["CA", "NV", "UT"], [1, 2], lambda g, t: 1.0 + t,
+                        populations={"CA": 3e7, "NV": 1e7, "UT": 8e5})
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"NV": "CA", "UT": "West"}))
+        out = tmp_path / "agg"
+        assert run(["aggregate", "--panel", panel_path, "--target", "CA", "--t0", 1,
+                    "--grouping", grouping, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: group 'NV' is mapped to 'CA', the target's label\n"
         assert not out.exists()
 
 
@@ -470,6 +498,10 @@ class TestManifestRoundTrip:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        # Every CSV the CLI writes ends each row with CRLF.
+        for name in (n for n in names if n.endswith(".csv")):
+            data = (first / name).read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), name
 
 
 def run_alone(args, cwd):

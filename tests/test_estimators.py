@@ -17,7 +17,6 @@ from synthpanel import (
     predict_counterfactual,
     simulate_panel,
 )
-from synthpanel.estimators import fit_result_to_json
 from synthpanel.evaluation import derive_seed
 from synthpanel.panel import AuxMatrix
 
@@ -352,8 +351,6 @@ class TestKktCertificate:
     def test_every_regularizer_reports_its_residual(self, toy_panel, cfg):
         w = fit(toy_panel, (1, 2, 3), cfg=cfg)
         assert 0.0 <= w.kkt_residual <= cfg.tolerance
-        doc = fit_result_to_json(w, toy_panel, cfg)
-        assert doc["kkt_residual"] == w.kkt_residual
 
     def test_residual_measures_the_returned_point(self):
         # One pass from the best vertex leaves this simplex fit short of its optimum.
@@ -478,11 +475,3 @@ class TestValidation:
     def test_bad_regularizer(self):
         with pytest.raises(UsageError):
             FitConfig(regularizer="lasso")
-
-    def test_json_echo(self, toy_panel):
-        cfg = FitConfig(regularizer="simplex")
-        w = fit(toy_panel, (1, 2), cfg=cfg)
-        doc = fit_result_to_json(w, toy_panel, cfg)
-        assert doc["donors"] == ["d1", "d2"]
-        assert doc["config"]["regularizer"] == "simplex"
-        assert doc["converged"] is True

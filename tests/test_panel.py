@@ -1,12 +1,14 @@
+import ast
 import csv
 import json
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+
+import synthpanel
 
 from synthpanel import (
     DataValidationError,
@@ -72,6 +74,13 @@ class TestFromCsv:
         panel = from_csv(path, target="Wash, DC", intervention_time=1)
         assert panel.group_labels == ("Wash, DC", "a\r\nb")
         assert panel.outcomes.tolist() == [[1.5, 2.5], [3.0, 4.0]]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark.
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"\xef\xbb\xbfgroup,time,outcome\r\nCA,1,1.5\r\nCA,2,2.5\r\n")
+        panel = from_csv(path, target="CA", intervention_time=1)
+        assert panel.group_labels == ("CA",) and panel.outcomes.tolist() == [[1.5, 2.5]]
 
     def test_unreadable_file_is_data_error(self, tmp_path):
         with pytest.raises(DataValidationError, match="cannot read"):
@@ -336,28 +345,12 @@ class TestAggregation:
 
 class TestStandardize:
     def test_basic_row(self):
-        z, means, scales = standardize_rows([[1.0, 2.0, 3.0]])
-        assert np.allclose(z, [[-1.0, 0.0, 1.0]])
-        assert means[0] == 2.0 and scales[0] == 1.0
+        z = standardize_rows([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        assert np.allclose(z, [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
 
     def test_constant_row(self):
-        z, means, scales = standardize_rows([[5.0, 5.0, 5.0]])
+        z = standardize_rows([[5.0, 5.0, 5.0]])
         assert np.array_equal(z, [[0.0, 0.0, 0.0]])
-        assert scales[0] == 1.0
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=8),
-            min_size=1,
-            max_size=5,
-        ).filter(lambda rows: len({len(r) for r in rows}) == 1)
-    )
-    def test_round_trip(self, rows):
-        matrix = np.array(rows)
-        z, means, scales = standardize_rows(matrix)
-        back = z * scales[:, None] + means[:, None]
-        assert np.allclose(back, matrix, atol=1e-12 * max(1.0, np.abs(matrix).max()))
 
 
 class TestAuxCsv:
@@ -398,3 +391,22 @@ class TestAuxCsv:
         with pytest.raises(DataValidationError) as caught:
             aux_from_csv(path, ["g1", "g2"])
         assert str(caught.value) == message.format(path=path)
+
+
+def test_only_panel_touches_files():
+    """panel owns every file format: no other module imports csv or json, or calls open."""
+    offenders = []
+    for path in sorted(Path(synthpanel.__file__).parent.glob("*.py")):
+        if path.name == "panel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            offenders += [f"{path.name}: import {m}" for m in modules if m.split(".")[0] in ("csv", "json")]
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                offenders.append(f"{path.name}:{node.lineno}: open()")
+    assert offenders == []
