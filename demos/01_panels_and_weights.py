@@ -12,7 +12,6 @@ from synthpanel import (
     aggregate_groups,
     estimate_effect,
     fit,
-    predict_counterfactual,
 )
 
 # A panel of 4 groups over 8 periods. The target tracks a 60/40 blend of
@@ -38,11 +37,14 @@ weights = fit(panel, panel.donor_indices(), cfg=FitConfig(regularizer="simplex")
 print("donor weights:", dict(zip(("d1", "d2", "d3"), np.round(weights.beta, 4))))
 print("converged:", weights.converged, "objective:", f"{weights.objective_value:.3e}")
 
-synthetic = predict_counterfactual(weights, panel)
+# The estimate holds the synthetic control and the observed-minus-synthetic
+# gap at every period; the post-intervention gaps are the effect.
 effect = estimate_effect(weights, panel)
+observed = panel.outcomes[panel.target_index]
 print("\nper post-period gaps (time, observed, synthetic, gap):")
-for row in effect.per_period:
-    print("  ", tuple(round(v, 3) if isinstance(v, float) else v for v in row))
+for k in range(panel.intervention_time, panel.n_periods):
+    values = (observed[k], effect.synthetic[k], effect.gap[k])
+    print("  ", (panel.time_labels[k], *(round(float(v), 3) for v in values)))
 print("estimated effect at the final period:", round(effect.tau, 3), "(injected: -5)")
 
 # Aggregation merges groups into super-groups, weighted by the panel's

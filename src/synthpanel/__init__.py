@@ -14,6 +14,7 @@ Three layers:
 
 from .errors import DataValidationError, UsageError
 from .estimators import (
+    EffectEstimate,
     FitConfig,
     WeightVector,
     estimate_effect,
@@ -47,7 +48,6 @@ from .microsim import (
 )
 from .panel import (
     AuxMatrix,
-    EffectEstimate,
     PanelData,
     aggregate_groups,
     from_csv,

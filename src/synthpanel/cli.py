@@ -24,13 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DataValidationError, UsageError
-from .estimators import (
-    REGULARIZERS,
-    FitConfig,
-    estimate_effect,
-    fit,
-    predict_counterfactual,
-)
+from .estimators import REGULARIZERS, FitConfig, estimate_effect, fit
 from .evaluation import covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
 from .identification import minimal_invariant_set, solve_oracle_weights, verify_identification
 from .microsim import (
@@ -321,7 +315,6 @@ def cmd_fit(params: dict) -> Output:
     cfg = _config(FitConfig, params)
     weights = fit(panel, donors, aux, cfg)
     effect = estimate_effect(weights, panel)
-    synthetic = predict_counterfactual(weights, panel)
     record = {
         "donors": [panel.group_labels[j] for j in weights.donor_indices],
         "beta": weights.beta,
@@ -330,11 +323,8 @@ def cmd_fit(params: dict) -> Output:
         "kkt_residual": weights.kkt_residual,
         "config": cfg,
     }
-    observed = panel.outcomes[panel.target_index]
-    series = [
-        [time, format_float(y), format_float(y_hat), format_float(y - y_hat)]
-        for time, y, y_hat in zip(panel.time_labels, observed, synthetic)
-    ]
+    columns = (panel.outcomes[panel.target_index], effect.synthetic, effect.gap)
+    series = [[time, *map(format_float, values)] for time, *values in zip(panel.time_labels, *columns)]
 
     def write(out: Path) -> None:
         write_json(record, out / "weights.json")

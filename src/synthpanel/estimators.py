@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .panel import AuxMatrix, EffectEstimate, PanelData, check_donors, standardize_rows
+from .panel import AuxMatrix, PanelData, check_donors, frozen_array, standardize_rows
 
 __all__ = [
     "FitConfig",
     "WeightVector",
+    "EffectEstimate",
     "fit",
     "predict_counterfactual",
     "estimate_effect",
@@ -82,12 +83,31 @@ class WeightVector:
     kkt_residual: float
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", frozen_array(self.beta))
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
-        if beta.shape != (len(self.donor_indices),):
+        if self.beta.shape != (len(self.donor_indices),):
             raise UsageError("beta must align with donor_indices")
+
+
+@dataclass(frozen=True, eq=False)
+class EffectEstimate:
+    """The target's synthetic control and its gap at every period of the panel.
+
+    ``gap = observed - synthetic`` exactly; both arrays are read-only. The
+    post-intervention gaps are ``gap[panel.intervention_time:]``, and ``tau``
+    is the final one.
+    """
+
+    synthetic: np.ndarray
+    gap: np.ndarray
+
+    def __post_init__(self):
+        for name in ("synthetic", "gap"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name)))
+
+    @property
+    def tau(self) -> float:
+        return float(self.gap[-1])
 
 
 def _stacked_system(
@@ -266,12 +286,6 @@ def predict_counterfactual(
 
 
 def estimate_effect(weights: WeightVector, panel: PanelData) -> EffectEstimate:
-    """Per-post-period gaps; ``tau`` is the final-period gap."""
+    """The target's synthetic control and gap at every period, from one donor product."""
     synthetic = predict_counterfactual(weights, panel)
-    observed = panel.outcomes[panel.target_index]
-    per_period = tuple(
-        (panel.time_labels[t], float(observed[t]), float(synthetic[t]), float(observed[t] - synthetic[t]))
-        for t in range(panel.intervention_time, panel.n_periods)
-    )
-    return EffectEstimate(tau=per_period[-1][3], per_period=per_period)
-
+    return EffectEstimate(synthetic, panel.outcomes[panel.target_index] - synthetic)

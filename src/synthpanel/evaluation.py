@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .estimators import FitConfig, fit, predict_counterfactual
+from .estimators import FitConfig, estimate_effect, fit
 from .microsim import AGGREGATIONS, SimConfig, SimulatedStudy, simulate_panel
 from .panel import AuxMatrix, PanelData, write_csv
 from .panel import format_float as _fmt
@@ -100,8 +100,7 @@ def time_split_evaluate(
         raise UsageError(f"split {split} leaves no evaluation periods for T={t}")
     fit_panel = replace(panel, intervention_time=n_fit)
     weights = fit(fit_panel, donors, aux, cfg)
-    synthetic = predict_counterfactual(weights, panel)
-    gaps = panel.outcomes[panel.target_index] - synthetic
+    gaps = estimate_effect(weights, panel).gap
     with np.errstate(over="ignore"):
         observed_mse, counterfactual_mse = float(np.mean(gaps[:n_fit] ** 2)), float(np.mean(gaps[n_fit:] ** 2))
     if not (math.isfinite(observed_mse) and math.isfinite(counterfactual_mse)):

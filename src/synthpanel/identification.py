@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UsageError
 from .microsim import GroupComposition, SimulatedStudy
-from .panel import check_donors
+from .panel import check_donors, frozen_array
 
 __all__ = [
     "InvariantSetReport",
@@ -47,9 +47,7 @@ class InvariantSetReport:
     per_category_max_gap: np.ndarray
 
     def __post_init__(self):
-        gaps = np.array(self.per_category_max_gap, dtype=float)
-        gaps.setflags(write=False)
-        object.__setattr__(self, "per_category_max_gap", gaps)
+        object.__setattr__(self, "per_category_max_gap", frozen_array(self.per_category_max_gap))
         object.__setattr__(self, "S_indices", tuple(int(i) for i in self.S_indices))
 
 
@@ -67,9 +65,7 @@ class OracleWeights:
     exists: bool
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", frozen_array(self.beta))
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
 
 

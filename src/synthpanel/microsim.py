@@ -32,7 +32,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, from_csv, read_json, to_csv, write_json
+from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, frozen_array, from_csv, read_json, select_groups
+from .panel import to_csv, write_json
 
 __all__ = [
     "GroupComposition",
@@ -100,8 +101,7 @@ class GroupComposition:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        probs.setflags(write=False)
+        probs = frozen_array(self.probs)
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise DataValidationError("composition must be a 1-D probability vector")
@@ -128,8 +128,7 @@ class OutcomeFunctionFamily:
     conditional_mean: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.conditional_mean, dtype=float)
-        lam.setflags(write=False)
+        lam = frozen_array(self.conditional_mean)
         object.__setattr__(self, "conditional_mean", lam)
         if lam.ndim != 2:
             raise DataValidationError("conditional_mean must be a (category x period) matrix")
@@ -515,15 +514,19 @@ def _study_truth(path):
 def load_study_bundle(indir) -> SimulatedStudy:
     """Reconstruct a study from a bundle written by write_study_bundle.
 
-    A truth.json that is not such a document, or that disagrees with the
-    bundle's panel, raises DataValidationError.
+    truth.json's ``group_labels`` orders the groups, target first, and
+    panel.csv's rows may come in any order. A truth.json that is not such a
+    document, or that disagrees with the bundle's panel (its set of groups
+    included), raises DataValidationError.
     """
     indir = Path(indir)
-    truth_path = indir / "truth.json"
+    truth_path, panel_path = indir / "truth.json", indir / "panel.csv"
     truth = read_json(truth_path)
     with _study_truth(truth_path):
         cfg = SimConfig(**truth["config"])
-        target = truth["group_labels"][0]
+        labels = truth["group_labels"]  # target first
+        if not (isinstance(labels, list) and labels and all(isinstance(label, str) for label in labels)):
+            raise TypeError("group_labels must be a nonempty list of strings")
         compositions = tuple(GroupComposition(np.array(p)) for p in truth["compositions"])
         functions = OutcomeFunctionFamily(np.array(truth["conditional_mean"]))
         true_s = frozenset(int(k) for k in truth["true_S"])
@@ -531,9 +534,14 @@ def load_study_bundle(indir) -> SimulatedStudy:
             if truth[name] != getattr(cfg, name):
                 raise ValueError(f"{name} {truth[name]!r} differs from the config's {getattr(cfg, name)!r}")
     try:
-        panel = from_csv(indir / "panel.csv", target=target, intervention_time=cfg.T0)
+        panel = from_csv(panel_path, target=labels[0], intervention_time=cfg.T0)
     except UsageError as exc:  # the truth names a target or a T0 that the panel does not hold
-        raise DataValidationError(f"{indir / 'panel.csv'}: {exc}") from None
+        raise DataValidationError(f"{panel_path}: {exc}") from None
+    if (groups := sorted(panel.group_labels)) != sorted(labels):
+        raise DataValidationError(
+            f"{panel_path}: groups {groups} differ from the group_labels {sorted(labels)} of {truth_path.name}"
+        )
+    panel = select_groups(panel, labels)  # covariate rows follow, read in the panel's order
     aux_suitable = aux_from_csv(indir / "covariates_suitable.csv", panel.group_labels)
     aux_unsuitable = aux_from_csv(indir / "covariates_unsuitable.csv", panel.group_labels)
     with _study_truth(truth_path):

@@ -23,7 +23,6 @@ from .errors import DataValidationError, UsageError
 __all__ = [
     "PanelData",
     "AuxMatrix",
-    "EffectEstimate",
     "from_csv",
     "to_csv",
     "aux_from_csv",
@@ -35,7 +34,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
+def frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``: how every record of the package holds its arrays."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -59,7 +59,7 @@ class PanelData:
     populations: Mapping[str, float] | None = field(default=None)
 
     def __post_init__(self):
-        outcomes = _frozen_array(self.outcomes)
+        outcomes = frozen_array(self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "group_labels", tuple(self.group_labels))
         object.__setattr__(self, "time_labels", tuple(int(t) for t in self.time_labels))
@@ -139,7 +139,7 @@ class AuxMatrix:
     covariate_labels: tuple[str, ...]
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        values = frozen_array(self.values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "covariate_labels", tuple(self.covariate_labels))
         if values.ndim != 2:
@@ -150,19 +150,6 @@ class AuxMatrix:
             )
         if not np.all(np.isfinite(values)):
             raise DataValidationError("covariate values contain non-finite entries")
-
-
-@dataclass(frozen=True, eq=False)
-class EffectEstimate:
-    """Post-period gaps between the observed target and its synthetic control.
-
-    ``per_period`` holds one ``(time, observed, synthetic, gap)`` tuple per
-    post-intervention period, with ``gap = observed - synthetic`` exactly.
-    ``tau`` is the gap at the final period.
-    """
-
-    tau: float
-    per_period: tuple[tuple[int, float, float, float], ...]
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
@@ -399,13 +386,14 @@ def aggregate_groups(panel: PanelData, grouping: Mapping[str, str]) -> PanelData
     group mapped alone passes through unchanged (no weighting applied), so
     an identity map is exact; populations are only consulted for
     super-groups with more than one member. Super-group order follows the
-    first appearance of a member in the panel.
+    first appearance of a member in the panel. A group missing from the map,
+    or a merged member without a positive population, is a DataValidationError.
     """
     populations = panel.populations or {}
     members: dict[str, list[int]] = {}
     for j, group in enumerate(panel.group_labels):
         if group not in grouping:
-            raise UsageError(f"group {group!r} missing from the grouping map")
+            raise DataValidationError(f"group {group!r} missing from the grouping map")
         members.setdefault(grouping[group], []).append(j)
 
     rows = []
@@ -421,7 +409,7 @@ def aggregate_groups(panel: PanelData, grouping: Mapping[str, str]) -> PanelData
         for j in idx:
             label = panel.group_labels[j]
             if label not in populations:
-                raise UsageError(f"no population given for group {label!r}")
+                raise DataValidationError(f"no population given for group {label!r}")
             pop = populations[label]
             if pop <= 0:
                 raise DataValidationError(f"population for {label!r} must be positive, got {pop}")

@@ -84,6 +84,21 @@ class TestFit:
         assert weights["converged"] is w.converged is True
         assert weights["config"]["regularizer"] == regularizer
 
+    def test_one_donor_product_per_fit(self, tmp_path, blend_panel, monkeypatch):
+        # Count the calls through every synthpanel module that holds the function.
+        original, calls = synthpanel.estimators.predict_counterfactual, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "synthpanel" and getattr(module, "predict_counterfactual", None) is original:
+                monkeypatch.setattr(module, "predict_counterfactual", counted)
+        assert main(["fit", "--panel", str(blend_panel), "--target", "tgt", "--t0", "6",
+                     "--out", str(tmp_path / "run"), "--quiet"]) == 0
+        assert len(calls) == 1
+
     def test_duplicate_covariate_row_is_data_error(self, tmp_path, blend_panel, capsys):
         covariates = tmp_path / "covariates.csv"
         covariates.write_text("group,u\ntgt,1.0\na,0.5\nb,1.5\na,0.7\n")
@@ -182,10 +197,13 @@ class TestSimulateDiagnose:
             lambda truth: truth["compositions"][1].__setitem__(0, float("nan")),
             lambda truth: truth.update(noise_sd=7.5),
             lambda truth: truth.update(post_intervention_shift=2.0),
+            lambda truth: truth.update(group_labels=[]),
+            lambda truth: truth["group_labels"].__setitem__(0, ["target"]),
+            lambda truth: truth.update(group_labels="target"),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
              "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "contradicting-noise-sd",
-             "contradicting-shift"],
+             "contradicting-shift", "no-group-labels", "list-group-label", "string-group-labels"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
         bundle = tmp_path / "b"
@@ -212,6 +230,38 @@ class TestSimulateDiagnose:
         assert capsys.readouterr().err == (
             f"error: {bundle / 'panel.csv'}: intervention_time must satisfy 1 <= T0 < T, got T0=15, T=15\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["shuffled", "sorted"])
+    def test_diagnosis_ignores_panel_row_order(self, tmp_path, capsys, order):
+        # truth.json's group_labels orders the groups; sorting the rows by group puts the target last.
+        bundle = tmp_path / "b"
+        assert run(["simulate", "--seed", 3, "--out", bundle, "--quiet"]) == 0
+        assert run(["diagnose", "--bundle", bundle, "--out", tmp_path / "d0"]) == 0
+        header, *rows = (bundle / "panel.csv").read_text().splitlines(keepends=True)
+        if order == "sorted":
+            rows.sort(key=lambda row: row.split(",")[0])
+        else:
+            rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        (bundle / "panel.csv").write_text(header + "".join(rows))
+        assert run(["diagnose", "--bundle", bundle, "--out", tmp_path / "d1"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+        assert (tmp_path / "d0" / "diagnosis.json").read_bytes() == (tmp_path / "d1" / "diagnosis.json").read_bytes()
+
+    @pytest.mark.parametrize("change", ["extra", "missing", "renamed"])
+    def test_panel_groups_must_be_truth_groups(self, tmp_path, capsys, change):
+        bundle = tmp_path / "b"
+        assert run(["simulate", "--individuals", 20, "--out", bundle, "--quiet"]) == 0
+        header, *rows = (bundle / "panel.csv").read_text().splitlines(keepends=True)
+        kept = [row for row in rows if not row.startswith("donor_5,")]
+        renamed = [row.replace("donor_5,", "donor_6,", 1) for row in rows if row.startswith("donor_5,")]
+        rows = {"extra": rows + renamed, "missing": kept, "renamed": kept + renamed}[change]
+        (bundle / "panel.csv").write_text(header + "".join(rows))
+        out = tmp_path / "d"
+        assert run(["diagnose", "--bundle", bundle, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bundle / 'panel.csv'}: groups [") and err.count("\n") == 1
         assert not out.exists()
 
     def test_diagnose_identified_bundle(self, tmp_path, capsys):
@@ -324,6 +374,26 @@ class TestAggregate:
         assert run(["aggregate", "--panel", panel_path, "--target", "CA", "--t0", 1,
                     "--grouping", grouping, "--out", out]) == 2
         assert capsys.readouterr().err == "error: group 'NV' is mapped to 'CA', the target's label\n"
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "mapping, populations, message",
+        [
+            ({"B": "X"}, dict.fromkeys("ABCD", 1.0), "group 'C' missing from the grouping map"),
+            ({"B": "X", "C": "X", "D": "Y"}, None, "no population given for group 'B'"),
+        ],
+        ids=["group-missing", "population-missing"],
+    )
+    def test_incomplete_grouping_is_data_error(self, tmp_path, capsys, mapping, populations, message):
+        panel_path = tmp_path / "panel.csv"
+        write_panel_csv(panel_path, ["A", "B", "C", "D"], [1, 2], lambda g, t: 1.0 + t, populations)
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"A": "A", **mapping}))
+        out = tmp_path / "agg"
+        assert run(["aggregate", "--panel", panel_path, "--target", "A", "--t0", 1,
+                    "--grouping", grouping, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in this checkout."""
+"""Each demo script runs to completion against the package in this checkout,
+with RuntimeWarnings raised as errors, as pyproject has them raised in the tests."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_exits_zero(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+    argv = [sys.executable, "-W", "error::RuntimeWarning", str(script)]
+    result = subprocess.run(argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -411,13 +411,17 @@ class TestPredictAndEffect:
         w = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,), 0.0)
         effect = estimate_effect(w, panel)
         assert effect.tau == pytest.approx(-7.6)
-        assert effect.per_period == ((1989, 82.4, 90.0, 82.4 - 90.0),)
+        post = slice(panel.intervention_time, None)
+        assert effect.synthetic[post].tolist() == [90.0]
+        assert effect.gap[post].tolist() == [82.4 - 90.0]
+        assert effect.gap.tolist() == (panel.outcomes[0] - effect.synthetic).tolist()
+        assert not (effect.synthetic.flags.writeable or effect.gap.flags.writeable)
 
     def test_null_effect(self, toy_panel):
         w = fit(toy_panel, (1, 2), cfg=SIMPLEX)
         effect = estimate_effect(w, toy_panel)
         # Target is the exact midpoint everywhere, so all gaps vanish.
-        assert all(abs(gap) < 1e-9 for *_, gap in effect.per_period)
+        assert np.abs(effect.gap[toy_panel.intervention_time:]).max() < 1e-9
 
     def test_recovers_injected_shift(self):
         # Average tau over replications approximates the true shift within

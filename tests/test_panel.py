@@ -291,12 +291,12 @@ class TestAggregation:
 
     def test_missing_group_in_map(self, toy_panel):
         panel = replace(toy_panel, populations={"d1": 1.0, "d2": 1.0})
-        with pytest.raises(UsageError, match="d3"):
+        with pytest.raises(DataValidationError, match="d3"):
             aggregate_groups(panel, {"tgt": "tgt", "d1": "x", "d2": "x"})
 
     def test_missing_population(self, toy_panel):
         grouping = {"tgt": "tgt", "d1": "x", "d2": "x", "d3": "x"}
-        with pytest.raises(UsageError, match="population"):
+        with pytest.raises(DataValidationError, match="population"):
             aggregate_groups(replace(toy_panel, populations={"d1": 1.0}), grouping)
 
     def test_nonpositive_population(self, toy_panel):
