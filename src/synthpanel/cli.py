@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DataValidationError, UsageError
 from .estimators import REGULARIZERS, FitConfig, estimate_effect, fit
-from .evaluation import covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
+from .evaluation import EXPERIMENTS, covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
 from .identification import minimal_invariant_set, solve_oracle_weights, verify_identification
 from .microsim import (
     AGGREGATIONS,
@@ -231,10 +231,10 @@ COMMAND_PARAMS = {
 }
 
 
-def _config(config_cls, params: dict):
-    """The config_cls instance that the materialized params describe."""
-    fields = {param.field: params[name] for name, param in _CONFIG_PARAMS[config_cls].items()}
-    return config_cls(**fields)
+def _config(config_cls, params: dict, **fields):
+    """The config_cls instance that the materialized params describe, ``fields`` set over them."""
+    described = {param.field: params[name] for name, param in _CONFIG_PARAMS[config_cls].items() if name in params}
+    return config_cls(**described | fields)
 
 
 def _json_object(path) -> dict:
@@ -244,23 +244,33 @@ def _json_object(path) -> dict:
     return document
 
 
-def _materialize(table: dict[str, Param], config_path, cli_values: dict) -> dict:
+def _materialize(command: str, config_path, cli_values: dict) -> dict:
     """defaults < config file < explicit CLI flags; unknown keys rejected.
 
     Every value is checked against its table entry, and none is coerced,
-    so the manifest echoes the config document as written.
+    so the manifest echoes the config document as written. What an experiment
+    sets (``EXPERIMENTS``; a sweep's knob too) is rejected if given, and left out.
     """
-    merged = {name: param.default for name, param in table.items()}
+    table = COMMAND_PARAMS[command]
+    # argparse yields exactly the table's keys.
+    given = {key: value for key, value in cli_values.items() if value is not None}
     if config_path is not None:
         document = _json_object(config_path)
         unknown = sorted(set(document) - set(table))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update(document)
-    # argparse yields exactly the table's keys.
-    merged.update((key, value) for key, value in cli_values.items() if value is not None)
+        given = document | given
+    merged = {name: given.get(name, param.default) for name, param in table.items()}
     for name, value in merged.items():
         table[name].check(value)
+    if command in ("sweep", "covariates"):
+        field, constants = EXPERIMENTS[merged.get("knob", command)]
+        fixed = {*constants, field} if command == "sweep" else set(constants)
+        for name in (name for name, param in SIM_PARAMS.items() if param.field in fixed):
+            if name in given:
+                label = f"sweep --knob {merged['knob']}" if command == "sweep" else command
+                raise UsageError(f"{label} sets {name} itself; leave it out")
+            del merged[name]
     return merged
 
 
@@ -350,11 +360,14 @@ def cmd_sweep(params: dict) -> Output:
     if params["step"] < 1:
         raise UsageError("--step must be at least 1")
     values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
+    if not values:
+        raise UsageError("a sweep needs at least one knob value")
+    field, constants = EXPERIMENTS[params["knob"]]
+    base = _config(SimConfig, params, **constants, **{field: values[0]})
     if params["knob"] == "S":
-        results = {"sweep.csv": sweep_S(_config(SimConfig, params), S_values=values, **sweep)}
+        results = {"sweep.csv": sweep_S(base, S_values=values, **sweep)}
     else:
-        mean_result, median_result = sweep_T_mean_median(_config(SimConfig, params), T_values=values, **sweep)
-        results = {"sweep_mean.csv": mean_result, "sweep_median.csv": median_result}
+        results = {f"sweep_{a}.csv": r for a, r in zip(AGGREGATIONS, sweep_T_mean_median(base, values, **sweep))}
 
     def write(out: Path) -> None:
         for name, result in results.items():
@@ -365,7 +378,7 @@ def cmd_sweep(params: dict) -> Output:
 
 def cmd_covariates(params: dict) -> Output:
     result = covariate_experiment(
-        _config(SimConfig, params),
+        _config(SimConfig, params, **EXPERIMENTS["covariates"][1]),
         replications=params["replications"],
         fit_cfg=_config(FitConfig, params),
         split=params["split"],
@@ -466,22 +479,21 @@ def run(argv=None) -> int:
     namespace = vars(parser.parse_args(argv))
     command = namespace.pop("command")
     config_path = namespace.pop("config", None)
-    params = _materialize(COMMAND_PARAMS[command], config_path, namespace)
+    params = _materialize(command, config_path, namespace)
     return _deliver(command, params, COMMANDS[command](params))
 
 
 def main(argv=None) -> int:
     try:
-        code = run(argv)
+        return run(argv)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_USAGE
+        message, code = str(exc), EXIT_USAGE
     except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        code = EXIT_USAGE
+        message, code = f"file not found: {exc.filename}", EXIT_USAGE
     except DataValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_DATA
+        message, code = str(exc), EXIT_DATA
+    # A message can quote input text that holds line breaks; it is still reported on one line.
+    print("error:", "\\n".join(message.splitlines()), file=sys.stderr)
     return code
 
 

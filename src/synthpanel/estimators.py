@@ -104,6 +104,8 @@ class EffectEstimate:
     def __post_init__(self):
         for name in ("synthetic", "gap"):
             object.__setattr__(self, name, frozen_array(getattr(self, name)))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DataValidationError(f"outcomes too large: the {name} series is not finite")
 
     @property
     def tau(self) -> float:
@@ -287,5 +289,6 @@ def predict_counterfactual(
 
 def estimate_effect(weights: WeightVector, panel: PanelData) -> EffectEstimate:
     """The target's synthetic control and gap at every period, from one donor product."""
-    synthetic = predict_counterfactual(weights, panel)
-    return EffectEstimate(synthetic, panel.outcomes[panel.target_index] - synthetic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        synthetic = predict_counterfactual(weights, panel)
+        return EffectEstimate(synthetic, panel.outcomes[panel.target_index] - synthetic)

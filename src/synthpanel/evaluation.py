@@ -5,13 +5,13 @@ untreated panel and scores mean squared tracking error separately on the
 fit window ("observed") and the held-out tail ("counterfactual").
 
 All three experiments (the S sweep, the mean/median horizon sweep and the
-covariate study) run on one engine. It walks a sequence of knob points,
-each a set of :class:`SimConfig` overrides; at point ``i`` it simulates
-``replications`` fresh untreated studies and scores each with every
-evaluator of the experiment, then summarizes each evaluator's MSEs.
+covariate study) run on one engine, and :data:`EXPERIMENTS` says what each
+one sets. At knob value ``i`` the engine simulates ``replications`` fresh
+untreated studies and scores each with every evaluator of the experiment,
+then summarizes each evaluator's MSEs.
 
-Seed contract: replication ``r`` at point ``i`` uses the study seed
-``derive_seed(base.seed, i, r)``, whatever else the point changes. Every
+Seed contract: replication ``r`` at knob value ``i`` uses the study seed
+``derive_seed(base.seed, i, r)``, whatever else the knob changes. Every
 evaluator of a replication scores the same study, so paired designs share
 identical draws, and reruns are bit-identical.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,33 +135,42 @@ def _evaluate(panel: PanelData, fit_cfg: FitConfig, split: float, aux: AuxMatrix
     return time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split, aux)
 
 
+# Each experiment's knob field and the SimConfig fields it holds constant. The
+# sweeps draw no covariates and their time split replaces T0, so T0 = 1 is moot.
+EXPERIMENTS = {
+    "S": ("S_cardinality", dict(T0=1, post_intervention_shift=0.0, covariate_count=0)),
+    "T": ("T", dict(T0=1, aggregation="mean", post_intervention_shift=0.0, covariate_count=0)),
+    "covariates": ("T", dict(post_intervention_shift=0.0)),
+}
+
+
 def _sweep(
     base: SimConfig,
-    knob_name: str,
-    points: Iterable[tuple[int, dict]],
+    experiment: str,
+    knob_values: Sequence[int],
     replications: int,
     evaluators: Mapping[str, Callable[[SimulatedStudy], SplitEvaluation]],
     aggregations: Sequence[str] = (),
 ) -> dict[str, list[SweepPoint]]:
     """The one replication loop behind every sweep.
 
-    Replication ``r`` at point ``i`` simulates the untreated study
-    ``replace(base, seed=derive_seed(base.seed, i, r),
-    post_intervention_shift=0.0, **overrides)``, reduced by
-    ``aggregations`` as well, and scores it with every evaluator. Returns
-    each evaluator's summaries, one per point in the order given.
+    With ``field, constants = EXPERIMENTS[experiment]``, replication ``r`` at
+    knob value ``i`` simulates ``replace(base, seed=derive_seed(base.seed, i,
+    r), **constants, **{field: knob})``, reduced by ``aggregations`` as well,
+    and scores it with every evaluator. Returns each evaluator's summaries,
+    one per knob value in the order given.
     """
-    points = tuple(points)
-    if not points:
+    field, constants = EXPERIMENTS[experiment]
+    if not knob_values:
         raise UsageError("a sweep needs at least one knob value")
     if replications < 1:
         raise UsageError(f"replications must be at least 1, got {replications}")
     summaries = {name: [] for name in evaluators}
-    for i, (knob, overrides) in enumerate(points):
+    for i, knob in enumerate(knob_values):
         scores = {name: ([], []) for name in evaluators}
         flagged = False
         for r in range(replications):
-            cfg = replace(base, seed=derive_seed(base.seed, i, r), post_intervention_shift=0.0, **overrides)
+            cfg = replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: knob})
             study = simulate_panel(cfg, aggregations=aggregations)
             for name, evaluate in evaluators.items():
                 ev = evaluate(study)
@@ -170,7 +179,7 @@ def _sweep(
                 scores[name][1].append(ev.counterfactual_mse)
         if flagged:
             # Two frames up: the caller of the public sweep function.
-            warnings.warn(f"underdetermined fits at {knob_name}={knob}", stacklevel=3)
+            warnings.warn(f"underdetermined fits at {field}={knob}", stacklevel=3)
         for name, collected in scores.items():
             summaries[name].append(_summarize(knob, *collected))
     return summaries
@@ -187,9 +196,8 @@ def sweep_S(
 
     Studies are untreated controls; covariates are not generated.
     """
-    points = ((s, dict(S_cardinality=s, covariate_count=0)) for s in S_values)
     evaluators = {"S": lambda study: _evaluate(study.panel, fit_cfg, split)}
-    summaries = _sweep(base, "S_cardinality", points, replications, evaluators)
+    summaries = _sweep(base, "S", S_values, replications, evaluators)
     return SweepResult(knob_name="S", points=tuple(summaries["S"]))
 
 
@@ -207,15 +215,11 @@ def sweep_T_mean_median(
     results, in ``AGGREGATIONS`` order, equal two separate sweeps, one per
     aggregation, at the same seeds.
     """
-    points = (
-        (t, dict(T=t, T0=min(math.ceil(split * t), t - 1), aggregation="mean", covariate_count=0))
-        for t in T_values
-    )
     evaluators = {
         aggregation: lambda study, aggregation=aggregation: _evaluate(study.panels[aggregation], fit_cfg, split)
         for aggregation in AGGREGATIONS
     }
-    summaries = _sweep(base, "T", points, replications, evaluators, aggregations=AGGREGATIONS)
+    summaries = _sweep(base, "T", T_values, replications, evaluators, aggregations=AGGREGATIONS)
     return tuple(SweepResult(knob_name="T", points=tuple(summaries[a])) for a in AGGREGATIONS)
 
 
@@ -241,7 +245,7 @@ def covariate_experiment(
         "suitable": lambda study: _evaluate(study.panel, fit_cfg, split, study.aux_suitable),
         "unsuitable": lambda study: _evaluate(study.panel, fit_cfg, split, study.aux_unsuitable),
     }
-    summaries = _sweep(base, "T", [(base.T, {})], replications, evaluators)
+    summaries = _sweep(base, "covariates", [base.T], replications, evaluators)
     points = tuple(replace(summaries[row][0], knob=row) for row in COVARIATE_ROWS)
     return SweepResult(knob_name="covariates", points=points)
 

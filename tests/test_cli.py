@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synthpanel
@@ -150,10 +150,20 @@ class TestFit:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("regularizer", ["none", "ridge", "simplex", "elastic_net"])
-    def test_overflowing_outcomes_are_data_error(self, tmp_path, capsys, regularizer):
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            lambda g, t: {"tgt": 1.0, "a": 2.0, "b": 0.5}[g] * t * 1e200,
+            # Ordinary up to T0 = 6, then +-1.7e308: only the post-period gap overflows.
+            lambda g, t: (
+                {"tgt": 15.0, "a": 10.0 + t, "b": 20.0 - t}[g] if t <= 6 else (1.7e308 if g == "tgt" else -1.7e308)
+            ),
+        ],
+        ids=["normal-equations", "post-period-gap"],
+    )
+    def test_overflowing_outcomes_are_data_error(self, tmp_path, capsys, regularizer, outcome):
         path = tmp_path / "panel.csv"
-        write_panel_csv(path, ["tgt", "a", "b"], range(1, 9),
-                        lambda g, t: {"tgt": 1.0, "a": 2.0, "b": 0.5}[g] * t * 1e200)
+        write_panel_csv(path, ["tgt", "a", "b"], range(1, 9), outcome)
         out = tmp_path / "run"
         assert run(["fit", "--panel", path, "--target", "tgt", "--t0", 6, "--regularizer", regularizer,
                     "--out", out]) == 2
@@ -397,6 +407,15 @@ class TestAggregate:
         assert not out.exists()
 
 
+# The parameters each experiment sets itself, by CLI name: giving one is a
+# usage error, and the manifest leaves them out.
+EXPERIMENT_SETS = {
+    ("sweep", "S"): ["s_cardinality", "t0", "shift", "covariate_count"],
+    ("sweep", "T"): ["periods", "t0", "aggregation", "shift", "covariate_count"],
+    ("covariates", None): ["shift"],
+}
+
+
 class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run(["fit", "--target", "x", "--t0", 2]) == 1
@@ -459,6 +478,40 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("knob, bounds", [("S", [5, 2]), ("T", [12, 8])])
+    def test_empty_knob_range_is_usage_error(self, tmp_path, capsys, knob, bounds):
+        out = tmp_path / "out"
+        assert run(["sweep", "--knob", knob, "--from", bounds[0], "--to", bounds[1], "--out", out]) == 1
+        assert capsys.readouterr().err == "error: a sweep needs at least one knob value\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, knob, name", [(*key, name) for key, names in EXPERIMENT_SETS.items() for name in names]
+    )
+    def test_parameter_an_experiment_sets_is_usage_error(self, tmp_path, capsys, command, knob, name, how):
+        # Given at its default value, on a run that succeeds without it.
+        value = cli.COMMAND_PARAMS[command][name].default
+        args = [command, *(["--knob", knob, "--from", 8, "--to", 9] if knob else []), "--replications", 1,
+                "--individuals", 20]
+        assert run(args + ["--out", tmp_path / "control", "--quiet"]) == 0
+        if how == "flag":
+            args += ["--" + name.replace("_", "-"), value]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({name: value}))
+            args += ["--config", tmp_path / "config.json"]
+        out = tmp_path / "out"
+        assert run(args + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f" {name} " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--periods", 10], ["--categories", 3]], ids=["periods", "categories"])
+    def test_parameters_an_experiment_sets_have_no_default_to_fail(self, tmp_path, flags):
+        # Once failed against the unused defaults t0 = 15 and s_cardinality = 5.
+        assert run(["sweep", "--knob", "S", "--from", 2, "--to", 3, "--replications", 1, "--individuals", 20,
+                    *flags, "--out", tmp_path / "out", "--quiet"]) == 0
 
     def test_unknown_knob(self, capsys):
         assert run(["sweep", "--knob", "Q"]) == 1
@@ -561,8 +614,12 @@ class TestManifestRoundTrip:
 
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(args + ["--out", first, "--quiet"]) == 0
+        parameters = json.loads((first / "manifest.json").read_text())["parameters"]
+        # Every parameter but out, quiet and what the experiment sets itself.
+        sets = EXPERIMENT_SETS.get((args[0], parameters.get("knob")), [])
+        assert sorted(parameters) == sorted(set(cli.COMMAND_PARAMS[args[0]]) - {"out", "quiet", *sets})
         config = tmp_path / "parameters.json"
-        config.write_text(json.dumps(json.loads((first / "manifest.json").read_text())["parameters"]))
+        config.write_text(json.dumps(parameters))
         assert run([args[0], "--config", config, "--out", second, "--quiet"]) == 0
         names = sorted(p.name for p in first.iterdir())
         assert names == sorted(p.name for p in second.iterdir())
@@ -673,6 +730,8 @@ def pristine_bundle(tmp_path_factory):
 
 
 @settings(max_examples=30, deadline=None)
+# A quote for the header's first byte makes the whole file one quoted header field.
+@example(name="panel.csv", damage="flip", where=0.0, mask=ord("g") ^ ord('"'))
 @given(
     name=st.sampled_from(["truth.json", "panel.csv", "covariates_suitable.csv", "covariates_unsuitable.csv"]),
     damage=st.sampled_from(["truncate", "flip", "delete"]),
@@ -736,7 +795,7 @@ CONTRACT_STRINGS = {
 CONTRACT_BASE = {
     "fit": ["--panel", "panel.csv", "--target", "tgt", "--t0", 6],
     "simulate": ["--individuals", 20, "--periods", 8, "--t0", 6],
-    "sweep": ["--individuals", 20, "--periods", 8, "--t0", 6, "--replications", 1, "--from", 2, "--to", 3],
+    "sweep": ["--individuals", 20, "--periods", 8, "--replications", 1, "--from", 2, "--to", 3],
     "covariates": ["--individuals", 20, "--replications", 1, "--covariate-count", 2],
     "diagnose": ["--bundle", "bundle"],
     "aggregate": ["--panel", "panel.csv", "--target", "tgt", "--t0", 6, "--grouping", "grouping.json"],

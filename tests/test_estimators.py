@@ -417,6 +417,16 @@ class TestPredictAndEffect:
         assert effect.gap.tolist() == (panel.outcomes[0] - effect.synthetic).tolist()
         assert not (effect.synthetic.flags.writeable or effect.gap.flags.writeable)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gap_is_data_error(self):
+        # Finite outcomes of opposite sign whose difference overflows.
+        panel = PanelData(np.array([[1.0, 1.7e308], [1.0, -1.7e308]]), ("t", "d"), (1, 2), 0, intervention_time=1)
+        from synthpanel.estimators import WeightVector
+
+        w = WeightVector((1,), np.array([1.0]), 0.0, True, (0.0,), 0.0)
+        with pytest.raises(DataValidationError, match="gap series is not finite"):
+            estimate_effect(w, panel)
+
     def test_null_effect(self, toy_panel):
         w = fit(toy_panel, (1, 2), cfg=SIMPLEX)
         effect = estimate_effect(w, toy_panel)

@@ -15,7 +15,7 @@ from synthpanel import (
     sweep_T_mean_median,
     time_split_evaluate,
 )
-from synthpanel.evaluation import SweepPoint, derive_seed, write_sweep_csv
+from synthpanel.evaluation import EXPERIMENTS, SweepPoint, derive_seed, write_sweep_csv
 from synthpanel.microsim import simulate_panel
 
 
@@ -185,6 +185,27 @@ class TestSweeps:
             run(base)
         assert len(record) == points
         assert all(w.filename == __file__ for w in record)
+
+
+EXPERIMENT_RUNS = {
+    "S": lambda base: sweep_S(base, S_values=(2, 4), replications=2).points,
+    "T": lambda base: tuple(r.points for r in sweep_T_mean_median(base, T_values=(8, 10), replications=2)),
+    "covariates": lambda base: covariate_experiment(base, replications=2).points,
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_fields_an_experiment_sets_do_not_reach_it(experiment):
+    # A base that differs in every field the experiment sets gives the same
+    # points. The covariate experiment runs at the base's own T, its knob value.
+    field, constants = EXPERIMENTS[experiment]
+    fields = {*constants, field} if experiment != "covariates" else set(constants)
+    other_values = dict(S_cardinality=7, T=12, T0=2, aggregation="median", post_intervention_shift=2.0,
+                        covariate_count=4)
+    base = tiny_cfg(covariate_count=2, N_per_group=41)
+    other = replace(base, **{name: other_values[name] for name in fields})
+    assert fields and all(getattr(other, name) != getattr(base, name) for name in fields)
+    assert EXPERIMENT_RUNS[experiment](other) == EXPERIMENT_RUNS[experiment](base)
 
 
 class TestCovariateExperiment:
