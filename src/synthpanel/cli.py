@@ -264,7 +264,7 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
     for name, value in merged.items():
         table[name].check(value)
     if command in ("sweep", "covariates"):
-        field, constants = EXPERIMENTS[merged.get("knob", command)]
+        field, constants, _ = EXPERIMENTS[merged.get("knob", command)]
         fixed = {*constants, field} if command == "sweep" else set(constants)
         for name in (name for name, param in SIM_PARAMS.items() if param.field in fixed):
             if name in given:
@@ -362,7 +362,7 @@ def cmd_sweep(params: dict) -> Output:
     values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
     if not values:
         raise UsageError("a sweep needs at least one knob value")
-    field, constants = EXPERIMENTS[params["knob"]]
+    field, constants, _ = EXPERIMENTS[params["knob"]]
     base = _config(SimConfig, params, **constants, **{field: values[0]})
     if params["knob"] == "S":
         results = {"sweep.csv": sweep_S(base, S_values=values, **sweep)}

@@ -6,8 +6,8 @@ fit window ("observed") and the held-out tail ("counterfactual").
 
 All three experiments (the S sweep, the mean/median horizon sweep and the
 covariate study) run on one engine, and :data:`EXPERIMENTS` says what each
-one sets. At knob value ``i`` the engine simulates ``replications`` fresh
-untreated studies and scores each with every evaluator of the experiment,
+one sets and which evaluators score it. At knob value ``i`` the engine scores
+``replications`` fresh untreated studies with :func:`score_replication`,
 then summarizes each evaluator's MSEs.
 
 Seed contract: replication ``r`` at knob value ``i`` uses the study seed
@@ -18,16 +18,18 @@ identical draws, and reruns are bit-identical.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, UsageError
 from .estimators import FitConfig, estimate_effect, fit
-from .microsim import AGGREGATIONS, SimConfig, SimulatedStudy, simulate_panel
+from .microsim import AGGREGATIONS, SimConfig, simulate_panel
 from .panel import AuxMatrix, PanelData, write_csv
 from .panel import format_float as _fmt
 
@@ -113,9 +115,9 @@ def time_split_evaluate(
     )
 
 
-def _summarize(knob, observed: list[float], counterfactual: list[float]) -> SweepPoint:
-    obs = np.asarray(observed)
-    cf = np.asarray(counterfactual)
+def _summarize(knob, evaluations: Sequence[SplitEvaluation]) -> SweepPoint:
+    obs = np.array([ev.observed_mse for ev in evaluations])
+    cf = np.array([ev.counterfactual_mse for ev in evaluations])
     n = obs.size
 
     def se(v: np.ndarray) -> float:
@@ -131,17 +133,33 @@ def _summarize(knob, observed: list[float], counterfactual: list[float]) -> Swee
     )
 
 
-def _evaluate(panel: PanelData, fit_cfg: FitConfig, split: float, aux: AuxMatrix | None = None) -> SplitEvaluation:
-    return time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split, aux)
-
-
-# Each experiment's knob field and the SimConfig fields it holds constant. The
-# sweeps draw no covariates and their time split replaces T0, so T0 = 1 is moot.
+# Each experiment's knob field, the SimConfig fields it holds constant, and its
+# evaluators: name -> (the panel aggregation scored, None for the config's own;
+# the SimulatedStudy covariate block stacked, or None). The sweeps draw no
+# covariates and their time split replaces T0, so T0 = 1 is moot.
+_SWEEP_CONSTANTS = dict(T0=1, post_intervention_shift=0.0, covariate_count=0)
 EXPERIMENTS = {
-    "S": ("S_cardinality", dict(T0=1, post_intervention_shift=0.0, covariate_count=0)),
-    "T": ("T", dict(T0=1, aggregation="mean", post_intervention_shift=0.0, covariate_count=0)),
-    "covariates": ("T", dict(post_intervention_shift=0.0)),
+    "S": ("S_cardinality", _SWEEP_CONSTANTS, {"S": (None, None)}),
+    "T": ("T", {**_SWEEP_CONSTANTS, "aggregation": "mean"}, {a: (a, None) for a in AGGREGATIONS}),
+    "covariates": (
+        "T",
+        dict(post_intervention_shift=0.0),
+        {"outcome_only": (None, None), "suitable": (None, "aux_suitable"), "unsuitable": (None, "aux_unsuitable")},
+    ),
 }
+COVARIATE_ROWS = tuple(EXPERIMENTS["covariates"][2])
+
+
+def score_replication(experiment: str, cfg: SimConfig, fit_cfg: FitConfig, split: float) -> dict[str, SplitEvaluation]:
+    """Score the study ``cfg`` with each evaluator of ``experiment``; function, arguments and result pickle."""
+    evaluators = EXPERIMENTS[experiment][2]
+    study = simulate_panel(cfg, aggregations=[a for a, _ in evaluators.values() if a is not None])
+    evaluations = {}
+    for name, (aggregation, block) in evaluators.items():
+        panel = study.panels[aggregation or cfg.aggregation]
+        aux = getattr(study, block) if block else None
+        evaluations[name] = time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split, aux)
+    return evaluations
 
 
 def _sweep(
@@ -149,40 +167,34 @@ def _sweep(
     experiment: str,
     knob_values: Sequence[int],
     replications: int,
-    evaluators: Mapping[str, Callable[[SimulatedStudy], SplitEvaluation]],
-    aggregations: Sequence[str] = (),
-) -> dict[str, list[SweepPoint]]:
+    fit_cfg: FitConfig,
+    split: float,
+) -> tuple[SweepResult, ...]:
     """The one replication loop behind every sweep.
 
-    With ``field, constants = EXPERIMENTS[experiment]``, replication ``r`` at
-    knob value ``i`` simulates ``replace(base, seed=derive_seed(base.seed, i,
-    r), **constants, **{field: knob})``, reduced by ``aggregations`` as well,
-    and scores it with every evaluator. Returns each evaluator's summaries,
-    one per knob value in the order given.
+    With ``field, constants, evaluators = EXPERIMENTS[experiment]``,
+    replication ``r`` at knob value ``i`` is :func:`score_replication` of the
+    study ``replace(base, seed=derive_seed(base.seed, i, r), **constants,
+    **{field: knob})``, taken in (point, replication) order. Returns one
+    result per evaluator, in table order, with a point per knob value.
     """
-    field, constants = EXPERIMENTS[experiment]
+    field, constants, evaluators = EXPERIMENTS[experiment]
     if not knob_values:
         raise UsageError("a sweep needs at least one knob value")
     if replications < 1:
         raise UsageError(f"replications must be at least 1, got {replications}")
+    cells = ((i, knob, r) for i, knob in enumerate(knob_values) for r in range(replications))
+    configs = (replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: knob}) for i, knob, r in cells)
+    scored = map(functools.partial(score_replication, experiment, fit_cfg=fit_cfg, split=split), configs)
     summaries = {name: [] for name in evaluators}
-    for i, knob in enumerate(knob_values):
-        scores = {name: ([], []) for name in evaluators}
-        flagged = False
-        for r in range(replications):
-            cfg = replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: knob})
-            study = simulate_panel(cfg, aggregations=aggregations)
-            for name, evaluate in evaluators.items():
-                ev = evaluate(study)
-                flagged = flagged or ev.underdetermined
-                scores[name][0].append(ev.observed_mse)
-                scores[name][1].append(ev.counterfactual_mse)
-        if flagged:
+    for knob in knob_values:
+        point = list(itertools.islice(scored, replications))
+        if any(ev.underdetermined for evaluations in point for ev in evaluations.values()):
             # Two frames up: the caller of the public sweep function.
             warnings.warn(f"underdetermined fits at {field}={knob}", stacklevel=3)
-        for name, collected in scores.items():
-            summaries[name].append(_summarize(knob, *collected))
-    return summaries
+        for name, points in summaries.items():
+            points.append(_summarize(knob, [evaluations[name] for evaluations in point]))
+    return tuple(SweepResult(knob_name=experiment, points=tuple(points)) for points in summaries.values())
 
 
 def sweep_S(
@@ -196,9 +208,7 @@ def sweep_S(
 
     Studies are untreated controls; covariates are not generated.
     """
-    evaluators = {"S": lambda study: _evaluate(study.panel, fit_cfg, split)}
-    summaries = _sweep(base, "S", S_values, replications, evaluators)
-    return SweepResult(knob_name="S", points=tuple(summaries["S"]))
+    return _sweep(base, "S", S_values, replications, fit_cfg, split)[0]
 
 
 def sweep_T_mean_median(
@@ -215,15 +225,7 @@ def sweep_T_mean_median(
     results, in ``AGGREGATIONS`` order, equal two separate sweeps, one per
     aggregation, at the same seeds.
     """
-    evaluators = {
-        aggregation: lambda study, aggregation=aggregation: _evaluate(study.panels[aggregation], fit_cfg, split)
-        for aggregation in AGGREGATIONS
-    }
-    summaries = _sweep(base, "T", T_values, replications, evaluators, aggregations=AGGREGATIONS)
-    return tuple(SweepResult(knob_name="T", points=tuple(summaries[a])) for a in AGGREGATIONS)
-
-
-COVARIATE_ROWS = ("outcome_only", "suitable", "unsuitable")
+    return _sweep(base, "T", T_values, replications, fit_cfg, split)
 
 
 def covariate_experiment(
@@ -240,13 +242,8 @@ def covariate_experiment(
     """
     if base.covariate_count < 1:
         raise UsageError("covariate_experiment needs covariate_count >= 1")
-    evaluators = {
-        "outcome_only": lambda study: _evaluate(study.panel, fit_cfg, split),
-        "suitable": lambda study: _evaluate(study.panel, fit_cfg, split, study.aux_suitable),
-        "unsuitable": lambda study: _evaluate(study.panel, fit_cfg, split, study.aux_unsuitable),
-    }
-    summaries = _sweep(base, "covariates", [base.T], replications, evaluators)
-    points = tuple(replace(summaries[row][0], knob=row) for row in COVARIATE_ROWS)
+    results = _sweep(base, "covariates", [base.T], replications, fit_cfg, split)
+    points = tuple(replace(result.points[0], knob=row) for row, result in zip(COVARIATE_ROWS, results))
     return SweepResult(knob_name="covariates", points=points)
 
 

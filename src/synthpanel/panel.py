@@ -229,8 +229,10 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     """
     header, records = _csv_rows(path)
     if header[:3] != ["group", "time", "outcome"] or len(header) > 4:
+        got = ",".join(header)
+        shown = (got.splitlines() or [""])[0][:80]  # a quoted header field can run to the end of the file
         raise DataValidationError(
-            f"{path}: expected header 'group,time,outcome[,population]', got {','.join(header)}"
+            f"{path}: expected header 'group,time,outcome[,population]', got {shown}{'...' if shown != got else ''}"
         )
     has_population = len(header) == 4 and header[3] == "population"
     if len(header) == 4 and not has_population:
@@ -353,7 +355,7 @@ def aux_to_csv(aux: AuxMatrix, group_labels: Sequence[str], path) -> None:
 def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
     """Read a covariate CSV, one row per group, reordering rows to match ``group_labels``.
 
-    Header fields and group labels are stripped of surrounding whitespace, as in :func:`from_csv`."""
+    Header fields, group labels and numbers are read as in :func:`from_csv`."""
     header, records = _csv_rows(path)
     if not header or header[0] != "group":
         raise DataValidationError(f"{path}: first column must be 'group'")
@@ -367,7 +369,7 @@ def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:
         except ValueError:
             values = [math.nan]
         if not all(map(math.isfinite, values)):
-            values = [_parse_float(v, line_no, "covariate") for v in row[1:]]
+            values = [_parse_float(v.strip(), line_no, "covariate") for v in row[1:]]
         rows[group] = values
     missing = [g for g in group_labels if g not in rows]
     if missing:

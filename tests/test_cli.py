@@ -791,11 +791,14 @@ CONTRACT_STRINGS = {
     "donors": ["a,b", "b", "tgt", "zz", "", "a,a"],
 }
 # Each command starts from small sizes, so that no example runs for long;
-# generated flags come later and override them.
+# generated flags come later and override them. A sweep's base also draws its
+# knob: the T sweep sets its own periods, from horizons that the 0.75 split leaves
+# a held-out period.
+CONTRACT_SWEEP_BASE = {"S": ["--periods", 8, "--from", 2, "--to", 3], "T": ["--from", 6, "--to", 7]}
 CONTRACT_BASE = {
     "fit": ["--panel", "panel.csv", "--target", "tgt", "--t0", 6],
     "simulate": ["--individuals", 20, "--periods", 8, "--t0", 6],
-    "sweep": ["--individuals", 20, "--periods", 8, "--replications", 1, "--from", 2, "--to", 3],
+    "sweep": ["--individuals", 20, "--replications", 1],
     "covariates": ["--individuals", 20, "--replications", 1, "--covariate-count", 2],
     "diagnose": ["--bundle", "bundle"],
     "aggregate": ["--panel", "panel.csv", "--target", "tgt", "--t0", 6, "--grouping", "grouping.json"],
@@ -820,6 +823,9 @@ def invocations(draw):
     table = {name: p for name, p in cli.COMMAND_PARAMS[command].items() if name not in ("out", "quiet")}
     flags = draw(st.dictionaries(st.sampled_from(sorted(table)), st.none(), max_size=3))
     argv = [command, *CONTRACT_BASE[command]]
+    if command == "sweep":
+        knob = draw(st.sampled_from(sorted(CONTRACT_SWEEP_BASE)))
+        argv += ["--knob", knob, *CONTRACT_SWEEP_BASE[knob]]
     for name in flags:
         param = table[name]
         argv.append(f"{param.flag or '--' + name.replace('_', '-')}={draw(contract_values(param))}")

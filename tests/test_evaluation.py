@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from synthpanel import (
     sweep_T_mean_median,
     time_split_evaluate,
 )
-from synthpanel.evaluation import EXPERIMENTS, SweepPoint, derive_seed, write_sweep_csv
+from synthpanel.evaluation import EXPERIMENTS, SweepPoint, derive_seed, score_replication, write_sweep_csv
 from synthpanel.microsim import simulate_panel
 
 
@@ -198,7 +199,7 @@ EXPERIMENT_RUNS = {
 def test_fields_an_experiment_sets_do_not_reach_it(experiment):
     # A base that differs in every field the experiment sets gives the same
     # points. The covariate experiment runs at the base's own T, its knob value.
-    field, constants = EXPERIMENTS[experiment]
+    field, constants, _ = EXPERIMENTS[experiment]
     fields = {*constants, field} if experiment != "covariates" else set(constants)
     other_values = dict(S_cardinality=7, T=12, T0=2, aggregation="median", post_intervention_shift=2.0,
                         covariate_count=4)
@@ -206,6 +207,37 @@ def test_fields_an_experiment_sets_do_not_reach_it(experiment):
     other = replace(base, **{name: other_values[name] for name in fields})
     assert fields and all(getattr(other, name) != getattr(base, name) for name in fields)
     assert EXPERIMENT_RUNS[experiment](other) == EXPERIMENT_RUNS[experiment](base)
+
+
+@pytest.mark.parametrize("experiment, knob", [("S", 4), ("T", 8), ("covariates", 8)])
+def test_replication_round_trips_through_pickle(experiment, knob):
+    # A process pool sends the function and its arguments to a worker and the evaluations back.
+    field, constants, evaluators = EXPERIMENTS[experiment]
+    cfg = replace(tiny_cfg(covariate_count=2, N_per_group=41), **constants, **{field: knob})
+    call = (score_replication, (experiment, cfg, FitConfig(regularizer="elastic_net", enet_lam1=0.05), 0.75))
+    function, args = pickle.loads(pickle.dumps(call))
+    evaluations = pickle.loads(pickle.dumps(function(*args)))
+    assert list(evaluations) == list(evaluators)
+    assert evaluations == score_replication(*call[1])
+
+
+def test_replications_summarize_to_the_sweep_in_any_order():
+    # The sweep's points depend on each replication's evaluations, not on the order they were scored in.
+    base = tiny_cfg(N_per_group=41)
+    fit_cfg, split = FitConfig(regularizer="simplex"), 0.75
+    T_values, replications = (8, 10), 3
+    field, constants, evaluators = EXPERIMENTS["T"]
+    cells = [(i, t, r) for i, t in enumerate(T_values) for r in range(replications)]
+    scored = {}
+    for i, t, r in reversed(cells):
+        cfg = replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: t})
+        scored[i, r] = score_replication("T", cfg, fit_cfg, split)
+    expected = tuple(
+        tuple(reference_point(t, [scored[i, r][name] for r in range(replications)]) for i, t in enumerate(T_values))
+        for name in evaluators
+    )
+    got = sweep_T_mean_median(base, T_values, replications, fit_cfg, split)
+    assert tuple(result.points for result in got) == expected
 
 
 class TestCovariateExperiment:

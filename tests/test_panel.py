@@ -162,6 +162,12 @@ class TestFromCsvMessages:
              "{path}: expected header 'group,time,outcome[,population]', got group,year,outcome"),
             ("group,time,outcome,population,x\nCA,1,1.0,2,3\n", DataValidationError,
              "{path}: expected header 'group,time,outcome[,population]', got group,time,outcome,population,x"),
+            # A leading quote makes the rest of the file one header field; its first line is quoted.
+            ('"roup,time,outcome\r\n' + "".join(f"g{j},{t},1.0\r\n" for j in range(6) for t in range(1, 21)),
+             DataValidationError,
+             "{path}: expected header 'group,time,outcome[,population]', got roup,time,outcome..."),
+            ("x" * 100 + "\nCA,1,1.0\n", DataValidationError,
+             "{path}: expected header 'group,time,outcome[,population]', got " + "x" * 80 + "..."),
             ("group,time,outcome,weight\nCA,1,1.0,2\n", DataValidationError, "{path}: unknown fourth column 'weight'"),
             (HEADER + "CA,1,1.0\nCA,2\n", DataValidationError, "{path}: wrong field count on line 3"),
             (HEADER + "CA,1,1.0\n   \n", DataValidationError, "{path}: wrong field count on line 3"),
@@ -180,9 +186,9 @@ class TestFromCsvMessages:
             (HEADER + "CA,1,1.0\nNV,1,2.0\n", UsageError, "target 'TX' not found among groups ['CA', 'NV']"),
         ],
         ids=[
-            "empty-file", "bad-header", "long-header", "fourth-column", "field-count", "blank-padded-row",
-            "time", "outcome", "outcome-inf", "outcome-nan", "duplicate", "population", "population-inf",
-            "conflicting-population", "missing-cell", "no-rows", "unknown-target",
+            "empty-file", "bad-header", "long-header", "quoted-header", "overlong-header", "fourth-column",
+            "field-count", "blank-padded-row", "time", "outcome", "outcome-inf", "outcome-nan", "duplicate",
+            "population", "population-inf", "conflicting-population", "missing-cell", "no-rows", "unknown-target",
         ],
     )
     def test_single_fault_message(self, tmp_path, text, error, message):
@@ -376,15 +382,16 @@ class TestAuxCsv:
             ("grp,u\ng1,1\n", "{path}: first column must be 'group'"),
             ("group,u\ng1,1\ng2\n", "{path}: wrong field count on line 3"),
             ("group,u\ng1,1\n\ng1,2\n", "{path}: duplicate covariate row for 'g1' on line 4"),
-            ("group,u\ng1, x \n", "non-numeric covariate ' x ' on line 2"),
+            ("group,u\ng1, x \n", "non-numeric covariate 'x' on line 2"),
             ("group,u,v\ng1,1,nan\n", "non-finite covariate 'nan' on line 2"),
             ("group,u\ng1,x\ng1,2\n", "non-numeric covariate 'x' on line 2"),
             ("group,u\ng1, 1 \n", "{path}: missing covariate rows for ['g2']"),
+            ("group,u\ng1,\x1f1.5\n", "{path}: missing covariate rows for ['g2']"),
             (" group,u\ng1,1\n", "{path}: missing covariate rows for ['g2']"),
             ("group,u\n g1,1\n", "{path}: missing covariate rows for ['g2']"),
         ],
         ids=["empty-file", "header", "field-count", "duplicate", "non-numeric", "non-finite", "first-line",
-             "missing-row", "padded-header", "padded-label"],
+             "missing-row", "control-padded-value", "padded-header", "padded-label"],
     )
     def test_messages(self, tmp_path, text, message):
         path = write_text(tmp_path / "aux.csv", text)
