@@ -249,7 +249,8 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
 
     Every value is checked against its table entry, and none is coerced,
     so the manifest echoes the config document as written. What an experiment
-    sets (``EXPERIMENTS``; a sweep's knob too) is rejected if given, and left out.
+    sets (``EXPERIMENTS``; a sweep's knob too) is rejected if given, and left out,
+    and so is covariate_scale where none of the experiment's evaluators stacks covariates.
     """
     table = COMMAND_PARAMS[command]
     # argparse yields exactly the table's keys.
@@ -264,12 +265,15 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
     for name, value in merged.items():
         table[name].check(value)
     if command in ("sweep", "covariates"):
-        field, constants, _ = EXPERIMENTS[merged.get("knob", command)]
-        fixed = {*constants, field} if command == "sweep" else set(constants)
-        for name in (name for name, param in SIM_PARAMS.items() if param.field in fixed):
+        field, constants, evaluators = EXPERIMENTS[merged.get("knob", command)]
+        sets = {*constants, field} if command == "sweep" else constants
+        refused = dict.fromkeys(sets, "sets {} itself; leave it out")
+        if not any(block for _, block in evaluators.values()):
+            refused["covariate_scale"] = "draws no covariates; leave {} out"
+        for name in (name for name, param in table.items() if param.field in refused):
             if name in given:
                 label = f"sweep --knob {merged['knob']}" if command == "sweep" else command
-                raise UsageError(f"{label} sets {name} itself; leave it out")
+                raise UsageError(f"{label} {refused[table[name].field].format(name)}")
             del merged[name]
     return merged
 

@@ -83,10 +83,12 @@ class WeightVector:
     kkt_residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", frozen_array(self.beta))
+        object.__setattr__(self, "beta", frozen_array(self.beta, "the donor weights"))
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
         if self.beta.shape != (len(self.donor_indices),):
             raise UsageError("beta must align with donor_indices")
+        for name, what in (("objective_value", "the fit's objective value"), ("kkt_residual", "the KKT residual")):
+            object.__setattr__(self, name, float(frozen_array(getattr(self, name), what)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +105,7 @@ class EffectEstimate:
 
     def __post_init__(self):
         for name in ("synthetic", "gap"):
-            object.__setattr__(self, name, frozen_array(getattr(self, name)))
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DataValidationError(f"outcomes too large: the {name} series is not finite")
+            object.__setattr__(self, name, frozen_array(getattr(self, name), f"the {name} series"))
 
     @property
     def tau(self) -> float:
@@ -247,29 +247,30 @@ def fit(
         )
 
     a, y = _stacked_system(panel, donors, aux, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram, c = a.T @ a, a.T @ y
-    if not (np.isfinite(gram).all() and np.isfinite(c).all()):
-        raise DataValidationError("outcomes too large to fit: the normal equations overflow")
     simplex = cfg.regularizer == "simplex"
     lam1 = cfg.enet_lam1 if cfg.regularizer == "elastic_net" else 0.0
     lam2 = {"ridge": cfg.ridge_lam, "elastic_net": cfg.enet_lam2}.get(cfg.regularizer, 0.0)
-    gram += lam2 * np.eye(len(donors))
-    scale = max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
-    if cfg.regularizer in ("none", "ridge"):
-        beta, objective = _solve_ridge(a, y, lam2)
-        trace, converged = [objective], True
-        kkt_residual = float(_kkt_violations(gram, c, beta, scale).max())
-    else:
-        beta, trace, kkt_residual = _solve_active_set(a, y, gram, c, scale, cfg, lam1, lam2, simplex)
-        objective, converged = trace[-1], kkt_residual <= cfg.tolerance
-        if simplex and (beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-9):
-            raise RuntimeError("simplex fit returned an infeasible point")
+    # A fit whose objective overflows is rejected by WeightVector's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, c = a.T @ a, a.T @ y
+        if not (np.isfinite(gram).all() and np.isfinite(c).all()):
+            raise DataValidationError("outcomes too large to fit: the normal equations overflow")
+        gram += lam2 * np.eye(len(donors))
+        scale = max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
+        if cfg.regularizer in ("none", "ridge"):
+            beta, objective = _solve_ridge(a, y, lam2)
+            trace, converged = [objective], True
+            kkt_residual = float(_kkt_violations(gram, c, beta, scale).max())
+        else:
+            beta, trace, kkt_residual = _solve_active_set(a, y, gram, c, scale, cfg, lam1, lam2, simplex)
+            objective, converged = trace[-1], kkt_residual <= cfg.tolerance
+            if simplex and (beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-9):
+                raise RuntimeError("simplex fit returned an infeasible point")
 
     return WeightVector(
         donor_indices=tuple(donors),
         beta=beta,
-        objective_value=float(objective),
+        objective_value=objective,
         converged=converged,
         objective_trace=tuple(float(v) for v in trace),
         kkt_residual=kkt_residual,

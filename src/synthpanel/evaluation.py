@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, UsageError
+from .errors import UsageError
 from .estimators import FitConfig, estimate_effect, fit
 from .microsim import AGGREGATIONS, SimConfig, simulate_panel
-from .panel import AuxMatrix, PanelData, write_csv
+from .panel import AuxMatrix, PanelData, frozen_array, write_csv
 from .panel import format_float as _fmt
 
 __all__ = [
@@ -55,6 +55,10 @@ class SplitEvaluation:
     n_fit: int
     underdetermined: bool
 
+    def __post_init__(self):
+        for name, what in (("observed_mse", "the observed MSE"), ("counterfactual_mse", "the counterfactual MSE")):
+            object.__setattr__(self, name, float(frozen_array(getattr(self, name), what)))
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -66,6 +70,10 @@ class SweepPoint:
     se_observed: float
     se_counterfactual: float
     replications: int
+
+    def __post_init__(self):
+        for name in ("observed_mse", "counterfactual_mse", "se_observed", "se_counterfactual"):
+            object.__setattr__(self, name, float(frozen_array(getattr(self, name), f"{name} at knob {self.knob}")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,16 +111,10 @@ def time_split_evaluate(
     fit_panel = replace(panel, intervention_time=n_fit)
     weights = fit(fit_panel, donors, aux, cfg)
     gaps = estimate_effect(weights, panel).gap
+    # An MSE that overflows is rejected by SplitEvaluation's finiteness check.
     with np.errstate(over="ignore"):
-        observed_mse, counterfactual_mse = float(np.mean(gaps[:n_fit] ** 2)), float(np.mean(gaps[n_fit:] ** 2))
-    if not (math.isfinite(observed_mse) and math.isfinite(counterfactual_mse)):
-        raise DataValidationError("outcomes too large to score: the tracking MSE is not finite")
-    return SplitEvaluation(
-        observed_mse=observed_mse,
-        counterfactual_mse=counterfactual_mse,
-        n_fit=n_fit,
-        underdetermined=n_fit < len(list(donors)),
-    )
+        mses = np.mean(gaps[:n_fit] ** 2), np.mean(gaps[n_fit:] ** 2)
+    return SplitEvaluation(*mses, n_fit=n_fit, underdetermined=n_fit < len(list(donors)))
 
 
 def _summarize(knob, evaluations: Sequence[SplitEvaluation]) -> SweepPoint:
@@ -121,16 +123,12 @@ def _summarize(knob, evaluations: Sequence[SplitEvaluation]) -> SweepPoint:
     n = obs.size
 
     def se(v: np.ndarray) -> float:
-        return float(v.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        return v.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
 
-    return SweepPoint(
-        knob=knob,
-        observed_mse=float(obs.mean()),
-        counterfactual_mse=float(cf.mean()),
-        se_observed=se(obs),
-        se_counterfactual=se(cf),
-        replications=n,
-    )
+    # A summary that overflows is rejected by SweepPoint's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = obs.mean(), cf.mean(), se(obs), se(cf)
+    return SweepPoint(knob, *summary, replications=n)
 
 
 # Each experiment's knob field, the SimConfig fields it holds constant, and its

@@ -47,7 +47,7 @@ class InvariantSetReport:
     per_category_max_gap: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "per_category_max_gap", frozen_array(self.per_category_max_gap))
+        object.__setattr__(self, "per_category_max_gap", frozen_array(self.per_category_max_gap, "the category gaps"))
         object.__setattr__(self, "S_indices", tuple(int(i) for i in self.S_indices))
 
 
@@ -65,7 +65,7 @@ class OracleWeights:
     exists: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", frozen_array(self.beta))
+        object.__setattr__(self, "beta", frozen_array(self.beta, "the oracle weights"))
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
 
 

@@ -101,12 +101,12 @@ class GroupComposition:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = frozen_array(self.probs)
+        probs = frozen_array(self.probs, "the composition")
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1:
             raise DataValidationError("composition must be a 1-D probability vector")
-        if not probs.min() >= 0:  # a NaN entry fails this too
-            raise DataValidationError("composition entries must be finite and nonnegative")
+        if probs.min() < 0:
+            raise DataValidationError("composition entries must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise DataValidationError(f"composition sums to {probs.sum()!r}, not 1")
 
@@ -128,12 +128,10 @@ class OutcomeFunctionFamily:
     conditional_mean: np.ndarray
 
     def __post_init__(self):
-        lam = frozen_array(self.conditional_mean)
+        lam = frozen_array(self.conditional_mean, "the conditional-mean table")
         object.__setattr__(self, "conditional_mean", lam)
         if lam.ndim != 2:
             raise DataValidationError("conditional_mean must be a (category x period) matrix")
-        if not np.all(np.isfinite(lam)):
-            raise DataValidationError("conditional_mean contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -494,8 +492,6 @@ def write_study_bundle(study: SimulatedStudy, outdir) -> None:
         "group_labels": study.panel.group_labels,
         "compositions": [c.probs for c in study.compositions],
         "conditional_mean": study.functions.conditional_mean,
-        "noise_sd": study.config.noise_sd,
-        "post_intervention_shift": study.config.post_intervention_shift,
         "true_S": sorted(study.true_S),
         "config": study.config,
     }
@@ -530,9 +526,6 @@ def load_study_bundle(indir) -> SimulatedStudy:
         compositions = tuple(GroupComposition(np.array(p)) for p in truth["compositions"])
         functions = OutcomeFunctionFamily(np.array(truth["conditional_mean"]))
         true_s = frozenset(int(k) for k in truth["true_S"])
-        for name in ("noise_sd", "post_intervention_shift"):
-            if truth[name] != getattr(cfg, name):
-                raise ValueError(f"{name} {truth[name]!r} differs from the config's {getattr(cfg, name)!r}")
     try:
         panel = from_csv(panel_path, target=labels[0], intervention_time=cfg.T0)
     except UsageError as exc:  # the truth names a target or a T0 that the panel does not hold

@@ -34,9 +34,12 @@ __all__ = [
 ]
 
 
-def frozen_array(values, dtype=float) -> np.ndarray:
-    """A read-only copy of ``values``: how every record of the package holds its arrays."""
-    arr = np.array(values, dtype=dtype)
+def frozen_array(values, what: str) -> np.ndarray:
+    """A read-only float copy of ``values``: how every record of the package holds its numbers,
+    and the package's one finiteness rule: a NaN or infinity raises DataValidationError naming ``what``."""
+    arr = np.array(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DataValidationError(f"{what} is not finite")
     arr.setflags(write=False)
     return arr
 
@@ -59,7 +62,7 @@ class PanelData:
     populations: Mapping[str, float] | None = field(default=None)
 
     def __post_init__(self):
-        outcomes = frozen_array(self.outcomes)
+        outcomes = frozen_array(self.outcomes, "the outcome matrix")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "group_labels", tuple(self.group_labels))
         object.__setattr__(self, "time_labels", tuple(int(t) for t in self.time_labels))
@@ -80,8 +83,6 @@ class PanelData:
             raise DataValidationError("group labels must be unique")
         if any(b <= a for a, b in zip(self.time_labels, self.time_labels[1:])):
             raise DataValidationError("time labels must be strictly increasing")
-        if not np.all(np.isfinite(outcomes)):
-            raise DataValidationError("outcomes contain non-finite values")
         if not 0 <= self.target_index < j:
             raise DataValidationError(f"target_index {self.target_index} out of range for {j} groups")
         if not 1 <= self.intervention_time < t:
@@ -139,7 +140,7 @@ class AuxMatrix:
     covariate_labels: tuple[str, ...]
 
     def __post_init__(self):
-        values = frozen_array(self.values)
+        values = frozen_array(self.values, "the covariate matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "covariate_labels", tuple(self.covariate_labels))
         if values.ndim != 2:
@@ -148,17 +149,22 @@ class AuxMatrix:
             raise DataValidationError(
                 f"{len(self.covariate_labels)} covariate labels for {values.shape[1]} columns"
             )
-        if not np.all(np.isfinite(values)):
-            raise DataValidationError("covariate values contain non-finite entries")
+
+
+def _shown(field: str) -> str:
+    """An input field as messages quote it: to its first line break, at most 80 characters, "..." where
+    cut. A quote that opens a field and is never closed runs the field to the end of the file."""
+    shown = (field.splitlines() or [""])[0][:80]
+    return shown if shown == field else shown + "..."
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DataValidationError(f"non-numeric {column} {text!r} on line {line_no}") from None
+        raise DataValidationError(f"non-numeric {column} {_shown(text)!r} on line {line_no}") from None
     if not math.isfinite(value):
-        raise DataValidationError(f"non-finite {column} {text!r} on line {line_no}")
+        raise DataValidationError(f"non-finite {column} {_shown(text)!r} on line {line_no}")
     return value
 
 
@@ -166,7 +172,7 @@ def _parse_int(text: str, line_no: int, column: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise DataValidationError(f"non-integer {column} {text!r} on line {line_no}") from None
+        raise DataValidationError(f"non-integer {column} {_shown(text)!r} on line {line_no}") from None
 
 
 def read_text(path) -> str:
@@ -229,14 +235,12 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     """
     header, records = _csv_rows(path)
     if header[:3] != ["group", "time", "outcome"] or len(header) > 4:
-        got = ",".join(header)
-        shown = (got.splitlines() or [""])[0][:80]  # a quoted header field can run to the end of the file
         raise DataValidationError(
-            f"{path}: expected header 'group,time,outcome[,population]', got {shown}{'...' if shown != got else ''}"
+            f"{path}: expected header 'group,time,outcome[,population]', got {_shown(','.join(header))}"
         )
     has_population = len(header) == 4 and header[3] == "population"
     if len(header) == 4 and not has_population:
-        raise DataValidationError(f"{path}: unknown fourth column {header[3]!r}")
+        raise DataValidationError(f"{path}: unknown fourth column {_shown(header[3])!r}")
 
     # One pass over the records. A number is parsed as it stands and, only if
     # that fails, again from its stripped text, which either succeeds

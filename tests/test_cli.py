@@ -158,8 +158,10 @@ class TestFit:
             lambda g, t: (
                 {"tgt": 15.0, "a": 10.0 + t, "b": 20.0 - t}[g] if t <= 6 else (1.7e308 if g == "tgt" else -1.7e308)
             ),
+            # Ordinary donors and a target of 1e160 t^2: every product is finite but the objective overflows.
+            lambda g, t: {"tgt": 1e160 * t * t, "a": 10.0 + t, "b": 20.0 - t}[g],
         ],
-        ids=["normal-equations", "post-period-gap"],
+        ids=["normal-equations", "post-period-gap", "objective"],
     )
     def test_overflowing_outcomes_are_data_error(self, tmp_path, capsys, regularizer, outcome):
         path = tmp_path / "panel.csv"
@@ -201,19 +203,17 @@ class TestSimulateDiagnose:
             lambda truth: truth["config"].update(mystery=1),
             lambda truth: truth["compositions"][0].__setitem__(0, "a lot"),
             None,
-            lambda truth: truth.update(noise_sd=-1),
+            lambda truth: truth["config"].update(noise_sd=-1),
             lambda truth: truth["config"].update(T0=0),
             lambda truth: truth.update(conditional_mean=[row[:5] for row in truth["conditional_mean"]]),
             lambda truth: truth["compositions"][1].__setitem__(0, float("nan")),
-            lambda truth: truth.update(noise_sd=7.5),
-            lambda truth: truth.update(post_intervention_shift=2.0),
             lambda truth: truth.update(group_labels=[]),
             lambda truth: truth["group_labels"].__setitem__(0, ["target"]),
             lambda truth: truth.update(group_labels="target"),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
-             "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "contradicting-noise-sd",
-             "contradicting-shift", "no-group-labels", "list-group-label", "string-group-labels"],
+             "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "no-group-labels",
+             "list-group-label", "string-group-labels"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
         bundle = tmp_path / "b"
@@ -407,11 +407,11 @@ class TestAggregate:
         assert not out.exists()
 
 
-# The parameters each experiment sets itself, by CLI name: giving one is a
-# usage error, and the manifest leaves them out.
+# The parameters each experiment sets itself or, drawing no covariates, cannot
+# use, by CLI name: giving one is a usage error, and the manifest leaves them out.
 EXPERIMENT_SETS = {
-    ("sweep", "S"): ["s_cardinality", "t0", "shift", "covariate_count"],
-    ("sweep", "T"): ["periods", "t0", "aggregation", "shift", "covariate_count"],
+    ("sweep", "S"): ["s_cardinality", "t0", "shift", "covariate_count", "covariate_scale"],
+    ("sweep", "T"): ["periods", "t0", "aggregation", "shift", "covariate_count", "covariate_scale"],
     ("covariates", None): ["shift"],
 }
 
@@ -460,12 +460,21 @@ class TestUsage:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("regularizer", ["none", "simplex", "elastic_net"])
-    def test_overflowing_sweep_is_data_error(self, tmp_path, capsys, regularizer):
-        # Noise of 1e200 overflows the normal equations: exit 2 before any output.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # Noise of 1e200 overflows the normal equations: exit 2 before any output.
+            *(["sweep", "--knob", "T", "--from", 20, "--to", 20, "--replications", 1, "--noise-sd", 1e200,
+               "--regularizer", regularizer] for regularizer in ["none", "simplex", "elastic_net"]),
+            # Noise of 1e80 leaves every MSE finite, but the spread of two of them overflows.
+            ["sweep", "--knob", "T", "--from", 20, "--to", 20, "--replications", 2, "--noise-sd", 1e80],
+            ["covariates", "--replications", 2, "--noise-sd", 1e80],
+        ],
+        ids=["none", "simplex", "elastic_net", "summary", "covariates-summary"],
+    )
+    def test_overflowing_sweep_is_data_error(self, tmp_path, capsys, args):
         out = tmp_path / "out"
-        assert run(["sweep", "--knob", "T", "--from", 20, "--to", 20, "--replications", 1, "--individuals", 5,
-                    "--noise-sd", 1e200, "--regularizer", regularizer, "--out", out]) == 2
+        assert run([*args, "--individuals", 5, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
@@ -512,6 +521,24 @@ class TestUsage:
         # Once failed against the unused defaults t0 = 15 and s_cardinality = 5.
         assert run(["sweep", "--knob", "S", "--from", 2, "--to", 3, "--replications", 1, "--individuals", 20,
                     *flags, "--out", tmp_path / "out", "--quiet"]) == 0
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            (["--config", "{config}"], 2, "{config}: config must be a JSON object"),
+            (["--donors", "zz"], 1, "unknown group label 'zz'"),
+            (["--donors", "a,a"], 1, "donor indices must be distinct"),
+        ],
+        ids=["config-list", "unknown-donor", "repeated-donor"],
+    )
+    def test_rejected_fit_inputs(self, tmp_path, blend_panel, capsys, args, code, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(["regularizer", "none"]))
+        out = tmp_path / "out"
+        args = [str(a).format(config=config) for a in args]
+        assert run(["fit", "--panel", blend_panel, "--target", "tgt", "--t0", 6, *args, "--out", out]) == code
+        assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+        assert not out.exists()
 
     def test_unknown_knob(self, capsys):
         assert run(["sweep", "--knob", "Q"]) == 1
@@ -783,7 +810,7 @@ CONTRACT_FLOATS = st.one_of(
     st.floats(-5.0, 5.0),
 )
 CONTRACT_STRINGS = {
-    "panel": ["panel.csv", "huge.csv", "crowded.csv", "bad.csv", "absent.csv"],
+    "panel": ["panel.csv", "huge.csv", "crowded.csv", "lopsided.csv", "bad.csv", "absent.csv"],
     "covariates": ["covariates.csv", "bad.csv", "absent.csv"],
     "grouping": ["grouping.json", "bad_grouping.json", "absent.json"],
     "bundle": ["bundle", "panel.csv", "absent"],
@@ -849,6 +876,9 @@ def contract_inputs(tmp_path_factory):
     write_panel_csv(root / "huge.csv", list(series), range(1, 9), lambda g, t: series[g](t) * 1e300, populations)
     write_panel_csv(root / "crowded.csv", list(series), range(1, 9), lambda g, t: series[g](t),
                     {"tgt": 3.0, "a": 1e308, "b": 1e308})
+    # A fit on it overflows only in its objective.
+    write_panel_csv(root / "lopsided.csv", list(series), range(1, 9),
+                    lambda g, t: 1e160 * t * t if g == "tgt" else series[g](t), populations)
     (root / "bad.csv").write_text("group,time,outcome\ntgt,1,x\n")
     (root / "covariates.csv").write_text("group,u,v\ntgt,1.0,2.0\na,0.5,1.0\nb,1.5,3.5\n")
     (root / "grouping.json").write_text(json.dumps({"tgt": "tgt", "a": "ab", "b": "ab"}))

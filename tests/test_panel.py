@@ -20,6 +20,10 @@ from synthpanel import (
     standardize_rows,
     to_csv,
 )
+from synthpanel.estimators import EffectEstimate, WeightVector
+from synthpanel.evaluation import SplitEvaluation, SweepPoint
+from synthpanel.identification import InvariantSetReport, OracleWeights
+from synthpanel.microsim import GroupComposition, OutcomeFunctionFamily
 from synthpanel.panel import aux_from_csv, aux_to_csv
 from synthpanel.panel import AuxMatrix
 
@@ -143,6 +147,8 @@ class TestFromCsv:
 
 HEADER = "group,time,outcome\n"
 POP_HEADER = "group,time,outcome,population\n"
+# The records of a 6-group x 20-period panel: what a field whose quote never closes runs over.
+PANEL_ROWS = "".join(f"g{j},{t},1.0\r\n" for j in range(6) for t in range(1, 21))
 
 
 def write_text(path, text):
@@ -163,16 +169,23 @@ class TestFromCsvMessages:
             ("group,time,outcome,population,x\nCA,1,1.0,2,3\n", DataValidationError,
              "{path}: expected header 'group,time,outcome[,population]', got group,time,outcome,population,x"),
             # A leading quote makes the rest of the file one header field; its first line is quoted.
-            ('"roup,time,outcome\r\n' + "".join(f"g{j},{t},1.0\r\n" for j in range(6) for t in range(1, 21)),
-             DataValidationError,
+            ('"roup,time,outcome\r\n' + PANEL_ROWS, DataValidationError,
              "{path}: expected header 'group,time,outcome[,population]', got roup,time,outcome..."),
             ("x" * 100 + "\nCA,1,1.0\n", DataValidationError,
              "{path}: expected header 'group,time,outcome[,population]', got " + "x" * 80 + "..."),
             ("group,time,outcome,weight\nCA,1,1.0,2\n", DataValidationError, "{path}: unknown fourth column 'weight'"),
+            # Any other quoted field is bounded the same way.
+            ('group,time,outcome,"population\r\n' + PANEL_ROWS, DataValidationError,
+             "{path}: unknown fourth column 'population...'"),
             (HEADER + "CA,1,1.0\nCA,2\n", DataValidationError, "{path}: wrong field count on line 3"),
             (HEADER + "CA,1,1.0\n   \n", DataValidationError, "{path}: wrong field count on line 3"),
             (HEADER + "CA,1,1.0\nCA, 2.5 ,2.0\n", DataValidationError, "non-integer time '2.5' on line 3"),
             (HEADER + "CA,1,1.0\nCA,2, oops\n", DataValidationError, "non-numeric outcome 'oops' on line 3"),
+            ('group,time,outcome\r\ng0,1,"1.0\r\n' + PANEL_ROWS, DataValidationError,
+             "non-numeric outcome '1.0...' on line 2"),
+            (HEADER + "CA,1,1.0\nCA,2," + "9" * 100 + "x\n", DataValidationError,
+             f"non-numeric outcome '{'9' * 80}...' on line 3"),
+            (HEADER + 'CA,"1\r\n2",1.0\n', DataValidationError, "non-integer time '1...' on line 2"),
             (HEADER + "CA,1,inf\n", DataValidationError, "non-finite outcome 'inf' on line 2"),
             (HEADER + "CA,1,1.0\nCA,2,nan\n", DataValidationError, "non-finite outcome 'nan' on line 3"),
             (HEADER + "CA,1,1.0\nCA, 1,2.0\n", DataValidationError, "{path}: duplicate cell (CA, 1) on line 3"),
@@ -187,7 +200,8 @@ class TestFromCsvMessages:
         ],
         ids=[
             "empty-file", "bad-header", "long-header", "quoted-header", "overlong-header", "fourth-column",
-            "field-count", "blank-padded-row", "time", "outcome", "outcome-inf", "outcome-nan", "duplicate",
+            "quoted-fourth-column", "field-count", "blank-padded-row", "time", "outcome", "quoted-outcome",
+            "overlong-outcome", "multiline-time", "outcome-inf", "outcome-nan", "duplicate",
             "population", "population-inf", "conflicting-population", "missing-cell", "no-rows", "unknown-target",
         ],
     )
@@ -255,6 +269,50 @@ class TestPanelInvariants:
     def test_outcomes_immutable(self, toy_panel):
         with pytest.raises(ValueError):
             toy_panel.outcomes[0, 0] = 99.0
+
+
+# Each record, fields that make it valid, and each number it holds with the quantity its refusal names.
+RECORDS = [
+    (PanelData, dict(outcomes=np.ones((2, 3)), group_labels=("a", "b"), time_labels=(1, 2, 3), target_index=0,
+                     intervention_time=1), {"outcomes": "the outcome matrix"}),
+    (AuxMatrix, dict(values=np.ones((2, 1)), covariate_labels=("u",)), {"values": "the covariate matrix"}),
+    (GroupComposition, dict(probs=np.array([0.5, 0.5])), {"probs": "the composition"}),
+    (OutcomeFunctionFamily, dict(conditional_mean=np.ones((2, 3))),
+     {"conditional_mean": "the conditional-mean table"}),
+    (EffectEstimate, dict(synthetic=np.ones(3), gap=np.zeros(3)),
+     {"synthetic": "the synthetic series", "gap": "the gap series"}),
+    (WeightVector, dict(donor_indices=(1,), beta=np.ones(1), objective_value=0.5, converged=True,
+                        objective_trace=(0.5,), kkt_residual=0.0),
+     {"beta": "the donor weights", "objective_value": "the fit's objective value",
+      "kkt_residual": "the KKT residual"}),
+    (SplitEvaluation, dict(observed_mse=1.0, counterfactual_mse=2.0, n_fit=3, underdetermined=False),
+     {"observed_mse": "the observed MSE", "counterfactual_mse": "the counterfactual MSE"}),
+    (SweepPoint, dict(knob=4, observed_mse=1.0, counterfactual_mse=2.0, se_observed=0.1, se_counterfactual=0.2,
+                      replications=2),
+     {name: f"{name} at knob 4"
+      for name in ("observed_mse", "counterfactual_mse", "se_observed", "se_counterfactual")}),
+    (OracleWeights, dict(donor_indices=(1, 2), beta=np.array([0.5, 0.5]), residual_norm=0.0, exists=True),
+     {"beta": "the oracle weights"}),
+    (InvariantSetReport, dict(S_indices=(0,), S_cardinality=1, donor_count=2, a3_holds=True, a4_holds=True,
+                              per_category_max_gap=np.array([0.2, 0.0])),
+     {"per_category_max_gap": "the category gaps"}),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "record, fields, name, quantity",
+    [pytest.param(record, fields, name, quantity, id=f"{record.__name__}.{name}")
+     for record, fields, quantities in RECORDS for name, quantity in quantities.items()],
+)
+def test_records_refuse_non_finite_numbers(record, fields, name, quantity, bad):
+    """frozen_array is every record's one finiteness rule: one non-finite entry is refused, naming the quantity."""
+    record(**fields)
+    value = np.array(fields[name], dtype=float)
+    value.flat[-1] = bad
+    with pytest.raises(DataValidationError) as caught:
+        record(**{**fields, name: value if value.ndim else float(value)})
+    assert str(caught.value) == f"{quantity} is not finite"
 
 
 class TestAggregation:
@@ -384,13 +442,15 @@ class TestAuxCsv:
             ("group,u\ng1,1\n\ng1,2\n", "{path}: duplicate covariate row for 'g1' on line 4"),
             ("group,u\ng1, x \n", "non-numeric covariate 'x' on line 2"),
             ("group,u,v\ng1,1,nan\n", "non-finite covariate 'nan' on line 2"),
+            ('group,u,v\r\ng1,1.0,"2.0\r\n' + "".join(f"g{j},{j}.5,{j}.25\r\n" for j in range(2, 40)),
+             "non-numeric covariate '2.0...' on line 2"),
             ("group,u\ng1,x\ng1,2\n", "non-numeric covariate 'x' on line 2"),
             ("group,u\ng1, 1 \n", "{path}: missing covariate rows for ['g2']"),
             ("group,u\ng1,\x1f1.5\n", "{path}: missing covariate rows for ['g2']"),
             (" group,u\ng1,1\n", "{path}: missing covariate rows for ['g2']"),
             ("group,u\n g1,1\n", "{path}: missing covariate rows for ['g2']"),
         ],
-        ids=["empty-file", "header", "field-count", "duplicate", "non-numeric", "non-finite", "first-line",
+        ids=["empty-file", "header", "field-count", "duplicate", "non-numeric", "non-finite", "quoted", "first-line",
              "missing-row", "control-padded-value", "padded-header", "padded-label"],
     )
     def test_messages(self, tmp_path, text, message):
