@@ -41,18 +41,16 @@ from .microsim import (
     OutcomeFunctionFamily,
     SimConfig,
     SimulatedStudy,
-    conditional_mean_default,
     expected_outcome,
-    sample_compositions,
     simulate_panel,
 )
 from .panel import (
     AuxMatrix,
     PanelData,
+    aggregate_divisions,
     aggregate_groups,
     from_csv,
     select_groups,
-    standardize_rows,
     to_csv,
 )
 

@@ -35,17 +35,7 @@ from .microsim import (
     simulate_panel,
     write_study_bundle,
 )
-from .panel import (
-    aggregate_groups,
-    aux_from_csv,
-    format_float,
-    from_csv,
-    read_json,
-    select_groups,
-    to_csv,
-    write_csv,
-    write_json,
-)
+from .panel import aggregate_divisions, aux_from_csv, format_float, from_csv, read_json, to_csv, write_csv, write_json
 
 VERSION_STRING = f"synthpanel {__version__}"
 
@@ -53,9 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NO_CONVERGENCE = 3
-
-CENSUS_DIVISIONS = Path(__file__).parent / "data" / "census_divisions.json"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through UsageError (exit 1)."""
@@ -416,33 +403,10 @@ def cmd_diagnose(params: dict) -> Output:
     )
 
 
-def _load_grouping(path) -> tuple[dict, list]:
-    """The grouping document at ``path``, or the packaged census map when it is None."""
-    path = CENSUS_DIVISIONS if path is None else path
-    document = _json_object(path)
-    if "divisions" in document:
-        grouping, excluded = document["divisions"], document.get("excluded", [])
-    else:
-        grouping, excluded = document, []
-    if not isinstance(grouping, dict) or not all(isinstance(v, str) for v in grouping.values()):
-        raise DataValidationError(f"{path}: divisions must map group labels to division labels")
-    if not isinstance(excluded, list) or not all(isinstance(g, str) for g in excluded):
-        raise DataValidationError(f"{path}: excluded must be a list of group labels")
-    return dict(grouping), list(excluded)
-
-
 def cmd_aggregate(params: dict) -> Output:
     _require(params, "panel", "target", "t0")
     panel = from_csv(params["panel"], target=params["target"], intervention_time=params["t0"])
-    grouping, excluded = _load_grouping(params["grouping"])
-    keep = [g for g in panel.group_labels if g == panel.target_label or g not in set(excluded)]
-    panel = select_groups(panel, keep)
-    target = panel.target_label
-    for group in panel.group_labels:
-        if group != target and grouping.get(group) == target:
-            raise DataValidationError(f"group {group!r} is mapped to {target!r}, the target's label")
-    grouping[target] = target
-    aggregated = aggregate_groups(panel, grouping)
+    aggregated = aggregate_divisions(panel, params["grouping"])
     return Output(
         lambda out: to_csv(aggregated, out / "aggregated.csv"),
         f"aggregated {panel.n_groups} groups into {aggregated.n_groups}",

@@ -246,15 +246,17 @@ def fit(
             f"covariate matrix has {aux.values.shape[0]} rows for {panel.n_groups} panel groups"
         )
 
-    a, y = _stacked_system(panel, donors, aux, cfg)
     simplex = cfg.regularizer == "simplex"
     lam1 = cfg.enet_lam1 if cfg.regularizer == "elastic_net" else 0.0
     lam2 = {"ridge": cfg.ridge_lam, "elastic_net": cfg.enet_lam2}.get(cfg.regularizer, 0.0)
-    # A fit whose objective overflows is rejected by WeightVector's finiteness check.
+    # Outcomes or standardized covariates that overflow fail the normal-equations check;
+    # a fit whose objective overflows is rejected by WeightVector's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
+        a, y = _stacked_system(panel, donors, aux, cfg)
         gram, c = a.T @ a, a.T @ y
         if not (np.isfinite(gram).all() and np.isfinite(c).all()):
-            raise DataValidationError("outcomes too large to fit: the normal equations overflow")
+            what = "outcomes" if aux is None else "outcomes or covariates"
+            raise DataValidationError(f"{what} too large to fit: the normal equations overflow")
         gram += lam2 * np.eye(len(donors))
         scale = max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
         if cfg.regularizer in ("none", "ridge"):

@@ -7,8 +7,9 @@ fit window ("observed") and the held-out tail ("counterfactual").
 All three experiments (the S sweep, the mean/median horizon sweep and the
 covariate study) run on one engine, and :data:`EXPERIMENTS` says what each
 one sets and which evaluators score it. At knob value ``i`` the engine scores
-``replications`` fresh untreated studies with :func:`score_replication`,
-then summarizes each evaluator's MSEs.
+``replications`` fresh untreated studies with :func:`score_replication` and
+returns every evaluation; each experiment then summarizes each evaluator's
+MSEs under its knob value, or, in the covariate study, under its row name.
 
 Seed contract: replication ``r`` at knob value ``i`` uses the study seed
 ``derive_seed(base.seed, i, r)``, whatever else the knob changes. Every
@@ -167,14 +168,14 @@ def _sweep(
     replications: int,
     fit_cfg: FitConfig,
     split: float,
-) -> tuple[SweepResult, ...]:
+) -> dict[str, list[list[SplitEvaluation]]]:
     """The one replication loop behind every sweep.
 
     With ``field, constants, evaluators = EXPERIMENTS[experiment]``,
     replication ``r`` at knob value ``i`` is :func:`score_replication` of the
     study ``replace(base, seed=derive_seed(base.seed, i, r), **constants,
-    **{field: knob})``, taken in (point, replication) order. Returns one
-    result per evaluator, in table order, with a point per knob value.
+    **{field: knob})``, taken in (point, replication) order. Returns each
+    evaluator's evaluations, in table order: per knob value, one per replication.
     """
     field, constants, evaluators = EXPERIMENTS[experiment]
     if not knob_values:
@@ -184,15 +185,15 @@ def _sweep(
     cells = ((i, knob, r) for i, knob in enumerate(knob_values) for r in range(replications))
     configs = (replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: knob}) for i, knob, r in cells)
     scored = map(functools.partial(score_replication, experiment, fit_cfg=fit_cfg, split=split), configs)
-    summaries = {name: [] for name in evaluators}
+    evaluations = {name: [] for name in evaluators}
     for knob in knob_values:
         point = list(itertools.islice(scored, replications))
-        if any(ev.underdetermined for evaluations in point for ev in evaluations.values()):
+        if any(ev.underdetermined for replication in point for ev in replication.values()):
             # Two frames up: the caller of the public sweep function.
             warnings.warn(f"underdetermined fits at {field}={knob}", stacklevel=3)
-        for name, points in summaries.items():
-            points.append(_summarize(knob, [evaluations[name] for evaluations in point]))
-    return tuple(SweepResult(knob_name=experiment, points=tuple(points)) for points in summaries.values())
+        for name, points in evaluations.items():
+            points.append([replication[name] for replication in point])
+    return evaluations
 
 
 def sweep_S(
@@ -206,7 +207,8 @@ def sweep_S(
 
     Studies are untreated controls; covariates are not generated.
     """
-    return _sweep(base, "S", S_values, replications, fit_cfg, split)[0]
+    (points,) = _sweep(base, "S", S_values, replications, fit_cfg, split).values()
+    return SweepResult("S", tuple(map(_summarize, S_values, points)))
 
 
 def sweep_T_mean_median(
@@ -223,7 +225,8 @@ def sweep_T_mean_median(
     results, in ``AGGREGATIONS`` order, equal two separate sweeps, one per
     aggregation, at the same seeds.
     """
-    return _sweep(base, "T", T_values, replications, fit_cfg, split)
+    evaluations = _sweep(base, "T", T_values, replications, fit_cfg, split)
+    return tuple(SweepResult("T", tuple(map(_summarize, T_values, points))) for points in evaluations.values())
 
 
 def covariate_experiment(
@@ -236,13 +239,13 @@ def covariate_experiment(
 
     All three rows of each replication reuse one simulated study, so the
     comparison isolates the effect of stacking each covariate block. The
-    study is the single point (index 0) of a sweep at ``base.T``.
+    study is the single point (index 0) of a sweep at ``base.T``; each row
+    is summarized under its own name.
     """
     if base.covariate_count < 1:
         raise UsageError("covariate_experiment needs covariate_count >= 1")
-    results = _sweep(base, "covariates", [base.T], replications, fit_cfg, split)
-    points = tuple(replace(result.points[0], knob=row) for row, result in zip(COVARIATE_ROWS, results))
-    return SweepResult(knob_name="covariates", points=points)
+    evaluations = _sweep(base, "covariates", [base.T], replications, fit_cfg, split)
+    return SweepResult("covariates", tuple(_summarize(row, points) for row, (points,) in evaluations.items()))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -40,8 +40,6 @@ __all__ = [
     "OutcomeFunctionFamily",
     "SimConfig",
     "SimulatedStudy",
-    "sample_compositions",
-    "conditional_mean_default",
     "simulate_panel",
     "expected_outcome",
     "write_study_bundle",

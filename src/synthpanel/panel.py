@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -26,12 +27,12 @@ __all__ = [
     "from_csv",
     "to_csv",
     "aux_from_csv",
-    "aux_to_csv",
     "aggregate_groups",
     "select_groups",
-    "standardize_rows",
-    "check_donors",
+    "aggregate_divisions",
 ]
+
+CENSUS_DIVISIONS = Path(__file__).parent / "data" / "census_divisions.json"
 
 
 def frozen_array(values, what: str) -> np.ndarray:
@@ -454,6 +455,35 @@ def select_groups(panel: PanelData, labels: Sequence[str]) -> PanelData:
         target_index=kept_labels.index(panel.target_label),
         populations=populations,
     )
+
+
+def aggregate_divisions(panel: PanelData, grouping_path=None) -> PanelData:
+    """Merge a panel's donors into divisions, as the grouping document at ``grouping_path`` says.
+
+    The document (by default the packaged census map) is either a map of group labels to division
+    labels or ``{"divisions": <map>, "excluded": [<group label>, ...]}``. Excluded donors are dropped
+    and the target passes through alone, so a kept donor mapped to the target's label, which would
+    merge it into the target, is a DataValidationError; the kept groups then go through
+    :func:`select_groups` and :func:`aggregate_groups`.
+    """
+    path = CENSUS_DIVISIONS if grouping_path is None else grouping_path
+    document = read_json(path)
+    if not isinstance(document, dict):
+        raise DataValidationError(f"{path}: grouping must be a JSON object")
+    if "divisions" in document:
+        grouping, excluded = document["divisions"], document.get("excluded", [])
+    else:
+        grouping, excluded = document, []
+    if not isinstance(grouping, dict) or not all(isinstance(v, str) for v in grouping.values()):
+        raise DataValidationError(f"{path}: divisions must map group labels to division labels")
+    if not isinstance(excluded, list) or not all(isinstance(g, str) for g in excluded):
+        raise DataValidationError(f"{path}: excluded must be a list of group labels")
+    target, excluded = panel.target_label, set(excluded)
+    panel = select_groups(panel, [g for g in panel.group_labels if g == target or g not in excluded])
+    for group in panel.group_labels:
+        if group != target and grouping.get(group) == target:
+            raise DataValidationError(f"group {group!r} is mapped to {target!r}, the target's label")
+    return aggregate_groups(panel, {**grouping, target: target})
 
 
 def standardize_rows(matrix) -> np.ndarray:

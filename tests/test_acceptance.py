@@ -17,13 +17,12 @@ import pytest
 from synthpanel import (
     FitConfig,
     SimConfig,
-    aggregate_groups,
+    aggregate_divisions,
     covariate_experiment,
     fit,
     from_csv,
     minimal_invariant_set,
     predict_counterfactual,
-    select_groups,
     simulate_panel,
     solve_oracle_weights,
     sweep_S,
@@ -182,14 +181,7 @@ PROP99_PATH = os.environ.get("SYNTHPANEL_PROP99")
 )
 def test_criterion_7_divisional_prop99():
     """Divisional donors: weight concentrates on Mountain plus New England."""
-    from synthpanel.cli import _load_grouping
-
-    panel = from_csv(PROP99_PATH, target="California", intervention_time=19)
-    grouping, excluded = _load_grouping(None)
-    keep = [g for g in panel.group_labels if g == "California" or g not in set(excluded)]
-    panel = select_groups(panel, keep)
-    grouping["California"] = "California"
-    divisions = aggregate_groups(panel, grouping)
+    divisions = aggregate_divisions(from_csv(PROP99_PATH, target="California", intervention_time=19))
     donors = divisions.donor_indices()
     weights = fit(divisions, donors, cfg=SIMPLEX)
     by_label = {divisions.group_labels[j]: b for j, b in zip(weights.donor_indices, weights.beta)}

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import synthpanel
 from synthpanel import cli
 from synthpanel.cli import main
+from synthpanel.evaluation import COVARIATE_ROWS
 
 
 def run(args):
@@ -171,6 +172,21 @@ class TestFit:
                     "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regularizer", ["none", "ridge", "simplex", "elastic_net"])
+    def test_overflowing_covariates_are_data_error(self, tmp_path, capsys, regularizer):
+        panel = tmp_path / "panel.csv"
+        levels = {"tgt": 1.0, "a": 2.0, "b": 0.5, "c": 1.5}
+        write_panel_csv(panel, list(levels), range(1, 9), lambda g, t: levels[g] + 0.1 * t)
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text("group,u\ntgt,1e308\na,1.7e308\nb,-1.7e308\nc,1e308\n")
+        out = tmp_path / "run"
+        assert run(["fit", "--panel", panel, "--target", "tgt", "--t0", 6, "--covariates", covariates,
+                    "--regularizer", regularizer, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: outcomes or covariates too large to fit: the normal equations overflow\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("byte_order_mark", ["", "\ufeff"], ids=["plain", "bom"])
@@ -478,6 +494,8 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        if args[0] == "covariates":  # the message names the covariate row whose summary overflowed
+            assert any(f"at knob {row} " in err for row in COVARIATE_ROWS)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag", ["--noise-sd", "--ramp-scale"])
@@ -811,7 +829,7 @@ CONTRACT_FLOATS = st.one_of(
 )
 CONTRACT_STRINGS = {
     "panel": ["panel.csv", "huge.csv", "crowded.csv", "lopsided.csv", "bad.csv", "absent.csv"],
-    "covariates": ["covariates.csv", "bad.csv", "absent.csv"],
+    "covariates": ["covariates.csv", "huge_covariates.csv", "bad.csv", "absent.csv"],
     "grouping": ["grouping.json", "bad_grouping.json", "absent.json"],
     "bundle": ["bundle", "panel.csv", "absent"],
     "target": ["tgt", "a", "zz"],
@@ -881,6 +899,8 @@ def contract_inputs(tmp_path_factory):
                     lambda g, t: 1e160 * t * t if g == "tgt" else series[g](t), populations)
     (root / "bad.csv").write_text("group,time,outcome\ntgt,1,x\n")
     (root / "covariates.csv").write_text("group,u,v\ntgt,1.0,2.0\na,0.5,1.0\nb,1.5,3.5\n")
+    # Standardizing its one covariate overflows.
+    (root / "huge_covariates.csv").write_text("group,u\ntgt,1e308\na,1.7e308\nb,-1.7e308\n")
     (root / "grouping.json").write_text(json.dumps({"tgt": "tgt", "a": "ab", "b": "ab"}))
     (root / "bad_grouping.json").write_text(json.dumps({"divisions": [1]}))
     assert run(["simulate", "--individuals", 20, "--covariate-count", 2, "--out", root / "bundle", "--quiet"]) == 0
@@ -908,6 +928,8 @@ def non_finite_numbers(path):
 
 
 @settings(max_examples=60, deadline=None)
+# Covariates whose standardization overflows.
+@example(invocation=(["fit", *map(str, CONTRACT_BASE["fit"]), "--covariates", "huge_covariates.csv"], None, False))
 @given(invocation=invocations())
 def test_cli_contract(contract_inputs, invocation):
     """Exit 0 with finite outputs, 3 with outputs and a note, or 1/2 with one error line and no output."""

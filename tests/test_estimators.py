@@ -380,6 +380,14 @@ class TestFiniteSystem:
         with pytest.raises(DataValidationError, match="overflow"):
             fit(huge, huge.donor_indices(), cfg=FitConfig(regularizer=regularizer))
 
+    @pytest.mark.parametrize("regularizer", ["none", "ridge", "elastic_net", "simplex"])
+    def test_overflowing_covariates_are_rejected(self, toy_panel, regularizer):
+        # Ordinary outcomes; the covariate row's mean overflows while it is standardized, with no warning.
+        aux = AuxMatrix(values=np.array([[1e308], [1.7e308], [-1.7e308], [1e308]]), covariate_labels=("u",))
+        with pytest.raises(DataValidationError) as caught:
+            fit(toy_panel, toy_panel.donor_indices(), aux, FitConfig(regularizer=regularizer))
+        assert str(caught.value) == "outcomes or covariates too large to fit: the normal equations overflow"
+
 
 class TestPredictAndEffect:
     def test_weighted_combination(self):

@@ -11,9 +11,7 @@ from synthpanel import (
     OutcomeFunctionFamily,
     SimConfig,
     UsageError,
-    conditional_mean_default,
     expected_outcome,
-    sample_compositions,
     simulate_panel,
 )
 from synthpanel.microsim import (
@@ -23,7 +21,9 @@ from synthpanel.microsim import (
     _make_covariates,
     _median,
     _stream,
+    conditional_mean_default,
     load_study_bundle,
+    sample_compositions,
     write_study_bundle,
 )
 

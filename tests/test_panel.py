@@ -14,17 +14,18 @@ from synthpanel import (
     DataValidationError,
     PanelData,
     UsageError,
+    aggregate_divisions,
     aggregate_groups,
     from_csv,
     select_groups,
-    standardize_rows,
     to_csv,
 )
+from synthpanel.cli import main
 from synthpanel.estimators import EffectEstimate, WeightVector
 from synthpanel.evaluation import SplitEvaluation, SweepPoint
 from synthpanel.identification import InvariantSetReport, OracleWeights
 from synthpanel.microsim import GroupComposition, OutcomeFunctionFamily
-from synthpanel.panel import aux_from_csv, aux_to_csv
+from synthpanel.panel import aux_from_csv, aux_to_csv, standardize_rows
 from synthpanel.panel import AuxMatrix
 
 
@@ -405,6 +406,68 @@ class TestAggregation:
             "New England", "Mid-Atlantic", "East North Central", "West North Central",
             "South Atlantic", "East South Central", "West South Central", "Mountain",
         }
+
+
+class TestAggregateDivisions:
+    @staticmethod
+    def states_csv(path):
+        pops = {"CA": 3e7, "NV": 1e7, "UT": 8e5, "AZ": 7e6}
+        write_rows(path, [(g, t, 100.0 * (i + 1) + t, pops[g]) for i, g in enumerate(pops) for t in (1, 2)],
+                   header=("group", "time", "outcome", "population"))
+        return from_csv(path, target="CA", intervention_time=1)
+
+    @staticmethod
+    def grouping(path, document):
+        path.write_text(json.dumps(document))
+        return path
+
+    def test_census_map_matches_the_cli(self, tmp_path):
+        # The census-shaped panel of test_cli's TestAggregate::test_default_census_grouping.
+        with resources.files("synthpanel").joinpath("data/census_divisions.json").open() as fh:
+            states = sorted(json.load(fh)["divisions"])
+        path = tmp_path / "states.csv"
+        write_rows(path, [(g, t, 100.0 + hash(g) % 7, 1.0 + i) for i, g in enumerate(states) for t in (1988, 1989)],
+                   header=("group", "time", "outcome", "population"))
+        out = tmp_path / "agg"
+        assert main(["aggregate", "--panel", str(path), "--target", "California", "--t0", "1",
+                     "--out", str(out), "--quiet"]) == 0
+        to_csv(aggregate_divisions(from_csv(path, target="California", intervention_time=1)), tmp_path / "lib.csv")
+        assert (tmp_path / "lib.csv").read_bytes() == (out / "aggregated.csv").read_bytes()
+
+    def test_bare_map_keeps_the_target_alone(self, tmp_path):
+        panel = self.states_csv(tmp_path / "states.csv")
+        path = self.grouping(tmp_path / "g.json", {"NV": "West", "UT": "West", "AZ": "AZ"})
+        merged = aggregate_divisions(panel, path)
+        assert merged.group_labels == ("CA", "West", "AZ")
+        assert merged.target_label == "CA"
+        assert np.array_equal(merged.outcomes[[0, 2]], panel.outcomes[[0, 3]])
+        assert merged.outcomes[1, 0] == pytest.approx((1e7 * 201.0 + 8e5 * 301.0) / 1.08e7, abs=1e-12)
+
+    def test_excluded_donors_are_dropped_but_not_the_target(self, tmp_path):
+        panel = self.states_csv(tmp_path / "states.csv")
+        document = {"divisions": {"NV": "West", "UT": "West", "AZ": "West"}, "excluded": ["AZ", "CA"]}
+        merged = aggregate_divisions(panel, self.grouping(tmp_path / "g.json", document))
+        assert merged.group_labels == ("CA", "West")
+        assert merged.populations == {"CA": 3e7, "West": 1.08e7}
+
+    def test_donor_mapped_to_the_target_label(self, tmp_path):
+        panel = self.states_csv(tmp_path / "states.csv")
+        path = self.grouping(tmp_path / "g.json", {"divisions": {"NV": "CA", "UT": "West", "AZ": "West"}})
+        with pytest.raises(DataValidationError) as caught:
+            aggregate_divisions(panel, path)
+        assert str(caught.value) == "group 'NV' is mapped to 'CA', the target's label"
+        # An excluded donor is dropped before the check.
+        path = self.grouping(tmp_path / "g.json", {"divisions": {"NV": "CA", "UT": "West", "AZ": "West"},
+                                                   "excluded": ["NV"]})
+        assert aggregate_divisions(panel, path).group_labels == ("CA", "West")
+
+    @pytest.mark.parametrize("document", [[["a", "b"]], "CA", None])
+    def test_non_object_document_names_the_grouping(self, tmp_path, document):
+        panel = self.states_csv(tmp_path / "states.csv")
+        path = self.grouping(tmp_path / "g.json", document)
+        with pytest.raises(DataValidationError) as caught:
+            aggregate_divisions(panel, path)
+        assert str(caught.value) == f"{path}: grouping must be a JSON object"
 
 
 class TestStandardize:
