@@ -122,7 +122,8 @@ def _stacked_system(
 
     Rows are the pre-intervention periods, then (given ``aux``) one row
     per covariate, standardized across {target} + donors and scaled by
-    sqrt(covariate_scale).
+    sqrt(covariate_scale). A covariate whose spread overflows its sample
+    variance raises DataValidationError naming it.
     """
     donors = list(donors)
     t0 = panel.intervention_time
@@ -131,7 +132,7 @@ def _stacked_system(
     if aux is not None:
         selection = [panel.target_index] + donors
         rows = aux.values[selection].T
-        standardized = standardize_rows(rows)
+        standardized = standardize_rows(rows, aux.covariate_labels)
         weight = np.sqrt(cfg.covariate_scale)
         a = np.vstack([a, weight * standardized[:, 1:]])
         y = np.concatenate([y, weight * standardized[:, 0]])

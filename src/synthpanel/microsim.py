@@ -17,6 +17,15 @@ not change when covariate settings do.
 There is one draw per cell, reduced by each requested aggregation: a study
 can carry its mean and its median panel side by side, and both reduce the
 very same individuals.
+
+An individual's category is the one ``Generator.choice`` gives for the same
+uniform, read from a guide table built once per group (Chen & Asau 1974;
+Devroye, *Non-Uniform Random Variate Generation*, 1986, section III.2.4):
+``GUIDE_BINS`` equal bins of [0, 1), each holding the category of its left
+edge. Every uniform in a bin that no CDF entry falls inside has that
+category; only the uniforms in the at most K - 1 other bins are found by
+``choice``'s own binary search. So the indices, and every draw, are
+exactly ``choice``'s.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +89,10 @@ SIN_LADDER_MAX = 0.5
 # Concentration of the per-group sub-distribution on the differing
 # categories (invariant_split mode).
 DIRICHLET_ALPHA = 1.0
+
+# Bins of a category guide table. A power of two, so that int(u * GUIDE_BINS)
+# is the exact bin of every uniform u in [0, 1).
+GUIDE_BINS = 4096
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -324,16 +337,40 @@ def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFa
     return composition.probs @ functions.conditional_mean
 
 
-def _category_cdf(composition: GroupComposition) -> np.ndarray:
-    """Cumulative table of a composition, built as Generator.choice builds it."""
+class _CategoryTable(NamedTuple):
+    """A composition's category CDF and its guide table over ``GUIDE_BINS`` bins.
+
+    ``start[b]`` counts the CDF entries at or below ``b / GUIDE_BINS``;
+    ``mixed[b]`` is true when the count at the largest float below
+    ``(b + 1) / GUIDE_BINS`` differs from it.
+    """
+
+    cdf: np.ndarray
+    start: np.ndarray
+    mixed: np.ndarray
+
+
+def _category_cdf(composition: GroupComposition) -> _CategoryTable:
+    """Cumulative table of a composition, built as Generator.choice builds it, and its guide table.
+
+    ``choice`` gives the uniform u the category ``cdf.searchsorted(u, side="right")``,
+    the count of CDF entries at or below u. That count never falls as u grows,
+    so every u in a bin that is not ``mixed`` has the count ``start`` holds for
+    the bin. A bin is mixed only if a CDF entry lies strictly inside it, and
+    the last entry is 1.0, so at most K - 1 bins are.
+    """
     cdf = composition.probs.cumsum()
     cdf /= cdf[-1]
-    return cdf
+    edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS  # exact: GUIDE_BINS is a power of two
+    start = cdf.searchsorted(edges[:-1], side="right")
+    # The entries at or below the largest float under (b + 1) / GUIDE_BINS are those below it.
+    mixed = cdf.searchsorted(edges[1:], side="left") != start
+    return _CategoryTable(cdf, start, mixed)
 
 
 def _draw(
     rng: np.random.Generator,
-    cdf: np.ndarray,
+    table: _CategoryTable,
     values: np.ndarray,
     n: int,
     noise_sd: float = 0.0,
@@ -341,13 +378,21 @@ def _draw(
 ) -> np.ndarray:
     """``values`` at the categories of n fresh individuals, plus noise and shift.
 
-    ``cdf.searchsorted(rng.random(n), side="right")`` is what
-    ``rng.choice(K, size=n, p=probs)`` computes once it has validated
-    ``probs`` (GroupComposition checks them more strictly), so the stream is
+    ``rng.choice(K, size=n, p=probs)`` computes ``cdf.searchsorted(rng.random(n),
+    side="right")`` once it has validated ``probs`` (GroupComposition checks
+    them more strictly). Each uniform u here takes ``table.start`` at its bin
+    ``int(u * GUIDE_BINS)``, which is that search's answer unless the bin is
+    mixed, and the uniforms in mixed bins are searched. So the stream is
     consumed, and the individuals drawn, exactly as by that call followed by
     ``rng.normal``.
     """
-    y = values[cdf.searchsorted(rng.random(n), side="right")]
+    u = rng.random(n)
+    bins = (u * GUIDE_BINS).astype(np.intp)
+    idx = table.start[bins]
+    fix = table.mixed[bins]
+    if fix.any():
+        idx[fix] = table.cdf.searchsorted(u[fix], side="right")
+    y = values[idx]
     if noise_sd > 0:
         y += rng.normal(0.0, noise_sd, n)
     if shift != 0.0:
@@ -400,15 +445,15 @@ def simulate_panel(
     functions = conditional_mean_default(cfg.K, cfg.T, rng, ramp_scale=cfg.ramp_scale)
 
     outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
-    cdfs = [_category_cdf(comp) for comp in compositions]
+    tables = [_category_cdf(comp) for comp in compositions]
     by_period = np.ascontiguousarray(functions.conditional_mean.T)
     # A cell that overflows is rejected by the panel's finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, cdf in enumerate(cdfs):
+        for j, table in enumerate(tables):
             for t in range(1, cfg.T + 1):
                 shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
                 rng_cell = _stream(cfg.seed, 2, j, t)
-                y = _draw(rng_cell, cdf, by_period[t - 1], cfg.N_per_group, cfg.noise_sd, shift)
+                y = _draw(rng_cell, table, by_period[t - 1], cfg.N_per_group, cfg.noise_sd, shift)
                 for name, reduce in reducers.items():
                     outcomes[name][j, t - 1] = reduce(y)
 
@@ -422,8 +467,8 @@ def simulate_panel(
         )
         for name, values in outcomes.items()
     }
-    aux_suitable = _make_covariates(cdfs, by_period, cfg, "suitable", _stream(cfg.seed, 3))
-    aux_unsuitable = _make_covariates(cdfs, by_period, cfg, "unsuitable", _stream(cfg.seed, 4))
+    aux_suitable = _make_covariates(tables, by_period, cfg, "suitable", _stream(cfg.seed, 3))
+    aux_unsuitable = _make_covariates(tables, by_period, cfg, "unsuitable", _stream(cfg.seed, 4))
     return SimulatedStudy(
         panel=panels[cfg.aggregation],
         compositions=compositions,
@@ -437,7 +482,7 @@ def simulate_panel(
 
 
 def _make_covariates(
-    cdfs: Sequence[np.ndarray],
+    tables: Sequence[_CategoryTable],
     by_period: np.ndarray,
     cfg: SimConfig,
     kind: str,
@@ -445,7 +490,7 @@ def _make_covariates(
 ) -> AuxMatrix:
     """Sample ``cfg.covariate_count`` group-level covariates of one kind.
 
-    ``cdfs`` holds each group's category CDF and ``by_period`` the period-major
+    ``tables`` holds each group's category table and ``by_period`` the period-major
     conditional-mean table, as :func:`simulate_panel` builds them once per study.
 
     suitable: per covariate m, the mean of sin(c_m * Y) over individuals
@@ -461,21 +506,21 @@ def _make_covariates(
     Any ``kind`` other than "suitable" is unsuitable.
     """
     count = cfg.covariate_count
-    values = np.empty((len(cdfs), count))
+    values = np.empty((len(tables), count))
     labels = []
     for m in range(1, count + 1):
         if kind == "suitable":
             t_star = int(rng.integers(1, cfg.T0 + 1))
             c_m = SIN_LADDER_MAX * m / count
             labels.append(f"sin{m}_t{t_star}")
-            for j, cdf in enumerate(cdfs):
-                y = _draw(rng, cdf, by_period[t_star - 1], cfg.N_per_group, cfg.noise_sd)
+            for j, table in enumerate(tables):
+                y = _draw(rng, table, by_period[t_star - 1], cfg.N_per_group, cfg.noise_sd)
                 values[j, m - 1] = np.sin(c_m * y).mean()
         else:
             codes = rng.permutation(cfg.K)
             labels.append(f"code{m}")
-            for j, cdf in enumerate(cdfs):
-                values[j, m - 1] = _draw(rng, cdf, codes, cfg.N_per_group).mean()
+            for j, table in enumerate(tables):
+                values[j, m - 1] = _draw(rng, table, codes, cfg.N_per_group).mean()
     return AuxMatrix(values=values, covariate_labels=tuple(labels))
 
 

@@ -486,12 +486,21 @@ def aggregate_divisions(panel: PanelData, grouping_path=None) -> PanelData:
     return aggregate_groups(panel, {**grouping, target: target})
 
 
-def standardize_rows(matrix) -> np.ndarray:
+def standardize_rows(matrix, labels: Sequence[str]) -> np.ndarray:
     """Shift and scale each row to mean 0, unit sample standard deviation.
 
-    Constant rows (and rows of one entry) map to all-zeros.
+    Constant rows (and rows of one entry) map to all-zeros. A row whose mean is
+    finite but whose sample variance overflows has no scale; it raises
+    DataValidationError naming the covariate ``labels`` gives that row.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    means = matrix.mean(axis=1)
     scales = matrix.std(axis=1, ddof=1) if matrix.shape[1] > 1 else np.zeros(matrix.shape[0])
+    overflowed = np.flatnonzero(np.isfinite(means) & ~np.isfinite(scales))
+    if overflowed.size:
+        raise DataValidationError(
+            f"covariate {_shown(labels[overflowed[0]])!r} spreads too widely to standardize: "
+            "its sample variance overflows"
+        )
     scales = np.where(scales > 0, scales, 1.0)
-    return (matrix - matrix.mean(axis=1)[:, None]) / scales[:, None]
+    return (matrix - means[:, None]) / scales[:, None]

@@ -189,6 +189,22 @@ class TestFit:
         assert err == "error: outcomes or covariates too large to fit: the normal equations overflow\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regularizer", ["none", "simplex", "elastic_net"])
+    def test_covariate_whose_spread_overflows_is_data_error(self, tmp_path, capsys, regularizer):
+        # The row's mean is finite, but its squared deviations overflow the sample variance.
+        panel = tmp_path / "panel.csv"
+        levels = {"tgt": 1.0, "a": 2.0, "b": 0.5, "c": 1.5}
+        write_panel_csv(panel, list(levels), range(1, 9), lambda g, t: levels[g] + 0.1 * t)
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text("group,u,wide\ntgt,1,1e200\na,2,-1e200\nb,3,0\nc,4,1\n")
+        out = tmp_path / "run"
+        assert run(["fit", "--panel", panel, "--target", "tgt", "--t0", 6, "--covariates", covariates,
+                    "--regularizer", regularizer, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: covariate 'wide' spreads too widely to standardize: its sample variance overflows\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("byte_order_mark", ["", "\ufeff"], ids=["plain", "bom"])
     def test_config_file_and_unknown_key(self, tmp_path, blend_panel, byte_order_mark):
         good = tmp_path / "cfg.json"

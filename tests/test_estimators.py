@@ -389,6 +389,15 @@ class TestFiniteSystem:
         assert str(caught.value) == "outcomes or covariates too large to fit: the normal equations overflow"
 
 
+    @pytest.mark.parametrize("regularizer", ["none", "ridge", "elastic_net", "simplex"])
+    def test_covariate_whose_spread_overflows_is_rejected(self, toy_panel, regularizer):
+        # Finite mean; the squared deviations overflow, so the row has no scale.
+        aux = AuxMatrix(values=np.array([[1.0, 1e200], [2.0, -1e200], [3.0, 0.0], [4.0, 1.0]]),
+                        covariate_labels=("u", "wide"))
+        with pytest.raises(DataValidationError) as caught:
+            fit(toy_panel, toy_panel.donor_indices(), aux, FitConfig(regularizer=regularizer))
+        assert str(caught.value) == "covariate 'wide' spreads too widely to standardize: its sample variance overflows"
+
 class TestPredictAndEffect:
     def test_weighted_combination(self):
         panel = PanelData(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthpanel import (
@@ -15,9 +15,11 @@ from synthpanel import (
     simulate_panel,
 )
 from synthpanel.microsim import (
+    GUIDE_BINS,
     SIN_LADDER_MAX,
     SimulatedStudy,
     _category_cdf,
+    _draw,
     _make_covariates,
     _median,
     _stream,
@@ -257,8 +259,8 @@ class TestCovariates:
         y0 = 1.3
         cfg = small_cfg(noise_sd=0.0, covariate_count=3)
         study = simulate_panel(cfg)
-        cdfs = [_category_cdf(comp) for comp in study.compositions]
-        aux = _make_covariates(cdfs, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5))
+        tables = [_category_cdf(comp) for comp in study.compositions]
+        aux = _make_covariates(tables, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5))
         for m in range(1, 4):
             c_m = SIN_LADDER_MAX * m / 3
             assert np.allclose(aux.values[:, m - 1], np.sin(c_m * y0), atol=1e-12)
@@ -271,8 +273,8 @@ class TestCovariates:
         probs[k_star] = 1.0
         compositions = tuple(GroupComposition(probs) for _ in range(6))
         seed_key = (13, 8)
-        cdfs = [_category_cdf(comp) for comp in compositions]
-        aux = _make_covariates(cdfs, study.functions.conditional_mean.T, cfg, "unsuitable", _stream(*seed_key))
+        tables = [_category_cdf(comp) for comp in compositions]
+        aux = _make_covariates(tables, study.functions.conditional_mean.T, cfg, "unsuitable", _stream(*seed_key))
         codes = _stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
 
@@ -438,6 +440,94 @@ class TestDrawPathByteIdentity:
         y = np.array(values)
         got, want = _median(y.copy()), np.median(y)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose next uniforms are ``u``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def below(x):
+    return float(np.nextafter(x, 0.0))
+
+
+def above(x):
+    return float(np.nextafter(x, 2.0))
+
+
+BIN_EDGES = np.arange(GUIDE_BINS) / GUIDE_BINS
+
+
+class TestGuideTable:
+    """The guide-table lookup in _draw gives ``cdf.searchsorted(u, side="right")`` for every uniform."""
+
+    @staticmethod
+    def assert_lookup_exact(table, seed=0):
+        cdf = table.cdf
+        near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+        u = np.concatenate([
+            [0.0, below(1.0)],
+            BIN_EDGES,
+            np.nextafter(BIN_EDGES[1:], 0.0),
+            near[(near >= 0.0) & (near < 1.0)],
+            np.random.default_rng(seed).random(2000),
+        ])
+        got = _draw(FixedUniforms(u), table, np.arange(cdf.size, dtype=float), u.size)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize(
+        "cdf",
+        [
+            [0.25, 0.5, 1.0],  # every edge on a bin boundary
+            [below(0.5), 0.5, above(0.5), below(0.75), 0.75, above(0.75), 1.0],
+            [1 / GUIDE_BINS, above(1 / GUIDE_BINS), 3 / GUIDE_BINS, above(3 / GUIDE_BINS), below(5 / GUIDE_BINS),
+             5 / GUIDE_BINS, 1.0],
+            [below(4095 / GUIDE_BINS), 4095 / GUIDE_BINS, above(4095 / GUIDE_BINS), 1.0],
+            [0.0, 0.0, 0.5, 0.5, 1.0, 1.0],  # leading, interior and trailing zero-probability categories
+            [1.0],  # K = 1
+        ],
+    )
+    def test_exact_at_chosen_edges(self, cdf):
+        table = _category_cdf(GroupComposition(np.diff(cdf, prepend=0.0)))
+        assert np.array_equal(table.cdf, cdf)  # the edges under test are the table's own
+        self.assert_lookup_exact(table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(lambda b, step: float(np.nextafter(b / GUIDE_BINS, b / GUIDE_BINS + step)),
+                      st.integers(1, GUIDE_BINS - 1), st.sampled_from([-1, 0, 1]))
+            | st.floats(0.0, 1.0)
+            | st.sampled_from([0.0, 1.0]),
+            max_size=30,
+        )
+    )
+    @example([])
+    def test_exact_for_any_cdf(self, edges):
+        cdf = np.array(sorted(edges) + [1.0])
+        self.assert_lookup_exact(_category_cdf(GroupComposition(np.diff(cdf, prepend=0.0))))
+
+    @pytest.mark.parametrize("k", [GUIDE_BINS + 1, 3 * GUIDE_BINS])
+    def test_exact_with_more_categories_than_bins(self, k):
+        rng = np.random.default_rng(k)
+        probs = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8)
+        table = _category_cdf(GroupComposition(probs / probs.sum()))
+        assert table.mixed.any()
+        self.assert_lookup_exact(table, seed=k)
+
+    def test_criterion_4_study_searches_at_most_k_minus_one_bins(self):
+        # The fast path holds: a table that marked every bin mixed would still be exact, only slow.
+        cfg = SimConfig(S_cardinality=5, T=20, T0=15, seed=42, N_per_group=2000, ramp_scale=0.0)
+        for seed in range(cfg.seed, cfg.seed + 20):
+            compositions, _ = sample_compositions(cfg, _stream(seed, 0))
+            for comp in compositions:
+                assert _category_cdf(comp).mixed.sum() <= cfg.K - 1
 
 
 class TestValidation:

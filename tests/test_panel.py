@@ -472,12 +472,17 @@ class TestAggregateDivisions:
 
 class TestStandardize:
     def test_basic_row(self):
-        z = standardize_rows([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        z = standardize_rows([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], ("u", "v"))
         assert np.allclose(z, [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
 
     def test_constant_row(self):
-        z = standardize_rows([[5.0, 5.0, 5.0]])
+        z = standardize_rows([[5.0, 5.0, 5.0]], ("u",))
         assert np.array_equal(z, [[0.0, 0.0, 0.0]])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_row_whose_variance_overflows_is_refused(self):
+        with pytest.raises(DataValidationError, match="^covariate 'wide' spreads too widely"):
+            standardize_rows([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]], ("u", "wide"))
 
 
 class TestAuxCsv:
