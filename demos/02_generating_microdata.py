@@ -3,7 +3,9 @@
 Every study draws group compositions over K cause categories, a family of
 nonlinear time-varying conditional means, and then whole populations of
 individuals whose averages form the observed panel. The study object
-keeps the truth, so expected outcomes are always available noiselessly.
+keeps the truth as two matrices, the (groups x K) compositions and the
+K x T conditional means, so expected outcomes are always available
+noiselessly, as their product.
 """
 
 import numpy as np
@@ -23,15 +25,14 @@ study = simulate_panel(cfg)
 print("panel shape:", study.panel.outcomes.shape, "groups:", study.panel.group_labels)
 print("differing categories:", sorted(study.true_S))
 
-stacked = np.array([c.probs for c in study.compositions])
 print("\ncompositions (rows = groups, cols = categories):")
-print(np.round(stacked, 3))
+print(np.round(study.compositions, 3))
 print("note: columns outside the differing set are identical across groups")
 
 # The realized cell is the average over N sampled individuals; it hugs the
 # noiseless expectation within sampling error ~ sd/sqrt(N).
 print("\nrealized vs expected outcome, target group:")
-expected = expected_outcome(study.compositions[0], study.functions)
+expected = expected_outcome(study)[0]
 for period in (1, 5, 9, 12):
     realized = study.panel.outcomes[0, period - 1]
     expect = expected[period - 1]

@@ -11,6 +11,7 @@ import numpy as np
 
 from synthpanel import (
     SimConfig,
+    expected_outcome,
     minimal_invariant_set,
     simulate_panel,
     solve_oracle_weights,
@@ -55,10 +56,6 @@ study = simulate_panel(cfg)
 donors = study.panel.donor_indices()
 report = minimal_invariant_set(study.compositions, 0, donors)
 weights = solve_oracle_weights(study.compositions, 0, donors, report.S_indices)
-from synthpanel import expected_outcome
-
-gaps = expected_outcome(study.compositions[0], study.functions) - sum(
-    b * expected_outcome(study.compositions[j], study.functions)
-    for j, b in zip(weights.donor_indices, weights.beta)
-)
+expected = expected_outcome(study)
+gaps = expected[0] - weights.beta @ expected[list(weights.donor_indices)]
 print("max |gap| over t = 1..20:", f"{np.abs(gaps).max():.2e}")

@@ -5,9 +5,10 @@ Three layers:
 * ``panel`` / ``estimators`` — validated panel data and synthetic-control
   weight fitting (least squares, ridge, elastic net, or simplex).
 * ``microsim`` / ``identification`` — an individual-level generator whose
-  studies carry exact compositions and conditional means, and the oracle
+  studies carry their ground truth as two read-only matrices, the
+  (groups x K) compositions and the K x T conditional means, and the oracle
   that decides when a single weight vector reproduces the target's
-  expected outcome at every period.
+  expected outcome (their product) at every period.
 * ``evaluation`` / ``cli`` — seeded replication sweeps and the command
   line front end.
 """
@@ -37,8 +38,6 @@ from .identification import (
     verify_identification,
 )
 from .microsim import (
-    GroupComposition,
-    OutcomeFunctionFamily,
     SimConfig,
     SimulatedStudy,
     expected_outcome,

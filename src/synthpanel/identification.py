@@ -1,6 +1,7 @@
 """Identification oracle over ground-truth compositions.
 
-Given the true category distributions of the target and a donor set, this
+Given the true category distributions of the target and a donor set, rows
+of a (groups x K) matrix such as ``SimulatedStudy.compositions``, this
 module extracts the set of categories on which they differ, checks the
 two identifying conditions (enough donors; donor support covers the
 target's), and solves the linear system whose solution is a single weight
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .microsim import GroupComposition, SimulatedStudy
+from .microsim import SimulatedStudy, expected_outcome
 from .panel import check_donors, frozen_array
 
 __all__ = [
@@ -74,28 +75,28 @@ def _check_tolerance(tol: float) -> None:
         raise UsageError(f"tolerance must be finite and positive, got {tol!r}")
 
 
-def _validate_selection(
-    compositions: Sequence[GroupComposition], target: int, donors: Sequence[int]
-) -> list[int]:
-    donors = check_donors(donors, target, len(compositions))
-    k = compositions[0].n_categories
-    for comp in compositions:
-        if comp.n_categories != k:
-            raise UsageError("compositions disagree on the number of categories")
-    return donors
+def _validate_selection(compositions, target: int, donors: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The compositions as a C-ordered (groups x K) matrix, so that results do not depend on the
+    input's layout, and the donor indices once they are valid."""
+    try:
+        compositions = np.ascontiguousarray(compositions, dtype=float)
+        if compositions.ndim != 2:
+            raise ValueError
+    except (TypeError, ValueError):  # ragged rows too
+        raise UsageError("compositions must be a (group x category) matrix") from None
+    return compositions, check_donors(donors, target, len(compositions))
 
 
 def minimal_invariant_set(
-    compositions: Sequence[GroupComposition],
+    compositions,
     target: int,
     donors: Sequence[int],
     tol: float = 1e-9,
 ) -> InvariantSetReport:
     """Categories where any selected group deviates from the target by > tol."""
     _check_tolerance(tol)
-    donors = _validate_selection(compositions, target, donors)
-    target_probs = compositions[target].probs
-    donor_probs = np.array([compositions[j].probs for j in donors])
+    compositions, donors = _validate_selection(compositions, target, donors)
+    target_probs, donor_probs = compositions[target], compositions[donors]
     gaps = np.abs(donor_probs - target_probs).max(axis=0)
     s_indices = tuple(int(i) for i in np.nonzero(gaps > tol)[0])
     a4 = all(
@@ -112,7 +113,7 @@ def minimal_invariant_set(
 
 
 def solve_oracle_weights(
-    compositions: Sequence[GroupComposition],
+    compositions,
     target: int,
     donors: Sequence[int],
     S: Sequence[int],
@@ -125,16 +126,16 @@ def solve_oracle_weights(
     ``exists`` is False when the residual exceeds ``tol``.
     """
     _check_tolerance(tol)
-    donors = _validate_selection(compositions, target, donors)
+    compositions, donors = _validate_selection(compositions, target, donors)
     s = sorted(int(i) for i in S)
-    if any(not 0 <= i < compositions[0].n_categories for i in s):
+    if any(not 0 <= i < compositions.shape[1] for i in s):
         raise UsageError("category index out of range in S")
     if not s:
         beta = np.zeros(len(donors))
         beta[0] = 1.0
         return OracleWeights(donor_indices=tuple(donors), beta=beta, residual_norm=0.0, exists=True)
-    matrix = np.array([[compositions[j].probs[i] for j in donors] for i in s])
-    rhs = np.array([compositions[target].probs[i] for i in s])
+    matrix = compositions.T[np.ix_(s, donors)]  # C-ordered, as the residual's bits depend on it
+    rhs = compositions[target, s]
     beta = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
     residual = float(np.linalg.norm(matrix @ beta - rhs))
     return OracleWeights(
@@ -150,8 +151,6 @@ def verify_identification(study: SimulatedStudy, weights: OracleWeights, tol: fl
     ``tol``.
     """
     _check_tolerance(tol)
-    groups = [study.panel.target_index, *weights.donor_indices]
-    # One product gives every period of expected_outcome for every group.
-    expected = np.array([study.compositions[j].probs for j in groups]) @ study.functions.conditional_mean
-    gaps = expected[0] - weights.beta @ expected[1:]
+    expected = expected_outcome(study)
+    gaps = expected[study.panel.target_index] - weights.beta @ expected[list(weights.donor_indices)]
     return bool(np.all(np.abs(gaps) <= tol))

@@ -3,10 +3,9 @@
 Groups are distributions over K cause categories; an individual's outcome
 is a nonlinear, time-varying function of their category plus Gaussian
 noise; the panel cell is the mean (or median) over fresh individuals drawn
-each period. Because the generator keeps its compositions and conditional
-means, every study carries its own noiseless oracle:
-:func:`expected_outcome` gives a group's expected control outcome at every
-period at once, as its composition times the conditional-mean table.
+each period. A study keeps its ground truth as two read-only matrices, the
+(groups x K) compositions and the K x T conditional means, so it carries
+its own noiseless oracle: :func:`expected_outcome`, their product.
 
 Randomness is organized as independent child streams of the master seed:
 one stream for group compositions and outcome functions, one per
@@ -45,8 +44,6 @@ from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, frozen_array,
 from .panel import to_csv, write_json
 
 __all__ = [
-    "GroupComposition",
-    "OutcomeFunctionFamily",
     "SimConfig",
     "SimulatedStudy",
     "simulate_panel",
@@ -105,46 +102,6 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise UsageError(f"{name} must be a finite nonnegative number, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class GroupComposition:
-    """Probability vector over the K cause categories for one group."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = frozen_array(self.probs, "the composition")
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1:
-            raise DataValidationError("composition must be a 1-D probability vector")
-        if probs.min() < 0:
-            raise DataValidationError("composition entries must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise DataValidationError(f"composition sums to {probs.sum()!r}, not 1")
-
-    @property
-    def n_categories(self) -> int:
-        return self.probs.size
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeFunctionFamily:
-    """Conditional outcome means per (category, period).
-
-    ``conditional_mean[k, t-1]`` is the expected control outcome of an
-    individual in category ``k`` at period ``t``. Neither the individual
-    noise nor the intervention's shift is part of the family: they are
-    ``SimConfig.noise_sd`` and ``SimConfig.post_intervention_shift``.
-    """
-
-    conditional_mean: np.ndarray
-
-    def __post_init__(self):
-        lam = frozen_array(self.conditional_mean, "the conditional-mean table")
-        object.__setattr__(self, "conditional_mean", lam)
-        if lam.ndim != 2:
-            raise DataValidationError("conditional_mean must be a (category x period) matrix")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """All knobs of one simulated study. The seed is part of the identity:
@@ -201,15 +158,18 @@ class SimConfig:
 class SimulatedStudy:
     """A generated panel together with its hidden ground truth.
 
-    ``compositions`` is ordered target first, matching the panel's groups,
-    each over ``config.K`` categories; ``functions`` is a K x T table.
+    ``compositions`` is the read-only (groups x K) matrix of each group's
+    probabilities over the categories, target row first, as in the panel.
+    ``functions`` is the read-only K x T table of conditional means:
+    ``functions[k, t-1]`` is the expected control outcome of an individual in
+    category ``k`` at period ``t``, without the noise or the shift.
     ``panels`` maps each aggregation the study was reduced by to its panel;
     it always holds ``panel`` under ``config.aggregation``.
     """
 
     panel: PanelData
-    compositions: tuple[GroupComposition, ...]
-    functions: OutcomeFunctionFamily
+    compositions: np.ndarray
+    functions: np.ndarray
     true_S: frozenset[int]
     aux_suitable: AuxMatrix
     aux_unsuitable: AuxMatrix
@@ -217,15 +177,20 @@ class SimulatedStudy:
     panels: Mapping[str, PanelData] | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "compositions", tuple(self.compositions))
+        compositions = frozen_array(self.compositions, "the composition matrix")
+        functions = frozen_array(self.functions, "the conditional-mean table")
+        object.__setattr__(self, "compositions", compositions)
+        object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "true_S", frozenset(int(k) for k in self.true_S))
         cfg = self.config
-        if self.functions.conditional_mean.shape != (cfg.K, cfg.T):
+        if functions.shape != (cfg.K, cfg.T):
             raise DataValidationError(f"conditional_mean must be a K x T = {cfg.K} x {cfg.T} table")
-        if len(self.compositions) != cfg.n_groups:
-            raise DataValidationError(f"{len(self.compositions)} compositions for {cfg.n_groups} groups")
-        if any(c.n_categories != cfg.K for c in self.compositions):
-            raise DataValidationError(f"every composition must cover K = {cfg.K} categories")
+        if compositions.shape != (cfg.n_groups, cfg.K):
+            raise DataValidationError(f"compositions must be a groups x K = {cfg.n_groups} x {cfg.K} matrix")
+        if compositions.min() < 0:
+            raise DataValidationError("composition entries must be nonnegative")
+        if np.abs(compositions.sum(axis=1) - 1.0).max() > 1e-12:
+            raise DataValidationError("every composition row must sum to 1")
         panels = dict(self.panels or {})
         if panels.setdefault(cfg.aggregation, self.panel) is not self.panel:
             raise DataValidationError(f"panels[{cfg.aggregation!r}] must be the study panel")
@@ -241,10 +206,8 @@ class SimulatedStudy:
             )
 
 
-def sample_compositions(
-    cfg: SimConfig, rng: np.random.Generator
-) -> tuple[tuple[GroupComposition, ...], frozenset[int]]:
-    """Draw one composition per group (target first) and the differing set.
+def sample_compositions(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, frozenset[int]]:
+    """Draw the (groups x K) composition matrix, target row first, and the differing set.
 
     invariant_split: the differing categories are chosen up front and get
     an independent Dirichlet(1,..,1) sub-distribution per group; all other
@@ -259,13 +222,12 @@ def sample_compositions(
     differing set is computed from the sampled vectors, not imposed.
     """
     k, s_card, n_groups = cfg.K, cfg.S_cardinality, cfg.n_groups
+    compositions = np.zeros((n_groups, k))
     if cfg.composition_mode == "invariant_split":
         true_s = np.sort(rng.choice(k, size=s_card, replace=False)) if s_card else np.array([], int)
         complement = np.setdiff1d(np.arange(k), true_s)
         shared = rng.dirichlet(np.ones(complement.size)) if complement.size else None
-        compositions = []
-        for _ in range(n_groups):
-            probs = np.zeros(k)
+        for probs in compositions:
             if s_card == 0:
                 probs[complement] = shared
             elif complement.size == 0:
@@ -273,12 +235,10 @@ def sample_compositions(
             else:
                 probs[complement] = INVARIANT_MASS * shared
                 probs[true_s] = (1.0 - INVARIANT_MASS) * rng.dirichlet(np.full(s_card, DIRICHLET_ALPHA))
-            compositions.append(GroupComposition(probs))
-        return tuple(compositions), frozenset(int(i) for i in true_s)
+        return compositions, frozenset(int(i) for i in true_s)
 
     p_keep = 1.0 - s_card / k
-    compositions = []
-    for _ in range(n_groups):
+    for probs in compositions:
         if p_keep == 0.0:
             mask = np.zeros(k, dtype=bool)
             mask[rng.integers(k)] = True
@@ -286,12 +246,9 @@ def sample_compositions(
             mask = rng.binomial(1, p_keep, k).astype(bool)
             while not mask.any():
                 mask = rng.binomial(1, p_keep, k).astype(bool)
-        probs = np.zeros(k)
         probs[mask] = rng.dirichlet(np.ones(int(mask.sum())))
-        compositions.append(GroupComposition(probs))
-    stacked = np.array([c.probs for c in compositions])
-    gaps = np.abs(stacked - stacked[0]).max(axis=0)
-    return tuple(compositions), frozenset(int(i) for i in np.nonzero(gaps > 1e-9)[0])
+    gaps = np.abs(compositions - compositions[0]).max(axis=0)
+    return compositions, frozenset(int(i) for i in np.nonzero(gaps > 1e-9)[0])
 
 
 def conditional_mean_default(
@@ -299,8 +256,8 @@ def conditional_mean_default(
     T: int,
     rng: np.random.Generator,
     ramp_scale: float = 1.0,
-) -> OutcomeFunctionFamily:
-    """Smooth nonlinear time-varying conditional means, without noise.
+) -> np.ndarray:
+    """The read-only K x T table of smooth nonlinear time-varying conditional means, without noise.
 
     Each category curve is a random loading combination of a shared basis:
     level, log trend, a few sinusoids, and a late-rising ramp (see the
@@ -318,7 +275,7 @@ def conditional_mean_default(
     level = rng.uniform(*LEVEL_RANGE, K)
     trend = rng.uniform(*TREND_RANGE, K)
     osc_loadings = rng.uniform(*OSC_LOADING_RANGE, (K, N_OSCILLATIONS))
-    # A table that overflows is rejected by OutcomeFunctionFamily's finiteness check.
+    # A table that overflows is rejected by frozen_array's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
         ramp_loadings = ramp_scale * rng.uniform(*RAMP_LOADING_RANGE, K)
         lam = (
@@ -327,14 +284,12 @@ def conditional_mean_default(
             + osc_loadings @ oscillations
             + ramp_loadings[:, None] * (t / T) ** RAMP_POWER
         )
-    return OutcomeFunctionFamily(lam)
+    return frozen_array(lam, "the conditional-mean table")
 
 
-def expected_outcome(composition: GroupComposition, functions: OutcomeFunctionFamily) -> np.ndarray:
-    """Noiseless expected control outcome at every period: entry t-1 is period t."""
-    if composition.n_categories != functions.conditional_mean.shape[0]:
-        raise UsageError("composition and outcome family disagree on K")
-    return composition.probs @ functions.conditional_mean
+def expected_outcome(study: SimulatedStudy) -> np.ndarray:
+    """Noiseless (groups x T) expected control outcomes: entry ``[j, t-1]`` is group j at period t."""
+    return study.compositions @ study.functions
 
 
 class _CategoryTable(NamedTuple):
@@ -350,8 +305,8 @@ class _CategoryTable(NamedTuple):
     mixed: np.ndarray
 
 
-def _category_cdf(composition: GroupComposition) -> _CategoryTable:
-    """Cumulative table of a composition, built as Generator.choice builds it, and its guide table.
+def _category_cdf(probs: np.ndarray) -> _CategoryTable:
+    """Cumulative table of a composition row, built as Generator.choice builds it, and its guide table.
 
     ``choice`` gives the uniform u the category ``cdf.searchsorted(u, side="right")``,
     the count of CDF entries at or below u. That count never falls as u grows,
@@ -359,7 +314,7 @@ def _category_cdf(composition: GroupComposition) -> _CategoryTable:
     the bin. A bin is mixed only if a CDF entry lies strictly inside it, and
     the last entry is 1.0, so at most K - 1 bins are.
     """
-    cdf = composition.probs.cumsum()
+    cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS  # exact: GUIDE_BINS is a power of two
     start = cdf.searchsorted(edges[:-1], side="right")
@@ -379,7 +334,7 @@ def _draw(
     """``values`` at the categories of n fresh individuals, plus noise and shift.
 
     ``rng.choice(K, size=n, p=probs)`` computes ``cdf.searchsorted(rng.random(n),
-    side="right")`` once it has validated ``probs`` (GroupComposition checks
+    side="right")`` once it has validated ``probs`` (SimulatedStudy checks
     them more strictly). Each uniform u here takes ``table.start`` at its bin
     ``int(u * GUIDE_BINS)``, which is that search's answer unless the bin is
     mixed, and the uniforms in mixed bins are searched. So the stream is
@@ -445,8 +400,8 @@ def simulate_panel(
     functions = conditional_mean_default(cfg.K, cfg.T, rng, ramp_scale=cfg.ramp_scale)
 
     outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
-    tables = [_category_cdf(comp) for comp in compositions]
-    by_period = np.ascontiguousarray(functions.conditional_mean.T)
+    tables = [_category_cdf(probs) for probs in compositions]
+    by_period = np.ascontiguousarray(functions.T)
     # A cell that overflows is rejected by the panel's finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for j, table in enumerate(tables):
@@ -533,8 +488,8 @@ def write_study_bundle(study: SimulatedStudy, outdir) -> None:
     aux_to_csv(study.aux_unsuitable, study.panel.group_labels, outdir / "covariates_unsuitable.csv")
     truth = {
         "group_labels": study.panel.group_labels,
-        "compositions": [c.probs for c in study.compositions],
-        "conditional_mean": study.functions.conditional_mean,
+        "compositions": study.compositions,
+        "conditional_mean": study.functions,
         "true_S": sorted(study.true_S),
         "config": study.config,
     }
@@ -566,8 +521,7 @@ def load_study_bundle(indir) -> SimulatedStudy:
         labels = truth["group_labels"]  # target first
         if not (isinstance(labels, list) and labels and all(isinstance(label, str) for label in labels)):
             raise TypeError("group_labels must be a nonempty list of strings")
-        compositions = tuple(GroupComposition(np.array(p)) for p in truth["compositions"])
-        functions = OutcomeFunctionFamily(np.array(truth["conditional_mean"]))
+        compositions, functions = truth["compositions"], truth["conditional_mean"]
         true_s = frozenset(int(k) for k in truth["true_S"])
     try:
         panel = from_csv(panel_path, target=labels[0], intervention_time=cfg.T0)

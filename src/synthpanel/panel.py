@@ -489,18 +489,18 @@ def aggregate_divisions(panel: PanelData, grouping_path=None) -> PanelData:
 def standardize_rows(matrix, labels: Sequence[str]) -> np.ndarray:
     """Shift and scale each row to mean 0, unit sample standard deviation.
 
-    Constant rows (and rows of one entry) map to all-zeros. A row whose mean is
-    finite but whose sample variance overflows has no scale; it raises
+    Constant rows (and rows of one entry) map to all-zeros. A row whose mean or
+    sample standard deviation overflows has no shift or scale; it raises
     DataValidationError naming the covariate ``labels`` gives that row.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     means = matrix.mean(axis=1)
     scales = matrix.std(axis=1, ddof=1) if matrix.shape[1] > 1 else np.zeros(matrix.shape[0])
-    overflowed = np.flatnonzero(np.isfinite(means) & ~np.isfinite(scales))
+    overflowed = np.flatnonzero(~(np.isfinite(means) & np.isfinite(scales)))
     if overflowed.size:
         raise DataValidationError(
-            f"covariate {_shown(labels[overflowed[0]])!r} spreads too widely to standardize: "
-            "its sample variance overflows"
+            f"covariate {_shown(labels[overflowed[0]])!r} is too large to standardize: "
+            "its mean or sample variance overflows"
         )
     scales = np.where(scales > 0, scales, 1.0)
     return (matrix - means[:, None]) / scales[:, None]

@@ -186,7 +186,7 @@ class TestFit:
         assert run(["fit", "--panel", panel, "--target", "tgt", "--t0", 6, "--covariates", covariates,
                     "--regularizer", regularizer, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err == "error: outcomes or covariates too large to fit: the normal equations overflow\n"
+        assert err == "error: covariate 'u' is too large to standardize: its mean or sample variance overflows\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -202,7 +202,7 @@ class TestFit:
         assert run(["fit", "--panel", panel, "--target", "tgt", "--t0", 6, "--covariates", covariates,
                     "--regularizer", regularizer, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err == "error: covariate 'wide' spreads too widely to standardize: its sample variance overflows\n"
+        assert err == "error: covariate 'wide' is too large to standardize: its mean or sample variance overflows\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("byte_order_mark", ["", "\ufeff"], ids=["plain", "bom"])
@@ -242,10 +242,15 @@ class TestSimulateDiagnose:
             lambda truth: truth.update(group_labels=[]),
             lambda truth: truth["group_labels"].__setitem__(0, ["target"]),
             lambda truth: truth.update(group_labels="target"),
+            lambda truth: truth["compositions"][0].pop(),
+            lambda truth: truth["compositions"].__setitem__(1, [0.9 * p for p in truth["compositions"][1]]),
+            lambda truth: truth["compositions"].__setitem__(2, [-0.1, 1.1] + [0.0] * 10),
+            lambda truth: truth["compositions"].pop(),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
              "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "no-group-labels",
-             "list-group-label", "string-group-labels"],
+             "list-group-label", "string-group-labels", "ragged-compositions", "composition-sums-to-0.9",
+             "negative-composition", "missing-composition-row"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
         bundle = tmp_path / "b"

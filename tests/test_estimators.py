@@ -386,7 +386,7 @@ class TestFiniteSystem:
         aux = AuxMatrix(values=np.array([[1e308], [1.7e308], [-1.7e308], [1e308]]), covariate_labels=("u",))
         with pytest.raises(DataValidationError) as caught:
             fit(toy_panel, toy_panel.donor_indices(), aux, FitConfig(regularizer=regularizer))
-        assert str(caught.value) == "outcomes or covariates too large to fit: the normal equations overflow"
+        assert str(caught.value) == "covariate 'u' is too large to standardize: its mean or sample variance overflows"
 
 
     @pytest.mark.parametrize("regularizer", ["none", "ridge", "elastic_net", "simplex"])
@@ -396,7 +396,7 @@ class TestFiniteSystem:
                         covariate_labels=("u", "wide"))
         with pytest.raises(DataValidationError) as caught:
             fit(toy_panel, toy_panel.donor_indices(), aux, FitConfig(regularizer=regularizer))
-        assert str(caught.value) == "covariate 'wide' spreads too widely to standardize: its sample variance overflows"
+        assert str(caught.value) == "covariate 'wide' is too large to standardize: its mean or sample variance overflows"
 
 class TestPredictAndEffect:
     def test_weighted_combination(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from synthpanel import (
-    GroupComposition,
     SimConfig,
     UsageError,
     minimal_invariant_set,
@@ -19,7 +18,7 @@ from synthpanel.panel import write_json
 
 
 def comps(*rows):
-    return [GroupComposition(np.array(r)) for r in rows]
+    return np.array(rows)
 
 
 class TestMinimalInvariantSet:
@@ -73,9 +72,12 @@ class TestMinimalInvariantSet:
         assert set(b.S_indices) == {int(np.nonzero(perm == k)[0][0]) for k in a.S_indices}
 
     def test_mismatched_k_rejected(self):
-        groups = [GroupComposition(np.array([0.5, 0.5])), GroupComposition(np.array([1 / 3] * 3))]
-        with pytest.raises(UsageError):
-            minimal_invariant_set(groups, 0, (1,))
+        # Rows over different category counts are no (group x category) matrix; neither is a vector.
+        for groups in ([[0.5, 0.5], [1 / 3] * 3], [0.5, 0.5], [[[0.5, 0.5]], [[0.5, 0.5]]]):
+            with pytest.raises(UsageError, match="matrix"):
+                minimal_invariant_set(groups, 0, (1,))
+            with pytest.raises(UsageError, match="matrix"):
+                solve_oracle_weights(groups, 0, (1,), S=(0,))
 
 
 class TestOracleWeights:
@@ -143,6 +145,17 @@ class TestVerification:
             w = solve_oracle_weights(study.compositions, 0, donors, report.S_indices)
             assert w.exists
             assert verify_identification(study, w, tol=1e-8)
+            # The same compositions in any layout give the same bits, those of the C-ordered system.
+            if report.S_indices:
+                system = np.array([[study.compositions[j, i] for j in donors] for i in report.S_indices])
+                rhs = study.compositions[0, list(report.S_indices)]
+                assert w.residual_norm == float(np.linalg.norm(system @ w.beta - rhs))
+            for layout in (np.asfortranarray(study.compositions), study.compositions.tolist()):
+                again = minimal_invariant_set(layout, 0, donors)
+                assert again.per_category_max_gap.tobytes() == report.per_category_max_gap.tobytes()
+                w_again = solve_oracle_weights(layout, 0, donors, report.S_indices)
+                assert w_again.beta.tobytes() == w.beta.tobytes()
+                assert w_again.residual_norm.hex() == w.residual_norm.hex()
 
     def test_perturbed_weights_fail(self):
         cfg = SimConfig(S_cardinality=4, T=12, T0=9, seed=3, N_per_group=5, covariate_count=0)
@@ -166,7 +179,7 @@ class TestVerification:
         w = OracleWeights(w.donor_indices, w.beta + bump, w.residual_norm, w.exists)
 
         def expected(j, t):
-            probs, lam = study.compositions[j].probs, study.functions.conditional_mean
+            probs, lam = study.compositions[j], study.functions
             return sum(probs[k] * lam[k, t - 1] for k in range(cfg.K))
 
         reference = all(
@@ -197,7 +210,7 @@ class TestOracleWeightsAsEstimator:
 
         cfg = SimConfig(S_cardinality=4, T=14, T0=10, seed=8, N_per_group=5, covariate_count=0)
         study = simulate_panel(cfg)
-        expected = np.array([expected_outcome(c, study.functions) for c in study.compositions])
+        expected = expected_outcome(study)
         panel = PanelData(
             expected, study.panel.group_labels, study.panel.time_labels, 0, cfg.T0
         )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ from hypothesis import strategies as st
 
 from synthpanel import (
     DataValidationError,
-    GroupComposition,
-    OutcomeFunctionFamily,
     SimConfig,
     UsageError,
     expected_outcome,
@@ -39,6 +38,13 @@ def small_cfg(**overrides) -> SimConfig:
     return SimConfig(**base)
 
 
+def with_truth(compositions, functions) -> SimulatedStudy:
+    """A small simulated study whose ground truth is replaced by the given matrices."""
+    (n_groups, k), t = np.shape(compositions), np.shape(functions)[1]
+    cfg = small_cfg(K=k, S_cardinality=0, num_donors=n_groups - 1, T=t, T0=1, N_per_group=2, covariate_count=0)
+    return replace(simulate_panel(cfg), compositions=compositions, functions=functions)
+
+
 class TestCompositions:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), s=st.integers(0, 12),
@@ -46,10 +52,10 @@ class TestCompositions:
     def test_valid_probability_vectors(self, seed, s, mode):
         cfg = small_cfg(S_cardinality=s, composition_mode=mode, seed=seed)
         comps, true_s = sample_compositions(cfg, _stream(seed, 0))
-        assert len(comps) == 6
+        assert comps.shape == (6, 12)
         for c in comps:
-            assert c.probs.min() >= 0.0
-            assert abs(c.probs.sum() - 1.0) <= 1e-12
+            assert c.min() >= 0.0
+            assert abs(c.sum() - 1.0) <= 1e-12
         assert all(0 <= k < 12 for k in true_s)
 
     def test_s_zero_identical(self):
@@ -57,28 +63,27 @@ class TestCompositions:
         comps, true_s = sample_compositions(cfg, _stream(1, 0))
         assert true_s == frozenset()
         for c in comps[1:]:
-            assert np.array_equal(c.probs, comps[0].probs)
+            assert np.array_equal(c, comps[0])
 
     def test_s_full_no_shared_block(self):
         cfg = small_cfg(S_cardinality=12)
         comps, true_s = sample_compositions(cfg, _stream(2, 0))
         assert true_s == frozenset(range(12))
-        gaps = np.abs(comps[1].probs - comps[0].probs)
+        gaps = np.abs(comps[1] - comps[0])
         assert gaps.max() > 0.0
 
     def test_invariant_block_shared_exactly(self):
         cfg = small_cfg(S_cardinality=5)
         comps, true_s = sample_compositions(cfg, _stream(3, 0))
         invariant = sorted(set(range(12)) - true_s)
-        stacked = np.array([c.probs for c in comps])
-        assert np.all(stacked[:, invariant] == stacked[0, invariant])
-        assert np.abs(np.diff(stacked[:, sorted(true_s)], axis=0)).max() > 0.0
+        assert np.all(comps[:, invariant] == comps[0, invariant])
+        assert np.abs(np.diff(comps[:, sorted(true_s)], axis=0)).max() > 0.0
 
     def test_mask_mode_point_masses_at_full_s(self):
         cfg = small_cfg(S_cardinality=12, composition_mode="dirichlet_mask")
         comps, _ = sample_compositions(cfg, _stream(4, 0))
         for c in comps:
-            assert np.sum(c.probs > 0) == 1
+            assert np.sum(c > 0) == 1
 
     def test_s_larger_than_k_rejected(self):
         with pytest.raises(UsageError):
@@ -89,12 +94,12 @@ class TestConditionalMeans:
     def test_deterministic_given_seed(self):
         fam1 = conditional_mean_default(12, 20, _stream(5, 1))
         fam2 = conditional_mean_default(12, 20, _stream(5, 1))
-        assert np.array_equal(fam1.conditional_mean, fam2.conditional_mean)
+        assert np.array_equal(fam1, fam2)
 
     def test_shape_and_finite(self):
         fam = conditional_mean_default(7, 30, _stream(6, 1))
-        assert fam.conditional_mean.shape == (7, 30)
-        assert np.all(np.isfinite(fam.conditional_mean))
+        assert fam.shape == (7, 30)
+        assert np.all(np.isfinite(fam)) and not fam.flags.writeable
 
     def test_not_affine_in_time(self):
         # At least one category must fail an affine least-squares fit.
@@ -103,7 +108,7 @@ class TestConditionalMeans:
         design = np.vstack([np.ones_like(t), t]).T
         worst_r2 = 1.0
         for k in range(12):
-            y = fam.conditional_mean[k]
+            y = fam[k]
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)
             ss_res = ((y - design @ coef) ** 2).sum()
             ss_tot = ((y - y.mean()) ** 2).sum()
@@ -114,48 +119,49 @@ class TestConditionalMeans:
     def test_ramp_scale_zero_removes_late_rise(self):
         fam_on = conditional_mean_default(12, 20, _stream(8, 1), ramp_scale=1.0)
         fam_off = conditional_mean_default(12, 20, _stream(8, 1), ramp_scale=0.0)
-        assert not np.array_equal(fam_on.conditional_mean, fam_off.conditional_mean)
+        assert not np.array_equal(fam_on, fam_off)
 
     def test_constant_family_is_constant(self):
-        fam = OutcomeFunctionFamily(np.full((3, 5), 1.75))
-        assert np.all(fam.conditional_mean == 1.75)
+        study = with_truth(np.full((4, 3), 1 / 3), np.full((3, 5), 1.75))
+        assert np.all(study.functions == 1.75) and not study.functions.flags.writeable
+        assert np.allclose(expected_outcome(study), 1.75, atol=1e-15, rtol=0)
 
 
 class TestExpectedOutcome:
     def test_two_category_average(self):
-        fam = OutcomeFunctionFamily(np.array([[1.0], [2.0]]))
-        comp = GroupComposition(np.array([0.5, 0.5]))
-        assert expected_outcome(comp, fam) == pytest.approx([1.5])
+        study = with_truth([[0.5, 0.5], [0.5, 0.5]], [[1.0, 1.0], [2.0, 2.0]])
+        assert expected_outcome(study) == pytest.approx(np.full((2, 2), 1.5))
 
     def test_point_mass(self):
-        fam = OutcomeFunctionFamily(np.array([[1.0, 4.0], [2.0, 8.0]]))
-        comp = GroupComposition(np.array([0.0, 1.0]))
-        assert expected_outcome(comp, fam) == pytest.approx([2.0, 8.0])
+        study = with_truth([[0.0, 1.0], [1.0, 0.0]], [[1.0, 4.0], [2.0, 8.0]])
+        assert expected_outcome(study) == pytest.approx(np.array([[2.0, 8.0], [1.0, 4.0]]))
 
     def test_mixture_linearity(self):
+        # The paper's linearity: any weighting of the donors' expected outcomes is the
+        # expected outcome of the same weighting of their compositions.
         rng = np.random.default_rng(9)
-        fam = conditional_mean_default(6, 8, rng)
-        p = GroupComposition(rng.dirichlet(np.ones(6)))
-        q = GroupComposition(rng.dirichlet(np.ones(6)))
-        alpha = 0.3
-        mix = GroupComposition(alpha * p.probs + (1 - alpha) * q.probs)
-        blended = alpha * expected_outcome(p, fam) + (1 - alpha) * expected_outcome(q, fam)
-        assert expected_outcome(mix, fam).shape == (8,)
-        assert np.allclose(expected_outcome(mix, fam), blended, atol=1e-12, rtol=0)
+        for mode in ("invariant_split", "dirichlet_mask"):
+            study = simulate_panel(small_cfg(composition_mode=mode, seed=9, T=8, T0=5, N_per_group=5,
+                                             covariate_count=0))
+            donors = list(study.panel.donor_indices())
+            for beta in [rng.dirichlet(np.ones(len(donors))), rng.normal(size=len(donors)), np.eye(len(donors))[2]]:
+                blended = beta @ expected_outcome(study)[donors]
+                mixed = (beta @ study.compositions[donors]) @ study.functions
+                assert blended.shape == (8,)
+                assert np.allclose(blended, mixed, atol=1e-12, rtol=0)
 
     def test_large_n_monte_carlo_limit(self):
         # Noiseless cells converge to the expected outcome as N grows.
         cfg = small_cfg(N_per_group=1_000_000, noise_sd=0.0, T=2, T0=1, covariate_count=0, seed=501)
         study = simulate_panel(cfg)
         got = study.panel.outcomes[0, 0]
-        want = expected_outcome(study.compositions[0], study.functions)[0]
+        want = expected_outcome(study)[0, 0]
         assert abs(got - want) <= 1e-3
 
     def test_category_count_validation(self):
-        fam = OutcomeFunctionFamily(np.ones((2, 3)))
-        comp = GroupComposition(np.array([0.2, 0.3, 0.5]))
-        with pytest.raises(UsageError):
-            expected_outcome(comp, fam)
+        # Compositions over three categories cannot meet a two-category table.
+        with pytest.raises(DataValidationError, match="K x T = 3 x 3"):
+            with_truth(np.full((2, 3), 1 / 3), np.ones((2, 3)))
 
 
 class TestSimulatePanel:
@@ -177,9 +183,9 @@ class TestSimulatePanel:
         study = simulate_panel(cfg)
         j, t = 2, 3
         rng = _stream(cfg.seed, 2, j, t)
-        x = rng.choice(cfg.K, size=cfg.N_per_group, p=study.compositions[j].probs)
+        x = rng.choice(cfg.K, size=cfg.N_per_group, p=study.compositions[j])
         freq = np.bincount(x, minlength=cfg.K) / cfg.N_per_group
-        want = freq @ study.functions.conditional_mean[:, t - 1]
+        want = freq @ study.functions[:, t - 1]
         assert study.panel.outcomes[j, t - 1] == pytest.approx(want, abs=1e-12)
 
     def test_median_aggregation_is_cell_median(self):
@@ -187,8 +193,8 @@ class TestSimulatePanel:
         study = simulate_panel(cfg)
         j, t = 1, 5
         rng = _stream(cfg.seed, 2, j, t)
-        x = rng.choice(cfg.K, size=cfg.N_per_group, p=study.compositions[j].probs)
-        y = study.functions.conditional_mean[x, t - 1] + rng.normal(0.0, cfg.noise_sd, cfg.N_per_group)
+        x = rng.choice(cfg.K, size=cfg.N_per_group, p=study.compositions[j])
+        y = study.functions[x, t - 1] + rng.normal(0.0, cfg.noise_sd, cfg.N_per_group)
         assert study.panel.outcomes[j, t - 1] == pytest.approx(np.median(y), abs=1e-12)
 
     def test_median_of_three(self):
@@ -209,10 +215,10 @@ class TestSimulatePanel:
         for seed in range(100):
             cfg = small_cfg(seed=seed, T=6, T0=4, N_per_group=500, covariate_count=0)
             study = simulate_panel(cfg)
-            lam = study.functions.conditional_mean
+            lam = study.functions
             for j, comp in enumerate(study.compositions):
-                mean_lam = comp.probs @ lam
-                var_lam = comp.probs @ (lam - mean_lam) ** 2
+                mean_lam = comp @ lam
+                var_lam = comp @ (lam - mean_lam) ** 2
                 cell_sd = np.sqrt((var_lam + cfg.noise_sd**2) / cfg.N_per_group)
                 gaps = np.abs(study.panel.outcomes[j] - mean_lam)
                 total += gaps.size
@@ -222,7 +228,7 @@ class TestSimulatePanel:
     def test_median_channel_nonlinearity_witness(self):
         # A mixture whose cell median differs from the mixed cell medians by
         # far more than sampling noise allows.
-        fam = OutcomeFunctionFamily(np.array([[0.0], [10.0]]))
+        lam = np.array([[0.0], [10.0]])
         p = np.array([0.8, 0.2])
         q = np.array([0.2, 0.8])
         alpha = 0.3
@@ -232,7 +238,7 @@ class TestSimulatePanel:
 
         def cell_median(probs):
             x = rng.choice(2, size=n, p=probs)
-            return np.median(fam.conditional_mean[x, 0] + rng.normal(0, 1, n))
+            return np.median(lam[x, 0] + rng.normal(0, 1, n))
 
         blend_of_medians = alpha * cell_median(p) + (1 - alpha) * cell_median(q)
         median_of_blend = cell_median(mix)
@@ -246,7 +252,6 @@ class TestCovariates:
         for seed in range(25):
             cfg = small_cfg(S_cardinality=0, seed=seed, N_per_group=400, covariate_count=2)
             study = simulate_panel(cfg)
-            lam = study.functions.conditional_mean
             for m in range(2):
                 # Conservative per-group sampling SE for a bounded sine average.
                 se = 1.0 / np.sqrt(cfg.N_per_group)
@@ -271,10 +276,9 @@ class TestCovariates:
         k_star = 4
         probs = np.zeros(cfg.K)
         probs[k_star] = 1.0
-        compositions = tuple(GroupComposition(probs) for _ in range(6))
         seed_key = (13, 8)
-        tables = [_category_cdf(comp) for comp in compositions]
-        aux = _make_covariates(tables, study.functions.conditional_mean.T, cfg, "unsuitable", _stream(*seed_key))
+        tables = [_category_cdf(probs) for _ in range(6)]
+        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", _stream(*seed_key))
         codes = _stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
 
@@ -286,11 +290,8 @@ class TestBundleIO:
         back = load_study_bundle(tmp_path)
         assert np.array_equal(back.panel.outcomes, study.panel.outcomes)
         assert back.panel.group_labels == study.panel.group_labels
-        assert np.array_equal(
-            np.array([c.probs for c in back.compositions]),
-            np.array([c.probs for c in study.compositions]),
-        )
-        assert np.array_equal(back.functions.conditional_mean, study.functions.conditional_mean)
+        assert np.array_equal(back.compositions, study.compositions)
+        assert np.array_equal(back.functions, study.functions)
         assert back.true_S == study.true_S
         assert np.array_equal(back.aux_suitable.values, study.aux_suitable.values)
         assert back.config == study.config
@@ -320,9 +321,9 @@ class TestStudyInvariants:
     @pytest.mark.parametrize(
         "change",
         [
-            lambda study: {"functions": OutcomeFunctionFamily(study.functions.conditional_mean[:, :-1])},
+            lambda study: {"functions": study.functions[:, :-1]},
             lambda study: {"compositions": study.compositions[:-1]},
-            lambda study: {"compositions": (GroupComposition(np.full(4, 0.25)),) + study.compositions[1:]},
+            lambda study: {"compositions": np.full((study.config.n_groups, 4), 0.25)},
         ],
         ids=["short-table", "composition-count", "composition-length"],
     )
@@ -341,10 +342,10 @@ class TestStudyInvariants:
             SimulatedStudy(**{**fields, **change(study)})
 
     def test_composition_validation(self):
-        with pytest.raises(DataValidationError):
-            GroupComposition(np.array([0.6, 0.6]))
-        with pytest.raises(DataValidationError):
-            GroupComposition(np.array([-0.1, 1.1]))
+        with pytest.raises(DataValidationError, match="sum to 1"):
+            with_truth([[0.5, 0.5], [0.6, 0.6]], np.ones((2, 2)))
+        with pytest.raises(DataValidationError, match="nonnegative"):
+            with_truth([[0.5, 0.5], [-0.1, 1.1]], np.ones((2, 2)))
 
 
 def choice_sampler(study: SimulatedStudy) -> dict:
@@ -356,7 +357,7 @@ def choice_sampler(study: SimulatedStudy) -> dict:
     including a numpy release that changes ``choice``, shows up as a
     mismatch against it.
     """
-    cfg, lam = study.config, study.functions.conditional_mean
+    cfg, lam = study.config, study.functions
     n, sd = cfg.N_per_group, cfg.noise_sd
 
     def cell(rng, probs, t, shift):
@@ -372,7 +373,7 @@ def choice_sampler(study: SimulatedStudy) -> dict:
     for j, comp in enumerate(study.compositions):
         for t in range(1, cfg.T + 1):
             shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
-            y = cell(_stream(cfg.seed, 2, j, t), comp.probs, t, shift)
+            y = cell(_stream(cfg.seed, 2, j, t), comp, t, shift)
             panels["mean"][j, t - 1] = np.mean(y)
             panels["median"][j, t - 1] = np.median(y)
 
@@ -382,13 +383,13 @@ def choice_sampler(study: SimulatedStudy) -> dict:
     for m in range(1, count + 1):
         t_star = int(rng.integers(1, cfg.T0 + 1))
         for j, comp in enumerate(study.compositions):
-            suitable[j, m - 1] = np.sin(SIN_LADDER_MAX * m / count * cell(rng, comp.probs, t_star, 0.0)).mean()
+            suitable[j, m - 1] = np.sin(SIN_LADDER_MAX * m / count * cell(rng, comp, t_star, 0.0)).mean()
     unsuitable = np.empty((cfg.n_groups, count))
     rng = _stream(cfg.seed, 4)
     for m in range(1, count + 1):
         codes = rng.permutation(cfg.K)
         for j, comp in enumerate(study.compositions):
-            unsuitable[j, m - 1] = codes[rng.choice(cfg.K, size=n, p=comp.probs)].mean()
+            unsuitable[j, m - 1] = codes[rng.choice(cfg.K, size=n, p=comp)].mean()
     return {**panels, "suitable": suitable, "unsuitable": unsuitable}
 
 
@@ -413,7 +414,7 @@ class TestDrawPathByteIdentity:
         study = simulate_panel(cfg, aggregations=("mean", "median"))
         want = choice_sampler(study)
         if cfg.composition_mode == "dirichlet_mask":
-            assert any((c.probs == 0).any() for c in study.compositions)
+            assert (study.compositions == 0).any()
         for name in ("mean", "median"):
             assert np.array_equal(study.panels[name].outcomes, want[name]), name
         assert np.array_equal(study.panel.outcomes, want[aggregation])
@@ -494,7 +495,7 @@ class TestGuideTable:
         ],
     )
     def test_exact_at_chosen_edges(self, cdf):
-        table = _category_cdf(GroupComposition(np.diff(cdf, prepend=0.0)))
+        table = _category_cdf(np.diff(cdf, prepend=0.0))
         assert np.array_equal(table.cdf, cdf)  # the edges under test are the table's own
         self.assert_lookup_exact(table)
 
@@ -511,13 +512,13 @@ class TestGuideTable:
     @example([])
     def test_exact_for_any_cdf(self, edges):
         cdf = np.array(sorted(edges) + [1.0])
-        self.assert_lookup_exact(_category_cdf(GroupComposition(np.diff(cdf, prepend=0.0))))
+        self.assert_lookup_exact(_category_cdf(np.diff(cdf, prepend=0.0)))
 
     @pytest.mark.parametrize("k", [GUIDE_BINS + 1, 3 * GUIDE_BINS])
     def test_exact_with_more_categories_than_bins(self, k):
         rng = np.random.default_rng(k)
         probs = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8)
-        table = _category_cdf(GroupComposition(probs / probs.sum()))
+        table = _category_cdf(probs / probs.sum())
         assert table.mixed.any()
         self.assert_lookup_exact(table, seed=k)
 

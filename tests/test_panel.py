@@ -24,7 +24,7 @@ from synthpanel.cli import main
 from synthpanel.estimators import EffectEstimate, WeightVector
 from synthpanel.evaluation import SplitEvaluation, SweepPoint
 from synthpanel.identification import InvariantSetReport, OracleWeights
-from synthpanel.microsim import GroupComposition, OutcomeFunctionFamily
+from synthpanel.microsim import SimConfig, SimulatedStudy
 from synthpanel.panel import aux_from_csv, aux_to_csv, standardize_rows
 from synthpanel.panel import AuxMatrix
 
@@ -277,9 +277,12 @@ RECORDS = [
     (PanelData, dict(outcomes=np.ones((2, 3)), group_labels=("a", "b"), time_labels=(1, 2, 3), target_index=0,
                      intervention_time=1), {"outcomes": "the outcome matrix"}),
     (AuxMatrix, dict(values=np.ones((2, 1)), covariate_labels=("u",)), {"values": "the covariate matrix"}),
-    (GroupComposition, dict(probs=np.array([0.5, 0.5])), {"probs": "the composition"}),
-    (OutcomeFunctionFamily, dict(conditional_mean=np.ones((2, 3))),
-     {"conditional_mean": "the conditional-mean table"}),
+    (SimulatedStudy, dict(panel=PanelData(np.ones((2, 3)), ("a", "b"), (1, 2, 3), 0, intervention_time=1),
+                          compositions=np.full((2, 2), 0.5), functions=np.ones((2, 3)), true_S=frozenset(),
+                          aux_suitable=AuxMatrix(np.ones((2, 1)), ("u",)),
+                          aux_unsuitable=AuxMatrix(np.ones((2, 1)), ("u",)),
+                          config=SimConfig(S_cardinality=0, T=3, T0=1, seed=0, K=2, num_donors=1)),
+     {"compositions": "the composition matrix", "functions": "the conditional-mean table"}),
     (EffectEstimate, dict(synthetic=np.ones(3), gap=np.zeros(3)),
      {"synthetic": "the synthetic series", "gap": "the gap series"}),
     (WeightVector, dict(donor_indices=(1,), beta=np.ones(1), objective_value=0.5, converged=True,
@@ -481,7 +484,7 @@ class TestStandardize:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_row_whose_variance_overflows_is_refused(self):
-        with pytest.raises(DataValidationError, match="^covariate 'wide' spreads too widely"):
+        with pytest.raises(DataValidationError, match="^covariate 'wide' is too large to standardize"):
             standardize_rows([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]], ("u", "wide"))
 
 
