@@ -7,8 +7,8 @@ Three layers:
 * ``microsim`` / ``identification`` — an individual-level generator whose
   studies carry their ground truth as two read-only matrices, the
   (groups x K) compositions and the K x T conditional means, and the oracle
-  that decides when a single weight vector reproduces the target's
-  expected outcome (their product) at every period.
+  that owns the differing-category set S and decides when one weight vector
+  reproduces the target's expected outcome (their product) at every period.
 * ``evaluation`` / ``cli`` — seeded replication sweeps and the command
   line front end.
 """
@@ -33,6 +33,7 @@ from .evaluation import (
 from .identification import (
     InvariantSetReport,
     OracleWeights,
+    expected_outcome,
     minimal_invariant_set,
     solve_oracle_weights,
     verify_identification,
@@ -40,7 +41,6 @@ from .identification import (
 from .microsim import (
     SimConfig,
     SimulatedStudy,
-    expected_outcome,
     simulate_panel,
 )
 from .panel import (

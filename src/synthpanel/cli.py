@@ -26,7 +26,8 @@ from . import __version__
 from .errors import DataValidationError, UsageError
 from .estimators import REGULARIZERS, FitConfig, estimate_effect, fit
 from .evaluation import EXPERIMENTS, covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
-from .identification import minimal_invariant_set, solve_oracle_weights, verify_identification
+from .identification import INVARIANT_TOL, VERIFY_TOL, minimal_invariant_set, solve_oracle_weights
+from .identification import verify_identification
 from .microsim import (
     AGGREGATIONS,
     COMPOSITION_MODES,
@@ -206,8 +207,8 @@ COMMAND_PARAMS = {
         COMMON_PARAMS,
         _params(
             Param("bundle", str, help="directory written by `synthpanel simulate`"),
-            Param("tol", float, 1e-9, "composition tolerance of the invariant set and oracle"),
-            Param("verify_tol", float, 1e-8, "tolerance of the all-period verification"),
+            Param("tol", float, INVARIANT_TOL, "composition tolerance of the invariant set and oracle"),
+            Param("verify_tol", float, VERIFY_TOL, "tolerance of the all-period verification"),
         ),
     ),
     "aggregate": _command(
@@ -224,13 +225,6 @@ def _config(config_cls, params: dict, **fields):
     return config_cls(**described | fields)
 
 
-def _json_object(path) -> dict:
-    document = read_json(path)
-    if not isinstance(document, dict):
-        raise DataValidationError(f"{path}: config must be a JSON object")
-    return document
-
-
 def _materialize(command: str, config_path, cli_values: dict) -> dict:
     """defaults < config file < explicit CLI flags; unknown keys rejected.
 
@@ -243,7 +237,9 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
     # argparse yields exactly the table's keys.
     given = {key: value for key, value in cli_values.items() if value is not None}
     if config_path is not None:
-        document = _json_object(config_path)
+        document = read_json(config_path)
+        if not isinstance(document, dict):
+            raise DataValidationError(f"{config_path}: config must be a JSON object")
         unknown = sorted(set(document) - set(table))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
@@ -442,18 +438,12 @@ COMMANDS = {
 }
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
-    namespace = vars(parser.parse_args(argv))
-    command = namespace.pop("command")
-    config_path = namespace.pop("config", None)
-    params = _materialize(command, config_path, namespace)
-    return _deliver(command, params, COMMANDS[command](params))
-
-
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        namespace = vars(build_parser().parse_args(argv))
+        command = namespace.pop("command")
+        params = _materialize(command, namespace.pop("config", None), namespace)
+        return _deliver(command, params, COMMANDS[command](params))
     except UsageError as exc:
         message, code = str(exc), EXIT_USAGE
     except FileNotFoundError as exc:

@@ -1,33 +1,38 @@
 """Identification oracle over ground-truth compositions.
 
-Given the true category distributions of the target and a donor set, rows
-of a (groups x K) matrix such as ``SimulatedStudy.compositions``, this
-module extracts the set of categories on which they differ, checks the
-two identifying conditions (enough donors; donor support covers the
-target's), and solves the linear system whose solution is a single weight
-vector valid at every period. Everything here operates on exact
-compositions, never on estimated panels.
+Given the true category distributions of the target and a donor set, rows of a (groups x K)
+matrix such as ``SimulatedStudy.compositions``, this module owns the set S of categories on
+which they differ and its tolerances (the simulator takes S from it), checks the two
+identifying conditions (enough donors; donor support covers the target's), and solves for
+the single weight vector that matches the noiseless :func:`expected_outcome` at every period.
+Everything here operates on exact compositions, never on estimated panels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import UsageError
-from .microsim import SimulatedStudy, expected_outcome
 from .panel import check_donors, frozen_array
+
+if TYPE_CHECKING:
+    from .microsim import SimulatedStudy
 
 __all__ = [
     "InvariantSetReport",
     "OracleWeights",
+    "expected_outcome",
     "minimal_invariant_set",
     "solve_oracle_weights",
     "verify_identification",
 ]
+
+INVARIANT_TOL = 1e-9  # S holds the categories where some donor is farther than this from the target
+VERIFY_TOL = 1e-8  # the largest gap verify_identification allows at any period
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +96,7 @@ def minimal_invariant_set(
     compositions,
     target: int,
     donors: Sequence[int],
-    tol: float = 1e-9,
+    tol: float = INVARIANT_TOL,
 ) -> InvariantSetReport:
     """Categories where any selected group deviates from the target by > tol."""
     _check_tolerance(tol)
@@ -117,7 +122,7 @@ def solve_oracle_weights(
     target: int,
     donors: Sequence[int],
     S: Sequence[int],
-    tol: float = 1e-9,
+    tol: float = INVARIANT_TOL,
 ) -> OracleWeights:
     """Minimum-norm least-squares weights matching the target on S.
 
@@ -143,7 +148,12 @@ def solve_oracle_weights(
     )
 
 
-def verify_identification(study: SimulatedStudy, weights: OracleWeights, tol: float = 1e-8) -> bool:
+def expected_outcome(study: SimulatedStudy) -> np.ndarray:
+    """Noiseless (groups x T) expected control outcomes: entry ``[j, t-1]`` is group j at period t."""
+    return study.compositions @ study.functions
+
+
+def verify_identification(study: SimulatedStudy, weights: OracleWeights, tol: float = VERIFY_TOL) -> bool:
     """Check the weighted-donor identity on noiseless expected outcomes.
 
     True iff the target's expected control outcome equals the weighted

@@ -4,8 +4,8 @@ Groups are distributions over K cause categories; an individual's outcome
 is a nonlinear, time-varying function of their category plus Gaussian
 noise; the panel cell is the mean (or median) over fresh individuals drawn
 each period. A study keeps its ground truth as two read-only matrices, the
-(groups x K) compositions and the K x T conditional means, so it carries
-its own noiseless oracle: :func:`expected_outcome`, their product.
+(groups x K) compositions and the K x T conditional means; their product,
+the noiseless outcome, is ``identification.expected_outcome``.
 
 Randomness is organized as independent child streams of the master seed:
 one stream for group compositions and outcome functions, one per
@@ -40,6 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataValidationError, UsageError
+from .identification import minimal_invariant_set
 from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, frozen_array, from_csv, read_json, select_groups
 from .panel import to_csv, write_json
 
@@ -47,7 +48,6 @@ __all__ = [
     "SimConfig",
     "SimulatedStudy",
     "simulate_panel",
-    "expected_outcome",
     "write_study_bundle",
     "load_study_bundle",
 ]
@@ -218,8 +218,8 @@ def sample_compositions(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.nd
 
     dirichlet_mask: each group gets a Bernoulli(1 - |S|/K) support mask and
     a flat Dirichlet on it (all-zero masks redrawn; at |S| = K the mask
-    degenerates and each group collapses to a random point mass). The
-    differing set is computed from the sampled vectors, not imposed.
+    degenerates and each group collapses to a random point mass). The differing
+    set is not imposed: ``minimal_invariant_set`` finds it in the sampled vectors.
     """
     k, s_card, n_groups = cfg.K, cfg.S_cardinality, cfg.n_groups
     compositions = np.zeros((n_groups, k))
@@ -247,8 +247,7 @@ def sample_compositions(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.nd
             while not mask.any():
                 mask = rng.binomial(1, p_keep, k).astype(bool)
         probs[mask] = rng.dirichlet(np.ones(int(mask.sum())))
-    gaps = np.abs(compositions - compositions[0]).max(axis=0)
-    return compositions, frozenset(int(i) for i in np.nonzero(gaps > 1e-9)[0])
+    return compositions, frozenset(minimal_invariant_set(compositions, 0, range(1, n_groups)).S_indices)
 
 
 def conditional_mean_default(
@@ -266,8 +265,6 @@ def conditional_mean_default(
     non-additive across categories; deterministic given the generator
     state.
     """
-    if K < 1 or T < 1:
-        raise UsageError("need K >= 1 and T >= 1")
     t = np.arange(1, T + 1)
     nu = rng.uniform(*OSC_FREQUENCY_RANGE, N_OSCILLATIONS)
     psi = rng.uniform(*PHASE_RANGE, N_OSCILLATIONS)
@@ -285,11 +282,6 @@ def conditional_mean_default(
             + ramp_loadings[:, None] * (t / T) ** RAMP_POWER
         )
     return frozen_array(lam, "the conditional-mean table")
-
-
-def expected_outcome(study: SimulatedStudy) -> np.ndarray:
-    """Noiseless (groups x T) expected control outcomes: entry ``[j, t-1]`` is group j at period t."""
-    return study.compositions @ study.functions
 
 
 class _CategoryTable(NamedTuple):

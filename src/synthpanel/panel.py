@@ -37,8 +37,11 @@ CENSUS_DIVISIONS = Path(__file__).parent / "data" / "census_divisions.json"
 
 def frozen_array(values, what: str) -> np.ndarray:
     """A read-only float copy of ``values``: how every record of the package holds its numbers,
-    and the package's one finiteness rule: a NaN or infinity raises DataValidationError naming ``what``."""
-    arr = np.array(values, dtype=float)
+    and its one finiteness rule: a NaN, an infinity, ragged rows or text raise DataValidationError naming ``what``."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DataValidationError(f"{what} is not a rectangular array of numbers") from None
     if not np.isfinite(arr).all():
         raise DataValidationError(f"{what} is not finite")
     arr.setflags(write=False)

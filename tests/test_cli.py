@@ -228,31 +228,31 @@ class TestSimulateDiagnose:
             assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, names",  # names: what the error line must name besides truth.json, if anything
         [
-            lambda truth: truth.pop("config"),
-            lambda truth: truth.pop("true_S"),
-            lambda truth: truth["config"].update(mystery=1),
-            lambda truth: truth["compositions"][0].__setitem__(0, "a lot"),
-            None,
-            lambda truth: truth["config"].update(noise_sd=-1),
-            lambda truth: truth["config"].update(T0=0),
-            lambda truth: truth.update(conditional_mean=[row[:5] for row in truth["conditional_mean"]]),
-            lambda truth: truth["compositions"][1].__setitem__(0, float("nan")),
-            lambda truth: truth.update(group_labels=[]),
-            lambda truth: truth["group_labels"].__setitem__(0, ["target"]),
-            lambda truth: truth.update(group_labels="target"),
-            lambda truth: truth["compositions"][0].pop(),
-            lambda truth: truth["compositions"].__setitem__(1, [0.9 * p for p in truth["compositions"][1]]),
-            lambda truth: truth["compositions"].__setitem__(2, [-0.1, 1.1] + [0.0] * 10),
-            lambda truth: truth["compositions"].pop(),
+            (lambda truth: truth.pop("config"), ""),
+            (lambda truth: truth.pop("true_S"), ""),
+            (lambda truth: truth["config"].update(mystery=1), ""),
+            (lambda truth: truth["compositions"][0].__setitem__(0, "a lot"), "the composition matrix"),
+            (None, ""),
+            (lambda truth: truth["config"].update(noise_sd=-1), ""),
+            (lambda truth: truth["config"].update(T0=0), ""),
+            (lambda truth: truth.update(conditional_mean=[row[:5] for row in truth["conditional_mean"]]), ""),
+            (lambda truth: truth["compositions"][1].__setitem__(0, float("nan")), ""),
+            (lambda truth: truth.update(group_labels=[]), ""),
+            (lambda truth: truth["group_labels"].__setitem__(0, ["target"]), ""),
+            (lambda truth: truth.update(group_labels="target"), ""),
+            (lambda truth: truth["compositions"][0].pop(), "the composition matrix"),
+            (lambda truth: truth["compositions"].__setitem__(1, [0.9 * p for p in truth["compositions"][1]]), ""),
+            (lambda truth: truth["compositions"].__setitem__(2, [-0.1, 1.1] + [0.0] * 10), ""),
+            (lambda truth: truth["compositions"].pop(), ""),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
              "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "no-group-labels",
              "list-group-label", "string-group-labels", "ragged-compositions", "composition-sums-to-0.9",
              "negative-composition", "missing-composition-row"],
     )
-    def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit):
+    def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit, names):
         bundle = tmp_path / "b"
         assert run(["simulate", "--individuals", 20, "--out", bundle, "--quiet"]) == 0
         truth = json.loads((bundle / "truth.json").read_text())
@@ -264,7 +264,7 @@ class TestSimulateDiagnose:
         out = tmp_path / "d"
         assert run(["diagnose", "--bundle", bundle, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "truth.json" in err and err.count("\n") == 1
+        assert "truth.json" in err and names in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_t0_outside_bundle_panel_is_data_error(self, tmp_path, capsys):

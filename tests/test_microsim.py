@@ -11,6 +11,7 @@ from synthpanel import (
     SimConfig,
     UsageError,
     expected_outcome,
+    minimal_invariant_set,
     simulate_panel,
 )
 from synthpanel.microsim import (
@@ -49,6 +50,7 @@ class TestCompositions:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), s=st.integers(0, 12),
            mode=st.sampled_from(["invariant_split", "dirichlet_mask"]))
+    @example(seed=4, s=12, mode="dirichlet_mask")  # point masses: most categories carry no mass at all
     def test_valid_probability_vectors(self, seed, s, mode):
         cfg = small_cfg(S_cardinality=s, composition_mode=mode, seed=seed)
         comps, true_s = sample_compositions(cfg, _stream(seed, 0))
@@ -57,6 +59,13 @@ class TestCompositions:
             assert c.min() >= 0.0
             assert abs(c.sum() - 1.0) <= 1e-12
         assert all(0 <= k < 12 for k in true_s)
+        # One rule for S: the oracle's. invariant_split imposes its S, which at |S| = 1 differs in no category.
+        oracle_s = frozenset(minimal_invariant_set(comps, 0, range(1, 6)).S_indices)
+        if mode == "dirichlet_mask":
+            gap_rule = frozenset(int(k) for k in np.nonzero(np.abs(comps - comps[0]).max(axis=0) > 1e-9)[0])
+            assert true_s == gap_rule == oracle_s
+        elif s != 1:
+            assert true_s == oracle_s
 
     def test_s_zero_identical(self):
         cfg = small_cfg(S_cardinality=0)

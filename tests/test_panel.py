@@ -303,20 +303,29 @@ RECORDS = [
 ]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, "ragged", "text"], ids=["nan", "inf", "-inf", "ragged", "text"]
+)
 @pytest.mark.parametrize(
     "record, fields, name, quantity",
     [pytest.param(record, fields, name, quantity, id=f"{record.__name__}.{name}")
      for record, fields, quantities in RECORDS for name, quantity in quantities.items()],
 )
 def test_records_refuse_non_finite_numbers(record, fields, name, quantity, bad):
-    """frozen_array is every record's one finiteness rule: one non-finite entry is refused, naming the quantity."""
+    """frozen_array is every record's one rule for its numbers: one non-finite entry is refused, and so are
+    ragged rows and text, naming the quantity."""
     record(**fields)
     value = np.array(fields[name], dtype=float)
-    value.flat[-1] = bad
+    if bad == "ragged":
+        value, problem = [[1.0, 2.0], [3.0]], "is not a rectangular array of numbers"
+    elif bad == "text":
+        value, problem = "a lot", "is not a rectangular array of numbers"
+    else:
+        value.flat[-1], problem = bad, "is not finite"
+        value = value if value.ndim else float(value)
     with pytest.raises(DataValidationError) as caught:
-        record(**{**fields, name: value if value.ndim else float(value)})
-    assert str(caught.value) == f"{quantity} is not finite"
+        record(**{**fields, name: value})
+    assert str(caught.value) == f"{quantity} {problem}"
 
 
 class TestAggregation:
