@@ -14,11 +14,15 @@ from synthpanel import (
     minimal_invariant_set,
     simulate_panel,
 )
+from synthpanel import microsim
+from synthpanel.evaluation import derive_seed
 from synthpanel.microsim import (
     GUIDE_BINS,
     SIN_LADDER_MAX,
     SimulatedStudy,
     _category_cdf,
+    _cell_generator,
+    _cell_states,
     _draw,
     _make_covariates,
     _median,
@@ -402,33 +406,50 @@ def choice_sampler(study: SimulatedStudy) -> dict:
     return {**panels, "suitable": suitable, "unsuitable": unsuitable}
 
 
+# Seeds of one, two (as every sweep study's derive_seed output) and five
+# 32-bit words; below four words SeedSequence zero-pads its pool.
+SEED_WIDTHS = [0, 404, 2**32, derive_seed(1, 0, 0), 2**130 + 7]
+
+DRAW_CASES = [
+    dict(N_per_group=201),
+    dict(N_per_group=200),
+    dict(N_per_group=1),
+    dict(N_per_group=2, noise_sd=0.0),
+    dict(noise_sd=0.0),
+    dict(post_intervention_shift=2.5),
+    dict(composition_mode="dirichlet_mask", S_cardinality=6),
+    dict(composition_mode="dirichlet_mask", S_cardinality=12, N_per_group=33),
+    dict(K=1, S_cardinality=0, N_per_group=7),
+]
+
+
 class TestDrawPathByteIdentity:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(N_per_group=201),
-            dict(N_per_group=200),
-            dict(N_per_group=1),
-            dict(N_per_group=2, noise_sd=0.0),
-            dict(noise_sd=0.0),
-            dict(post_intervention_shift=2.5),
-            dict(composition_mode="dirichlet_mask", S_cardinality=6),
-            dict(composition_mode="dirichlet_mask", S_cardinality=12, N_per_group=33),
-            dict(K=1, S_cardinality=0, N_per_group=7),
-        ],
-    )
-    @pytest.mark.parametrize("aggregation", ["mean", "median"])
-    def test_every_cell_equals_choice_sampler(self, overrides, aggregation):
-        cfg = small_cfg(seed=404, T=6, T0=4, covariate_count=3, aggregation=aggregation, **overrides)
+    @staticmethod
+    def assert_equals_choice_sampler(cfg):
         study = simulate_panel(cfg, aggregations=("mean", "median"))
         want = choice_sampler(study)
         if cfg.composition_mode == "dirichlet_mask":
             assert (study.compositions == 0).any()
         for name in ("mean", "median"):
             assert np.array_equal(study.panels[name].outcomes, want[name]), name
-        assert np.array_equal(study.panel.outcomes, want[aggregation])
+        assert np.array_equal(study.panel.outcomes, want[cfg.aggregation])
         assert np.array_equal(study.aux_suitable.values, want["suitable"])
         assert np.array_equal(study.aux_unsuitable.values, want["unsuitable"])
+
+    @pytest.mark.parametrize("overrides", DRAW_CASES)
+    @pytest.mark.parametrize("aggregation", ["mean", "median"])
+    def test_every_cell_equals_choice_sampler(self, overrides, aggregation):
+        self.assert_equals_choice_sampler(
+            small_cfg(seed=404, T=6, T0=4, covariate_count=3, aggregation=aggregation, **overrides)
+        )
+
+    @pytest.mark.parametrize("seed", [seed for seed in SEED_WIDTHS if seed != 404])
+    @pytest.mark.parametrize("overrides", DRAW_CASES)
+    @pytest.mark.parametrize("aggregation", ["mean", "median"])
+    def test_every_cell_equals_choice_sampler_at_seed_width(self, overrides, aggregation, seed):
+        self.assert_equals_choice_sampler(
+            small_cfg(seed=seed, T=6, T0=4, covariate_count=3, aggregation=aggregation, **overrides)
+        )
 
     def test_single_aggregation_call_equals_paired_call(self):
         for aggregation in ("mean", "median"):
@@ -450,6 +471,53 @@ class TestDrawPathByteIdentity:
         y = np.array(values)
         got, want = _median(y.copy()), np.median(y)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def numpy_cell_state(seed, j, t):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, j, t))).bit_generator.state
+
+
+class TestCellStreams:
+    """_cell_states gives every cell numpy's own SeedSequence/PCG64 state, and the guard checks it."""
+
+    @staticmethod
+    def assert_numpy_states(seed, n_groups, n_periods):
+        states = _cell_states(seed, n_groups, n_periods)
+        assert len(states) == n_groups and {len(row) for row in states} == {n_periods}
+        for j, row in enumerate(states):
+            for t, state in enumerate(row, start=1):
+                assert state == numpy_cell_state(seed, j, t), (seed, j, t)
+
+    @pytest.mark.parametrize("seed", [*SEED_WIDTHS, 2**64 - 1, 2**64])
+    def test_boundary_seeds(self, seed):
+        self.assert_numpy_states(seed, 7, 12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**256), st.integers(1, 40), st.integers(2, 100))
+    def test_any_seed_and_shape(self, seed, n_groups, n_periods):
+        self.assert_numpy_states(seed, n_groups, n_periods)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**63 + 5), np.int64(404), np.uint8(0)])
+    def test_numpy_integer_seed(self, seed):
+        self.assert_numpy_states(seed, 2, 3)
+        cfg = small_cfg(seed=seed, T=4, T0=3, N_per_group=5)
+        want = simulate_panel(replace(cfg, seed=int(seed)))
+        assert np.array_equal(simulate_panel(cfg).panel.outcomes, want.panel.outcomes)
+
+    def test_guard_accepts_numpy_state(self):
+        rng = _cell_generator(404, _cell_states(404, 1, 2)[0][0])
+        assert rng.bit_generator.state == numpy_cell_state(404, 0, 1)
+
+    @pytest.mark.parametrize("wrong", [(405, 0, 1), (404, 0, 2), (404, 1, 1)])
+    def test_guard_raises_on_wrong_state(self, wrong):
+        with pytest.raises(RuntimeError, match="seeds"):
+            _cell_generator(404, numpy_cell_state(*wrong))
+
+    def test_study_runs_guard(self, monkeypatch):
+        monkeypatch.setattr(microsim, "_cell_states", lambda seed, n_groups, n_periods:
+                            _cell_states(seed + 1, n_groups, n_periods))
+        with pytest.raises(RuntimeError, match="seeds"):
+            simulate_panel(small_cfg())
 
 
 class FixedUniforms:
