@@ -12,10 +12,10 @@ one stream for group compositions and outcome functions, one per
 (group, period) cell, and one per covariate block. Each is numpy's
 ``SeedSequence(seed, spawn_key=key)`` feeding PCG64; cell (j, t) has the key
 (2, j, t). Distinct cells can therefore be generated independently or in
-parallel, and the panel does not change when covariate settings do. The
-cell streams' seeds are computed for the whole study in one pass, and one
-generator is re-seeded for each cell; a test and a per-study guard pin them
-to numpy's own streams.
+parallel, and the panel does not change when covariate settings do. Every
+stream is made one way: ``_seed_words`` runs SeedSequence's hash, for all
+cells of a study in one pass, and PCG64 seeds itself from the hashed words.
+A test and a per-study guard pin the streams to numpy's own.
 
 There is one draw per cell, reduced by each requested aggregation: a study
 can carry its mean and its median panel side by side, and both reduce the
@@ -33,6 +33,7 @@ exactly ``choice``'s.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from contextlib import contextmanager
@@ -96,25 +97,12 @@ DIRICHLET_ALPHA = 1.0
 GUIDE_BINS = 4096
 
 
-# numpy's SeedSequence hash constants and pool size (numpy/random/bit_generator.pyx)
-# and PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+# numpy's SeedSequence hash constants and pool size (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Child generator of the master seed, keyed by integers: numpy's
-    ``SeedSequence(seed, spawn_key=key)`` feeding PCG64.
-
-    The group stream (0) and the covariate streams (3, 4) are built here.
-    The cell streams (2, j, t) are the same streams, seeded for a whole study
-    in one pass by :func:`_cell_states`.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+_MASK32 = 2**32 - 1
 
 
 def _hasher(init: int, mult: int):
@@ -141,61 +129,68 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _cell_states(seed: int, n_groups: int, n_periods: int) -> list[list[dict]]:
-    """The PCG64 state of every cell stream ``_stream(seed, 2, j, t)``, as
-    ``states[j][t - 1]``, for j < n_groups and 1 <= t <= n_periods, in one pass.
+def _seed_words(seed: int, *key) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)``, for many keys in one pass.
 
-    ``SeedSequence`` hashes its entropy words into a pool of four words: the
-    seed's 32-bit words, zero-padded to the pool size because a spawn key is
-    given, then the key words 2, j and t. Its hash constants step through the
-    same sequence whatever the words are, so every cell runs the same steps:
-    the words all cells share as Python ints, j as a column and t as a row of
-    uint32 words. ``PCG64`` takes (initstate, initseq) from the pool's
-    ``generate_state(4, np.uint64)`` and sets inc = 2 * initseq + 1 and
-    state = (inc + initstate) * MULT + inc mod 2**128.
+    A key word is an int below 2**32 or a uint32 array; the arrays broadcast,
+    and each key's four words lie along a last axis. The hash constants step
+    through the same sequence whatever the words are, so every key runs the
+    same steps over the seed's 32-bit words, zero-padded to the pool size,
+    then the key words.
     """
-    if n_groups > 2**32 or n_periods >= 2**32:
-        raise ValueError("cell keys must be 32-bit words")
     seed = int(seed)  # SimConfig also takes numpy integers
     words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     words += [0] * (_POOL_SIZE - len(words))
-    group = np.arange(n_groups, dtype=np.uint32)[:, None]
-    period = np.arange(1, n_periods + 1, dtype=np.uint32)
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(word) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in [*words[_POOL_SIZE:], 2, group, period]:
+    for word in [*words[_POOL_SIZE:], *key]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
-    halves = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    seeds = ((halves[2 * k] | halves[2 * k + 1] << 32).tolist() for k in range(4))
-    return [[_pcg64_state(*cell) for cell in zip(*row)] for row in zip(*seeds)]
+    halves = [np.asarray(hashmix(pool[i % _POOL_SIZE]), dtype=np.uint64) for i in range(8)]
+    return np.stack([halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)], axis=-1)
 
 
-def _pcg64_state(state_hi: int, state_lo: int, seq_hi: int, seq_lo: int) -> dict:
-    """PCG64's state once seeded with the 128-bit initstate and initseq given as 64-bit halves."""
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    state = (inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+@functools.cache
+def _words_sequence() -> type:
+    """An ``ISeedSequence`` holding given state words for PCG64 to seed itself from. Defined on
+    first use, so that importing synthpanel does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 reads the returned array's buffer directly.
+            words = np.ascontiguousarray(self.words, dtype)
+            if words.shape != (n_words,):
+                raise RuntimeError(f"numpy {np.__version__} asks for {n_words} seed words, not {words.size}")
+            return words
+
+    return SeedWords
 
 
-def _cell_generator(seed: int, first: dict) -> np.random.Generator:
-    """numpy's own generator of cell (0, 1), for a study to re-seed before each cell.
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """numpy's PCG64 generator seeded with ``words``, one key's row of :func:`_seed_words`."""
+    return np.random.Generator(np.random.PCG64(_words_sequence()(words)))
 
-    Raises RuntimeError unless ``first``, the state :func:`_cell_states`
-    computed for that cell, is this generator's: a numpy release that seeds
-    its streams differently fails loudly instead of changing the draws.
-    """
-    rng = _stream(seed, 2, 0, 1)
-    if rng.bit_generator.state != first:
-        raise RuntimeError(
-            f"numpy {np.__version__} seeds SeedSequence/PCG64 streams differently from microsim._cell_states"
-        )
-    return rng
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Child generator of the master seed: numpy's ``SeedSequence(seed, spawn_key=key)`` feeding PCG64."""
+    return _generator(_seed_words(seed, *key))
+
+
+def _check_seeding(seed: int, first: np.ndarray) -> None:
+    """Raise RuntimeError unless ``first``, the words of cell (0, 1), give numpy's own stream of that
+    cell: a numpy release that seeds its streams differently fails loudly instead of changing the draws."""
+    want = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, 0, 1))).bit_generator.state
+    if _generator(first).bit_generator.state != want:
+        raise RuntimeError(f"numpy {np.__version__} seeds SeedSequence/PCG64 streams differently from microsim")
 
 
 def _require_nonnegative(name: str, value: float) -> None:
@@ -301,6 +296,8 @@ class SimulatedStudy:
                 raise DataValidationError(f"unknown aggregation {aggregation!r}")
             if panel.n_groups != cfg.n_groups or panel.n_periods != cfg.T:
                 raise DataValidationError("panel dimensions do not match the study config")
+        if not all(0 <= k < cfg.K for k in self.true_S):
+            raise DataValidationError(f"true_S entries must be category indices in 0..{cfg.K - 1}")
         if cfg.composition_mode == "invariant_split" and len(self.true_S) != cfg.S_cardinality:
             raise DataValidationError(
                 f"invariant_split study must have |S| = {cfg.S_cardinality}, got {len(self.true_S)}"
@@ -495,14 +492,15 @@ def simulate_panel(
     outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
     tables = [_category_cdf(probs) for probs in compositions]
     by_period = np.ascontiguousarray(functions.T)
-    states = _cell_states(cfg.seed, cfg.n_groups, cfg.T)
-    rng_cell = _cell_generator(cfg.seed, states[0][0])
+    words = _seed_words(cfg.seed, 2, np.arange(cfg.n_groups, dtype=np.uint32)[:, None],
+                        np.arange(1, cfg.T + 1, dtype=np.uint32))
+    _check_seeding(cfg.seed, words[0, 0])
     # A cell that overflows is rejected by the panel's finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         for j, table in enumerate(tables):
             for t in range(1, cfg.T + 1):
                 shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
-                rng_cell.bit_generator.state = states[j][t - 1]
+                rng_cell = _generator(words[j, t - 1])
                 y = _draw(rng_cell, table, by_period[t - 1], cfg.N_per_group, cfg.noise_sd, shift)
                 for name, reduce in reducers.items():
                     outcomes[name][j, t - 1] = reduce(y)

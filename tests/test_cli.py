@@ -119,7 +119,8 @@ class TestFit:
         path.write_text("group,time,outcome\nA,1,1.0\nA,2,oops\n")
         assert run(["fit", "--panel", path, "--target", "A", "--t0", 1]) == 2
 
-    def test_non_convergence_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "verbose"])
+    def test_non_convergence_exit_code(self, tmp_path, capsys, quiet):
         # Asymmetric blend so the uniform initial point is not the optimum.
         path = tmp_path / "panel.csv"
 
@@ -133,10 +134,16 @@ class TestFit:
         out = tmp_path / "run"
         code = run(
             ["fit", "--panel", path, "--target", "tgt", "--t0", 6, "--out", out,
-             "--max-iterations", 1, "--tolerance", 1e-16, "--quiet"]
+             "--max-iterations", 1, "--tolerance", 1e-16, *(["--quiet"] if quiet else [])]
         )
         assert code == 3
         assert json.loads((out / "weights.json").read_text())["converged"] is False
+        captured = capsys.readouterr()
+        if quiet:
+            assert captured.out == captured.err == ""
+        else:
+            assert re.fullmatch(r"tau = \S+\n", captured.out)
+            assert captured.err == "solver did not converge\n"
 
     def test_elastic_net_converges_on_prop99_sized_study(self, tmp_path):
         # Coordinate descent ran out of its 10 000 passes on this study (exit 3).
@@ -246,11 +253,12 @@ class TestSimulateDiagnose:
             (lambda truth: truth["compositions"].__setitem__(1, [0.9 * p for p in truth["compositions"][1]]), ""),
             (lambda truth: truth["compositions"].__setitem__(2, [-0.1, 1.1] + [0.0] * 10), ""),
             (lambda truth: truth["compositions"].pop(), ""),
+            (lambda truth: truth.update(true_S=[-1, 99, 200, 300, 400]), "category indices in 0..11"),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
              "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "no-group-labels",
              "list-group-label", "string-group-labels", "ragged-compositions", "composition-sums-to-0.9",
-             "negative-composition", "missing-composition-row"],
+             "negative-composition", "missing-composition-row", "true-S-out-of-range"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit, names):
         bundle = tmp_path / "b"
@@ -798,6 +806,7 @@ def pristine_bundle(tmp_path_factory):
 @settings(max_examples=30, deadline=None)
 # A quote for the header's first byte makes the whole file one quoted header field.
 @example(name="panel.csv", damage="flip", where=0.0, mask=ord("g") ^ ord('"'))
+@example(name="panel.csv", damage="drop-last-period", where=0.0, mask=1)
 @given(
     name=st.sampled_from(["truth.json", "panel.csv", "covariates_suitable.csv", "covariates_unsuitable.csv"]),
     damage=st.sampled_from(["truncate", "flip", "delete"]),
@@ -815,6 +824,10 @@ def test_damaged_bundle_fails_cleanly(pristine_bundle, name, damage, where, mask
             target.unlink()
         elif damage == "truncate":
             target.write_bytes(data[:at])
+        elif damage == "drop-last-period":
+            header, *rows = data.decode().splitlines(keepends=True)
+            last = max(int(row.split(",")[1]) for row in rows)
+            target.write_text(header + "".join(row for row in rows if int(row.split(",")[1]) != last))
         else:
             data[at] ^= mask
             target.write_bytes(bytes(data))
@@ -827,6 +840,10 @@ def test_damaged_bundle_fails_cleanly(pristine_bundle, name, damage, where, mask
     text = err.getvalue()
     assert "Traceback" not in text
     assert text.count("\n") == (0 if code == 0 else 1)
+    if damage == "drop-last-period":
+        assert code == 2
+        assert text.endswith("truth.json: malformed study truth "
+                             "(DataValidationError: panel dimensions do not match the study config)\n")
 
 
 CONTRACT_INTS = {

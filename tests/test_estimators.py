@@ -81,6 +81,22 @@ class TestFitConfigValidation:
         with pytest.raises(UsageError, match=name):
             FitConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"tolerance": 0.0}, "tolerance must be positive"),
+            ({"tolerance": -1e-9}, "tolerance must be positive"),
+            ({"ridge_lam": -1.0}, "regularization strengths must be nonnegative"),
+            ({"enet_lam1": -0.1}, "regularization strengths must be nonnegative"),
+            ({"enet_lam2": -0.1}, "regularization strengths must be nonnegative"),
+            ({"max_iterations": 0}, "max_iterations must be at least 1"),
+            ({"covariate_scale": -1.0}, "covariate_scale must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_rejected(self, fields, message):
+        with pytest.raises(UsageError, match=message):
+            FitConfig(**fields)
+
 
 class TestSimplexFit:
     def test_exact_match_donor(self, toy_panel):
@@ -502,6 +518,17 @@ class TestValidation:
     def test_target_not_donor(self, toy_panel):
         with pytest.raises(UsageError, match="target"):
             fit(toy_panel, (0, 1))
+
+    @pytest.mark.parametrize("donors, index", [((1, 9), 9), ((-1, 2), -1)])
+    def test_donor_out_of_range(self, toy_panel, donors, index):
+        with pytest.raises(UsageError, match=f"group index {index} out of range for 4 groups"):
+            fit(toy_panel, donors)
+
+    def test_weights_must_align_with_donors(self):
+        from synthpanel.estimators import WeightVector
+
+        with pytest.raises(UsageError, match="beta must align with donor_indices"):
+            WeightVector((1, 2), np.array([1.0]), 0.0, True, (0.0,), 0.0)
 
     def test_bad_regularizer(self):
         with pytest.raises(UsageError):

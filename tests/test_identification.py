@@ -104,6 +104,12 @@ class TestOracleWeights:
         assert np.array_equal(w.beta, [1.0, 0.0])
         assert w.exists and w.residual_norm == 0.0
 
+    @pytest.mark.parametrize("S", [(0, 3), (-1,)])
+    def test_s_out_of_range_rejected(self, S):
+        groups = comps([0.25, 0.25, 0.5], [0.15, 0.35, 0.5], [0.35, 0.15, 0.5])
+        with pytest.raises(UsageError, match="category index out of range in S"):
+            solve_oracle_weights(groups, 0, (1, 2), S=S)
+
     def test_generic_infeasibility(self):
         # Six differing categories, five donors: generically unsolvable.
         infeasible = 0

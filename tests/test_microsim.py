@@ -12,6 +12,7 @@ from synthpanel import (
     UsageError,
     expected_outcome,
     minimal_invariant_set,
+    select_groups,
     simulate_panel,
 )
 from synthpanel import microsim
@@ -21,11 +22,11 @@ from synthpanel.microsim import (
     SIN_LADDER_MAX,
     SimulatedStudy,
     _category_cdf,
-    _cell_generator,
-    _cell_states,
+    _check_seeding,
     _draw,
     _make_covariates,
     _median,
+    _seed_words,
     _stream,
     conditional_mean_default,
     load_study_bundle,
@@ -41,6 +42,11 @@ def small_cfg(**overrides) -> SimConfig:
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def numpy_stream(seed, *key) -> np.random.Generator:
+    """numpy's own child stream of the master seed, the reference for microsim's seeding."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def with_truth(compositions, functions) -> SimulatedStudy:
@@ -195,7 +201,7 @@ class TestSimulatePanel:
         cfg = small_cfg(noise_sd=0.0, covariate_count=0)
         study = simulate_panel(cfg)
         j, t = 2, 3
-        rng = _stream(cfg.seed, 2, j, t)
+        rng = numpy_stream(cfg.seed, 2, j, t)
         x = rng.choice(cfg.K, size=cfg.N_per_group, p=study.compositions[j])
         freq = np.bincount(x, minlength=cfg.K) / cfg.N_per_group
         want = freq @ study.functions[:, t - 1]
@@ -205,7 +211,7 @@ class TestSimulatePanel:
         cfg = small_cfg(aggregation="median", covariate_count=0)
         study = simulate_panel(cfg)
         j, t = 1, 5
-        rng = _stream(cfg.seed, 2, j, t)
+        rng = numpy_stream(cfg.seed, 2, j, t)
         x = rng.choice(cfg.K, size=cfg.N_per_group, p=study.compositions[j])
         y = study.functions[x, t - 1] + rng.normal(0.0, cfg.noise_sd, cfg.N_per_group)
         assert study.panel.outcomes[j, t - 1] == pytest.approx(np.median(y), abs=1e-12)
@@ -291,8 +297,8 @@ class TestCovariates:
         probs[k_star] = 1.0
         seed_key = (13, 8)
         tables = [_category_cdf(probs) for _ in range(6)]
-        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", _stream(*seed_key))
-        codes = _stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
+        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", numpy_stream(*seed_key))
+        codes = numpy_stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
 
 
@@ -332,15 +338,22 @@ class TestStudyInvariants:
             )
 
     @pytest.mark.parametrize(
-        "change",
+        "change, message",
         [
-            lambda study: {"functions": study.functions[:, :-1]},
-            lambda study: {"compositions": study.compositions[:-1]},
-            lambda study: {"compositions": np.full((study.config.n_groups, 4), 0.25)},
+            (lambda study: {"functions": study.functions[:, :-1]}, "K x T = 12 x 10"),
+            (lambda study: {"compositions": study.compositions[:-1]}, "groups x K = 6 x 12"),
+            (lambda study: {"compositions": np.full((study.config.n_groups, 4), 0.25)}, "groups x K = 6 x 12"),
+            (lambda study: {"panels": {"mean": replace(study.panel)}}, r"panels\['mean'\] must be the study panel"),
+            (lambda study: {"panels": {"mode": study.panel}}, "unknown aggregation 'mode'"),
+            (lambda study: {"panel": select_groups(study.panel, study.panel.group_labels[:-1])},
+             "panel dimensions do not match the study config"),
+            (lambda study: {"true_S": {-1, 99, 200, 300, 400}}, r"true_S entries must be category indices in 0\.\.11"),
+            (lambda study: {"true_S": {0, 1, 2, 3, 12}}, r"true_S entries must be category indices in 0\.\.11"),
         ],
-        ids=["short-table", "composition-count", "composition-length"],
+        ids=["short-table", "composition-count", "composition-length", "foreign-panel", "unknown-aggregation",
+             "panel-dimensions", "true-S-out-of-range", "true-S-equals-K"],
     )
-    def test_truth_must_match_config(self, change):
+    def test_truth_must_match_config(self, change, message):
         study = simulate_panel(small_cfg())
         fields = dict(
             panel=study.panel,
@@ -351,7 +364,7 @@ class TestStudyInvariants:
             aux_unsuitable=study.aux_unsuitable,
             config=study.config,
         )
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match=message):
             SimulatedStudy(**{**fields, **change(study)})
 
     def test_composition_validation(self):
@@ -386,19 +399,19 @@ def choice_sampler(study: SimulatedStudy) -> dict:
     for j, comp in enumerate(study.compositions):
         for t in range(1, cfg.T + 1):
             shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
-            y = cell(_stream(cfg.seed, 2, j, t), comp, t, shift)
+            y = cell(numpy_stream(cfg.seed, 2, j, t), comp, t, shift)
             panels["mean"][j, t - 1] = np.mean(y)
             panels["median"][j, t - 1] = np.median(y)
 
     count = cfg.covariate_count
     suitable = np.empty((cfg.n_groups, count))
-    rng = _stream(cfg.seed, 3)
+    rng = numpy_stream(cfg.seed, 3)
     for m in range(1, count + 1):
         t_star = int(rng.integers(1, cfg.T0 + 1))
         for j, comp in enumerate(study.compositions):
             suitable[j, m - 1] = np.sin(SIN_LADDER_MAX * m / count * cell(rng, comp, t_star, 0.0)).mean()
     unsuitable = np.empty((cfg.n_groups, count))
-    rng = _stream(cfg.seed, 4)
+    rng = numpy_stream(cfg.seed, 4)
     for m in range(1, count + 1):
         codes = rng.permutation(cfg.K)
         for j, comp in enumerate(study.compositions):
@@ -473,49 +486,56 @@ class TestDrawPathByteIdentity:
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
-def numpy_cell_state(seed, j, t):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, j, t))).bit_generator.state
+def numpy_words(seed, *key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
 
 
 class TestCellStreams:
-    """_cell_states gives every cell numpy's own SeedSequence/PCG64 state, and the guard checks it."""
+    """_seed_words gives every stream numpy's own SeedSequence words, and the guard checks them."""
 
     @staticmethod
-    def assert_numpy_states(seed, n_groups, n_periods):
-        states = _cell_states(seed, n_groups, n_periods)
-        assert len(states) == n_groups and {len(row) for row in states} == {n_periods}
-        for j, row in enumerate(states):
-            for t, state in enumerate(row, start=1):
-                assert state == numpy_cell_state(seed, j, t), (seed, j, t)
+    def assert_numpy_words(seed, n_groups, n_periods):
+        group, period = np.arange(n_groups, dtype=np.uint32)[:, None], np.arange(1, n_periods + 1, dtype=np.uint32)
+        words = _seed_words(seed, 2, group, period)
+        assert words.shape == (n_groups, n_periods, 4) and words.dtype == np.uint64
+        for j in range(n_groups):
+            for t in range(1, n_periods + 1):
+                assert np.array_equal(words[j, t - 1], numpy_words(seed, 2, j, t)), (seed, j, t)
+        for key in [(0,), (3,), (4,), ()]:
+            assert np.array_equal(_seed_words(seed, *key), numpy_words(seed, *key)), (seed, key)
 
     @pytest.mark.parametrize("seed", [*SEED_WIDTHS, 2**64 - 1, 2**64])
     def test_boundary_seeds(self, seed):
-        self.assert_numpy_states(seed, 7, 12)
+        self.assert_numpy_words(seed, 7, 12)
+        for key in [(0,), (3,), (4,), (2, 6, 12)]:
+            assert _stream(seed, *key).bit_generator.state == numpy_stream(seed, *key).bit_generator.state
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**256), st.integers(1, 40), st.integers(2, 100))
     def test_any_seed_and_shape(self, seed, n_groups, n_periods):
-        self.assert_numpy_states(seed, n_groups, n_periods)
+        self.assert_numpy_words(seed, n_groups, n_periods)
 
     @pytest.mark.parametrize("seed", [np.uint64(2**63 + 5), np.int64(404), np.uint8(0)])
     def test_numpy_integer_seed(self, seed):
-        self.assert_numpy_states(seed, 2, 3)
+        self.assert_numpy_words(seed, 2, 3)
         cfg = small_cfg(seed=seed, T=4, T0=3, N_per_group=5)
         want = simulate_panel(replace(cfg, seed=int(seed)))
         assert np.array_equal(simulate_panel(cfg).panel.outcomes, want.panel.outcomes)
 
     def test_guard_accepts_numpy_state(self):
-        rng = _cell_generator(404, _cell_states(404, 1, 2)[0][0])
-        assert rng.bit_generator.state == numpy_cell_state(404, 0, 1)
+        _check_seeding(404, numpy_words(404, 2, 0, 1))
 
-    @pytest.mark.parametrize("wrong", [(405, 0, 1), (404, 0, 2), (404, 1, 1)])
+    @pytest.mark.parametrize("wrong", [(405, 2, 0, 1), (404, 2, 0, 2), (404, 2, 1, 1)])
     def test_guard_raises_on_wrong_state(self, wrong):
         with pytest.raises(RuntimeError, match="seeds"):
-            _cell_generator(404, numpy_cell_state(*wrong))
+            _check_seeding(404, numpy_words(*wrong))
+
+    def test_generator_takes_exactly_pcg64s_words(self):
+        with pytest.raises(RuntimeError, match="asks for 4 seed words, not 3"):
+            microsim._generator(numpy_words(404, 2, 0, 1)[:3])
 
     def test_study_runs_guard(self, monkeypatch):
-        monkeypatch.setattr(microsim, "_cell_states", lambda seed, n_groups, n_periods:
-                            _cell_states(seed + 1, n_groups, n_periods))
+        monkeypatch.setattr(microsim, "_seed_words", lambda seed, *key: _seed_words(seed + 1, *key))
         with pytest.raises(RuntimeError, match="seeds"):
             simulate_panel(small_cfg())
 
@@ -626,6 +646,20 @@ class TestValidation:
     )
     def test_sim_config_integer_fields(self, name, value):
         with pytest.raises(UsageError, match=f"{name} must be an integer"):
+            small_cfg(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("N_per_group", 0, "N_per_group must be at least 1"),
+            ("num_donors", 0, "need at least one donor group"),
+            ("aggregation", "mode", "aggregation must be one of"),
+            ("composition_mode", "uniform", "composition_mode must be one of"),
+            ("covariate_count", -1, "covariate_count must be nonnegative"),
+        ],
+    )
+    def test_sim_config_ranges(self, name, value, message):
+        with pytest.raises(UsageError, match=message):
             small_cfg(**{name: value})
 
     def test_sim_config_accepts_numpy_integers(self):

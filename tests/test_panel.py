@@ -248,18 +248,49 @@ class TestFromCsvMessages:
 
 class TestPanelInvariants:
     def test_t0_bounds(self):
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match=r"1 <= T0 < T, got T0=3, T=3"):
             PanelData(np.ones((2, 3)), ("a", "b"), (1, 2, 3), 0, intervention_time=3)
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match=r"1 <= T0 < T, got T0=0, T=3"):
             PanelData(np.ones((2, 3)), ("a", "b"), (1, 2, 3), 0, intervention_time=0)
 
     def test_duplicate_labels(self):
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match="group labels must be unique"):
             PanelData(np.ones((2, 3)), ("a", "a"), (1, 2, 3), 0, intervention_time=1)
 
     def test_times_strictly_increasing(self):
-        with pytest.raises(DataValidationError):
+        with pytest.raises(DataValidationError, match="time labels must be strictly increasing"):
             PanelData(np.ones((2, 3)), ("a", "b"), (1, 3, 2), 0, intervention_time=1)
+
+    @pytest.mark.parametrize(
+        "outcomes, groups, times, target, message",
+        [
+            (np.ones(3), ("a",), (1, 2, 3), 0, "outcomes must be a 2-D"),
+            (np.ones((0, 3)), (), (1, 2, 3), 0, "at least one group and one period"),
+            (np.ones((2, 0)), ("a", "b"), (), 0, "at least one group and one period"),
+            (np.ones((2, 3)), ("a",), (1, 2, 3), 0, "1 group labels for 2 rows"),
+            (np.ones((2, 3)), ("a", "b"), (1, 2), 0, "2 time labels for 3 columns"),
+            (np.ones((2, 3)), ("a", "b"), (1, 2, 3), 2, "target_index 2 out of range for 2 groups"),
+            (np.ones((2, 3)), ("a", "b"), (1, 2, 3), -1, "target_index -1 out of range for 2 groups"),
+        ],
+    )
+    def test_shape_and_labels(self, outcomes, groups, times, target, message):
+        with pytest.raises(DataValidationError, match=message):
+            PanelData(outcomes, groups, times, target, intervention_time=1)
+
+    def test_selection_keeps_target(self, toy_panel):
+        with pytest.raises(UsageError, match="selection must include the target 'tgt'"):
+            select_groups(toy_panel, ["d1", "d2"])
+
+    @pytest.mark.parametrize(
+        "values, labels, message",
+        [
+            (np.ones(2), ("u",), "covariate values must be a 2-D"),
+            (np.ones((2, 2)), ("u",), "1 covariate labels for 2 columns"),
+        ],
+    )
+    def test_aux_matrix_shape(self, values, labels, message):
+        with pytest.raises(DataValidationError, match=message):
+            AuxMatrix(values, labels)
 
     def test_non_finite_rejected(self):
         bad = np.ones((2, 3))
