@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .errors import DataValidationError, UsageError
 from .estimators import REGULARIZERS, FitConfig, estimate_effect, fit
-from .evaluation import EXPERIMENTS, covariate_experiment, sweep_S, sweep_T_mean_median, write_sweep_csv
+from .evaluation import EXPERIMENTS, run_experiment, write_sweep_csv
 from .identification import INVARIANT_TOL, VERIFY_TOL, minimal_invariant_set, solve_oracle_weights
 from .identification import verify_identification
 from .microsim import (
@@ -251,7 +251,7 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
         field, constants, evaluators = EXPERIMENTS[merged.get("knob", command)]
         sets = {*constants, field} if command == "sweep" else constants
         refused = dict.fromkeys(sets, "sets {} itself; leave it out")
-        if not any(block for _, block in evaluators.values()):
+        if not any(block for _, block, _ in evaluators.values()):
             refused["covariate_scale"] = "draws no covariates; leave {} out"
         for name in (name for name, param in table.items() if param.field in refused):
             if name in given:
@@ -342,37 +342,32 @@ def cmd_simulate(params: dict) -> Output:
     )
 
 
-def cmd_sweep(params: dict) -> Output:
-    sweep = dict(replications=params["replications"], fit_cfg=_config(FitConfig, params), split=params["split"])
-    if params["step"] < 1:
-        raise UsageError("--step must be at least 1")
-    values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
-    if not values:
-        raise UsageError("a sweep needs at least one knob value")
-    field, constants, _ = EXPERIMENTS[params["knob"]]
-    base = _config(SimConfig, params, **constants, **{field: values[0]})
-    if params["knob"] == "S":
-        results = {"sweep.csv": sweep_S(base, S_values=values, **sweep)}
-    else:
-        results = {f"sweep_{a}.csv": r for a, r in zip(AGGREGATIONS, sweep_T_mean_median(base, values, **sweep))}
+def _experiment(experiment: str, params: dict, fit_cfg: FitConfig, knob_values: tuple, summary: str) -> Output:
+    """Run ``experiment`` from the base that the params and its ``EXPERIMENTS`` entry describe; write every file."""
+    field, constants, _ = EXPERIMENTS[experiment]
+    base = _config(SimConfig, params, **constants, **{field: knob_values[0]})
+    results = run_experiment(experiment, base, knob_values, params["replications"], fit_cfg, params["split"])
 
     def write(out: Path) -> None:
         for name, result in results.items():
             write_sweep_csv(result, out / name)
 
-    return Output(write, "wrote sweep results to {out}")
+    return Output(write, summary)
+
+
+def cmd_sweep(params: dict) -> Output:
+    fit_cfg = _config(FitConfig, params)
+    if params["step"] < 1:
+        raise UsageError("--step must be at least 1")
+    values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
+    if not values:
+        raise UsageError("a sweep needs at least one knob value")
+    return _experiment(params["knob"], params, fit_cfg, values, "wrote sweep results to {out}")
 
 
 def cmd_covariates(params: dict) -> Output:
-    result = covariate_experiment(
-        _config(SimConfig, params, **EXPERIMENTS["covariates"][1]),
-        replications=params["replications"],
-        fit_cfg=_config(FitConfig, params),
-        split=params["split"],
-    )
-    return Output(
-        lambda out: write_sweep_csv(result, out / "covariates.csv"), "wrote covariate experiment to {out}"
-    )
+    fit_cfg = _config(FitConfig, params)
+    return _experiment("covariates", params, fit_cfg, (params["periods"],), "wrote covariate experiment to {out}")
 
 
 def cmd_diagnose(params: dict) -> Output:

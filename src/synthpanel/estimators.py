@@ -183,6 +183,7 @@ def _solve_active_set(
     beta = np.zeros(a.shape[1])
     if simplex:
         beta[np.argmin(gram.diagonal() - 2.0 * c)] = 1.0
+        size = max(float(np.abs(c).max()), float(gram.diagonal().max()))  # scale without its floor of 1
 
     def objective() -> float:
         r = a @ beta - y
@@ -203,10 +204,10 @@ def _solve_active_set(
             b, k = beta[support], support.size
             face = gram[np.ix_(support, support)]
             gap = c[support] - 0.5 * lam1 * s - face @ b
-            if simplex:  # sum-to-one border, scaled to the face so lstsq keeps it
-                border = np.full((k, 1), scale)
+            if simplex:  # sum-to-one border, scaled to the data, however small, so lstsq keeps it
+                border = np.full((k, 1), size)
                 face = np.block([[face, border], [border.T, np.zeros((1, 1))]])
-                gap = np.append(gap, scale * (1.0 - b.sum()))
+                gap = np.append(gap, size * (1.0 - b.sum()))
             step, _, rank, _ = np.linalg.lstsq(face, gap, rcond=None)
             r, step, limit = (gap - face @ step)[:k], step[:k], 1.0
             if not simplex and rank < k and np.abs(r).max() > 1e-12 * scale and (s * r < 0).any():

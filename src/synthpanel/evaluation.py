@@ -4,12 +4,11 @@ The evaluation protocol fits weights on the leading fraction of an
 untreated panel and scores mean squared tracking error separately on the
 fit window ("observed") and the held-out tail ("counterfactual").
 
-All three experiments (the S sweep, the mean/median horizon sweep and the
-covariate study) run on one engine, and :data:`EXPERIMENTS` says what each
-one sets and which evaluators score it. At knob value ``i`` the engine scores
-``replications`` fresh untreated studies with :func:`score_replication` and
-returns every evaluation; each experiment then summarizes each evaluator's
-MSEs under its knob value, or, in the covariate study, under its row name.
+All three experiments, and the CLI's ``sweep`` and ``covariates`` commands,
+run through :func:`run_experiment`. :data:`EXPERIMENTS` says what each one
+sets, which evaluators score it and the file each is written to: ``sweep.csv``
+for the S sweep, ``sweep_mean.csv`` and ``sweep_median.csv`` for the horizon
+sweep, and ``covariates.csv``, one row per evaluator, for the covariate study.
 
 Seed contract: replication ``r`` at knob value ``i`` uses the study seed
 ``derive_seed(base.seed, i, r)``, whatever else the knob changes. Every
@@ -40,6 +39,7 @@ __all__ = [
     "SweepResult",
     "derive_seed",
     "time_split_evaluate",
+    "run_experiment",
     "sweep_S",
     "sweep_T_mean_median",
     "covariate_experiment",
@@ -134,17 +134,16 @@ def _summarize(knob, evaluations: Sequence[SplitEvaluation]) -> SweepPoint:
 
 # Each experiment's knob field, the SimConfig fields it holds constant, and its
 # evaluators: name -> (the panel aggregation scored, None for the config's own;
-# the SimulatedStudy covariate block stacked, or None). The sweeps draw no
-# covariates and their time split replaces T0, so T0 = 1 is moot.
+# the SimulatedStudy covariate block stacked, or None; the file it is written to).
+# The sweeps draw no covariates and their time split replaces T0, so T0 = 1 is moot.
 _SWEEP_CONSTANTS = dict(T0=1, post_intervention_shift=0.0, covariate_count=0)
 EXPERIMENTS = {
-    "S": ("S_cardinality", _SWEEP_CONSTANTS, {"S": (None, None)}),
-    "T": ("T", {**_SWEEP_CONSTANTS, "aggregation": "mean"}, {a: (a, None) for a in AGGREGATIONS}),
-    "covariates": (
-        "T",
-        dict(post_intervention_shift=0.0),
-        {"outcome_only": (None, None), "suitable": (None, "aux_suitable"), "unsuitable": (None, "aux_unsuitable")},
-    ),
+    "S": ("S_cardinality", _SWEEP_CONSTANTS, {"S": (None, None, "sweep.csv")}),
+    "T": ("T", {**_SWEEP_CONSTANTS, "aggregation": "mean"}, {a: (a, None, f"sweep_{a}.csv") for a in AGGREGATIONS}),
+    "covariates": ("T", dict(post_intervention_shift=0.0), {
+        row: (None, block, "covariates.csv")
+        for row, block in (("outcome_only", None), ("suitable", "aux_suitable"), ("unsuitable", "aux_unsuitable"))
+    }),
 }
 COVARIATE_ROWS = tuple(EXPERIMENTS["covariates"][2])
 
@@ -152,32 +151,35 @@ COVARIATE_ROWS = tuple(EXPERIMENTS["covariates"][2])
 def score_replication(experiment: str, cfg: SimConfig, fit_cfg: FitConfig, split: float) -> dict[str, SplitEvaluation]:
     """Score the study ``cfg`` with each evaluator of ``experiment``; function, arguments and result pickle."""
     evaluators = EXPERIMENTS[experiment][2]
-    study = simulate_panel(cfg, aggregations=[a for a, _ in evaluators.values() if a is not None])
+    study = simulate_panel(cfg, aggregations=[a for a, _, _ in evaluators.values() if a is not None])
     evaluations = {}
-    for name, (aggregation, block) in evaluators.items():
+    for name, (aggregation, block, _) in evaluators.items():
         panel = study.panels[aggregation or cfg.aggregation]
         aux = getattr(study, block) if block else None
         evaluations[name] = time_split_evaluate(panel, panel.donor_indices(), fit_cfg, split, aux)
     return evaluations
 
 
-def _sweep(
-    base: SimConfig,
+def run_experiment(
     experiment: str,
+    base: SimConfig,
     knob_values: Sequence[int],
-    replications: int,
-    fit_cfg: FitConfig,
-    split: float,
-) -> dict[str, list[list[SplitEvaluation]]]:
-    """The one replication loop behind every sweep.
+    replications: int = 100,
+    fit_cfg: FitConfig = FitConfig(),
+    split: float = 0.75,
+) -> dict[str, SweepResult]:
+    """Run one experiment of :data:`EXPERIMENTS`; return each output file's name and result.
 
     With ``field, constants, evaluators = EXPERIMENTS[experiment]``,
     replication ``r`` at knob value ``i`` is :func:`score_replication` of the
     study ``replace(base, seed=derive_seed(base.seed, i, r), **constants,
-    **{field: knob})``, taken in (point, replication) order. Returns each
-    evaluator's evaluations, in table order: per knob value, one per replication.
+    **{field: knob})``, taken in (point, replication) order. Each file holds its
+    evaluators' summaries in table order, one per knob value, each named by its
+    knob value, or by its evaluator where evaluators share a file.
     """
     field, constants, evaluators = EXPERIMENTS[experiment]
+    if base.covariate_count < 1 and any(block for _, block, _ in evaluators.values()):
+        raise UsageError("covariate_experiment needs covariate_count >= 1")
     if not knob_values:
         raise UsageError("a sweep needs at least one knob value")
     if replications < 1:
@@ -185,15 +187,19 @@ def _sweep(
     cells = ((i, knob, r) for i, knob in enumerate(knob_values) for r in range(replications))
     configs = (replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: knob}) for i, knob, r in cells)
     scored = map(functools.partial(score_replication, experiment, fit_cfg=fit_cfg, split=split), configs)
-    evaluations = {name: [] for name in evaluators}
+    rows = {file: [] for _, _, file in evaluators.values()}
+    by_name = len(rows) < len(evaluators)  # where evaluators share a file, each row is named by its evaluator
     for knob in knob_values:
         point = list(itertools.islice(scored, replications))
         if any(ev.underdetermined for replication in point for ev in replication.values()):
-            # Two frames up: the caller of the public sweep function.
-            warnings.warn(f"underdetermined fits at {field}={knob}", stacklevel=3)
-        for name, points in evaluations.items():
-            points.append([replication[name] for replication in point])
-    return evaluations
+            import sys  # the warning names the first caller outside this module, however deep the wrappers
+            frame, level = sys._getframe(), 1
+            while frame is not None and frame.f_globals.get("__name__") == __name__:
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"underdetermined fits at {field}={knob}", stacklevel=level)
+        for name, (_, _, file) in evaluators.items():
+            rows[file].append((name if by_name else knob, [replication[name] for replication in point]))
+    return {file: SweepResult(experiment, tuple(itertools.starmap(_summarize, points))) for file, points in rows.items()}
 
 
 def sweep_S(
@@ -207,8 +213,7 @@ def sweep_S(
 
     Studies are untreated controls; covariates are not generated.
     """
-    (points,) = _sweep(base, "S", S_values, replications, fit_cfg, split).values()
-    return SweepResult("S", tuple(map(_summarize, S_values, points)))
+    return run_experiment("S", base, S_values, replications, fit_cfg, split)["sweep.csv"]
 
 
 def sweep_T_mean_median(
@@ -225,8 +230,7 @@ def sweep_T_mean_median(
     results, in ``AGGREGATIONS`` order, equal two separate sweeps, one per
     aggregation, at the same seeds.
     """
-    evaluations = _sweep(base, "T", T_values, replications, fit_cfg, split)
-    return tuple(SweepResult("T", tuple(map(_summarize, T_values, points))) for points in evaluations.values())
+    return tuple(run_experiment("T", base, T_values, replications, fit_cfg, split).values())
 
 
 def covariate_experiment(
@@ -242,10 +246,7 @@ def covariate_experiment(
     study is the single point (index 0) of a sweep at ``base.T``; each row
     is summarized under its own name.
     """
-    if base.covariate_count < 1:
-        raise UsageError("covariate_experiment needs covariate_count >= 1")
-    evaluations = _sweep(base, "covariates", [base.T], replications, fit_cfg, split)
-    return SweepResult("covariates", tuple(_summarize(row, points) for row, (points,) in evaluations.items()))
+    return run_experiment("covariates", base, (base.T,), replications, fit_cfg, split)["covariates.csv"]
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:

@@ -277,7 +277,6 @@ class SimulatedStudy:
         functions = frozen_array(self.functions, "the conditional-mean table")
         object.__setattr__(self, "compositions", compositions)
         object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "true_S", frozenset(int(k) for k in self.true_S))
         cfg = self.config
         if functions.shape != (cfg.K, cfg.T):
             raise DataValidationError(f"conditional_mean must be a K x T = {cfg.K} x {cfg.T} table")
@@ -296,8 +295,10 @@ class SimulatedStudy:
                 raise DataValidationError(f"unknown aggregation {aggregation!r}")
             if panel.n_groups != cfg.n_groups or panel.n_periods != cfg.T:
                 raise DataValidationError("panel dimensions do not match the study config")
-        if not all(0 <= k < cfg.K for k in self.true_S):
+        true_S = tuple(self.true_S)  # a float, even 3.0, a bool or a numeric string is no index
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < cfg.K for k in true_S):
             raise DataValidationError(f"true_S entries must be category indices in 0..{cfg.K - 1}")
+        object.__setattr__(self, "true_S", frozenset(map(int, true_S)))
         if cfg.composition_mode == "invariant_split" and len(self.true_S) != cfg.S_cardinality:
             raise DataValidationError(
                 f"invariant_split study must have |S| = {cfg.S_cardinality}, got {len(self.true_S)}"
@@ -614,8 +615,7 @@ def load_study_bundle(indir) -> SimulatedStudy:
         labels = truth["group_labels"]  # target first
         if not (isinstance(labels, list) and labels and all(isinstance(label, str) for label in labels)):
             raise TypeError("group_labels must be a nonempty list of strings")
-        compositions, functions = truth["compositions"], truth["conditional_mean"]
-        true_s = frozenset(int(k) for k in truth["true_S"])
+        compositions, functions, true_s = truth["compositions"], truth["conditional_mean"], truth["true_S"]
     try:
         panel = from_csv(panel_path, target=labels[0], intervention_time=cfg.T0)
     except UsageError as exc:  # the truth names a target or a T0 that the panel does not hold

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import linecache
 import os
 import re
 import shutil
@@ -254,11 +255,16 @@ class TestSimulateDiagnose:
             (lambda truth: truth["compositions"].__setitem__(2, [-0.1, 1.1] + [0.0] * 10), ""),
             (lambda truth: truth["compositions"].pop(), ""),
             (lambda truth: truth.update(true_S=[-1, 99, 200, 300, 400]), "category indices in 0..11"),
+            # Entries that int() would truncate or convert to a category index.
+            (lambda truth: truth.update(true_S=[1.9, 3.9, 4.9, 5.9, 10.9]), "category indices"),
+            (lambda truth: truth.update(true_S=[True, *truth["true_S"][1:]]), "category indices"),
+            (lambda truth: truth.update(true_S=[str(k) for k in truth["true_S"]]), "category indices"),
         ],
         ids=["no-config", "no-true-S", "unknown-config-key", "non-numeric-composition", "list-document",
              "negative-noise-sd", "zero-T0", "five-column-table", "nan-composition", "no-group-labels",
              "list-group-label", "string-group-labels", "ragged-compositions", "composition-sums-to-0.9",
-             "negative-composition", "missing-composition-row", "true-S-out-of-range"],
+             "negative-composition", "missing-composition-row", "true-S-out-of-range",
+             "true-S-fractional", "true-S-boolean", "true-S-string"],
     )
     def test_malformed_truth_is_data_error(self, tmp_path, capsys, edit, names):
         bundle = tmp_path / "b"
@@ -362,6 +368,23 @@ class TestSweepCommands:
         lines = (out / "covariates.csv").read_text().strip().splitlines()
         assert len(lines) == 4
         assert lines[1].startswith("outcome_only,")
+
+    @pytest.mark.parametrize(
+        "args, points",
+        [
+            (["sweep", "--knob", "S", "--from", 2, "--to", 3, "--periods", 5], 2),
+            (["sweep", "--knob", "T", "--from", 4, "--to", 5], 2),
+            (["covariates", "--periods", 5, "--t0", 3], 1),
+        ],
+        ids=["S", "T", "covariates"],
+    )
+    def test_underdetermined_warning_names_the_cli(self, tmp_path, args, points):
+        # One warning per knob point, attributed to the command line front end, not the experiment engine.
+        with pytest.warns(UserWarning, match="underdetermined") as record:
+            assert run(args + ["--replications", 2, "--individuals", 40, "--out", tmp_path / "out", "--quiet"]) == 0
+        assert len(record) == points
+        assert all(w.filename == cli.__file__ and "run_experiment(" in linecache.getline(w.filename, w.lineno)
+                   for w in record)
 
 
 class TestAggregate:

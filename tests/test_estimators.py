@@ -199,6 +199,87 @@ class TestSimplexFit:
             assert again.objective_value <= base.objective_value + 1e-7
 
 
+def gaussian_system(seed: int, donors: int, rows: int, magnitude: float) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, magnitude, (rows, donors)), rng.normal(0.0, magnitude, rows)
+
+
+class TestSimplexInvariances:
+    """What the simplex fit's weights owe to the problem, not to its floating-point form.
+
+    Each fit ends on an exact solve of its final face's bordered KKT system, so two fits of one
+    problem differ only by that solve's rounding: at most about cond(a'a) * 2.2e-16. The weight
+    properties draw Gaussian panels with at least two more pre-periods than donors, so a'a is
+    positive definite and the optimum unique. Over 1e5 such draws cond(a) stayed below 330, so
+    cond(a'a) < 1.1e5 and the rounding below 2.5e-11, under WEIGHT_TOL.
+    """
+
+    SYSTEMS = dict(
+        seed=st.integers(0, 2**32 - 1),
+        donors=st.integers(2, 7),
+        extra_rows=st.integers(2, 8),
+        magnitude=st.sampled_from([1.0, 10.0]),
+    )
+    WEIGHT_TOL = 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS, shift=st.floats(-10.0, 10.0))
+    def test_common_shift_leaves_weights(self, seed, donors, extra_rows, magnitude, shift):
+        # Because the weights sum to 1, (a + c)b - (y + c) = ab - y for every feasible b: the
+        # objective is unchanged on the simplex. A shift of up to ten times the outcomes' spread
+        # makes the Gram entries, and their rounding, up to 100 times larger against the curvature
+        # that fixes the weights, so the bound is 100 * WEIGHT_TOL.
+        a, y = gaussian_system(seed, donors, donors + extra_rows, magnitude)
+        c = shift * magnitude
+        plain = fit(system_panel(a, y), range(1, donors + 1), cfg=SIMPLEX)
+        shifted = fit(system_panel(a + c, y + c), range(1, donors + 1), cfg=SIMPLEX)
+        assert plain.converged and shifted.converged
+        assert np.abs(shifted.beta - plain.beta).max() <= 1e2 * self.WEIGHT_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS, decades=st.floats(-8.0, 8.0))
+    def test_positive_scaling_leaves_weights(self, seed, donors, extra_rows, magnitude, decades):
+        # Scaling every outcome by s > 0 scales the objective by s^2 and moves no minimizer, and
+        # scaling by s scales every term of the face solve alike, so the bound is WEIGHT_TOL.
+        a, y = gaussian_system(seed, donors, donors + extra_rows, magnitude)
+        s = 10.0**decades
+        plain = fit(system_panel(a, y), range(1, donors + 1), cfg=SIMPLEX)
+        scaled = fit(system_panel(s * a, s * y), range(1, donors + 1), cfg=SIMPLEX)
+        assert plain.converged and scaled.converged
+        assert np.abs(scaled.beta - plain.beta).max() <= self.WEIGHT_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS)
+    def test_reversed_donors_reverse_weights(self, seed, donors, extra_rows, magnitude):
+        # Reordering the donors reorders the problem's coordinates and nothing else; only the
+        # order of floating-point sums changes, so the bound is WEIGHT_TOL.
+        a, y = gaussian_system(seed, donors, donors + extra_rows, magnitude)
+        panel = system_panel(a, y)
+        forward = fit(panel, range(1, donors + 1), cfg=SIMPLEX)
+        backward = fit(panel, range(donors, 0, -1), cfg=SIMPLEX)
+        assert forward.converged and backward.converged
+        assert np.abs(backward.beta[::-1] - forward.beta).max() <= self.WEIGHT_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), donors=st.integers(2, 7), rows=st.integers(1, 12),
+           magnitude=st.sampled_from([1.0, 10.0]), dropped=st.integers(0, 6))
+    def test_dropping_a_donor_never_lowers_the_objective(self, seed, donors, rows, magnitude, dropped):
+        # The smaller simplex is a face of the larger, so its optimum is no lower. Any number of
+        # rows is allowed: the property needs no unique optimum. The full fit's objective is
+        # within its Frank-Wolfe gap of the optimum, at most 4 * kkt_residual * scale (each
+        # gradient entry lies within kkt_residual * scale of the support's mean and the gradient
+        # is twice the residual's), and each objective is a sum of at most 12 squares, rounded
+        # to well within 1e-12 of its size.
+        a, y = gaussian_system(seed, donors, rows, magnitude)
+        panel = system_panel(a, y)
+        full = fit(panel, range(1, donors + 1), cfg=SIMPLEX)
+        kept = [j for j in range(1, donors + 1) if j != 1 + dropped % donors]
+        fewer = fit(panel, kept, cfg=SIMPLEX)
+        scale = max(1.0, np.abs(a.T @ y).max(), (a * a).sum(axis=0).max())
+        slack = 4.0 * full.kkt_residual * scale + 1e-12 * max(1.0, full.objective_value)
+        assert fewer.objective_value >= full.objective_value - slack
+
+
 class TestClosedFormFits:
     def test_ridge_zero_equals_ols(self, toy_panel):
         ols = fit(toy_panel, (1, 2, 3), cfg=FitConfig())

@@ -16,7 +16,14 @@ from synthpanel import (
     sweep_T_mean_median,
     time_split_evaluate,
 )
-from synthpanel.evaluation import EXPERIMENTS, SweepPoint, derive_seed, score_replication, write_sweep_csv
+from synthpanel.evaluation import (
+    EXPERIMENTS,
+    SweepPoint,
+    derive_seed,
+    run_experiment,
+    score_replication,
+    write_sweep_csv,
+)
 from synthpanel.microsim import simulate_panel
 
 
@@ -176,16 +183,19 @@ class TestSweeps:
             (lambda base: sweep_S(base, S_values=(2, 3), replications=2), 2),
             (lambda base: sweep_T_mean_median(base, T_values=(4, 5), replications=2), 2),
             (lambda base: covariate_experiment(base, replications=2), 1),
+            (lambda base: run_experiment("S", base, (2, 3), replications=2), 2),
+            (lambda base: run_experiment("T", base, (4, 5), replications=2), 2),
+            (lambda base: run_experiment("covariates", base, (5,), replications=2), 1),
         ],
-        ids=["S", "T", "covariates"],
+        ids=["S", "T", "covariates", "run_experiment-S", "run_experiment-T", "run_experiment-covariates"],
     )
     def test_warns_when_underdetermined(self, run, points):
-        # One warning per knob point, attributed to the caller of the sweep.
+        # One warning per knob point, attributed to the line that called the public function: the lambda's.
         base = tiny_cfg(T=5, T0=3, covariate_count=2)
         with pytest.warns(UserWarning, match="underdetermined") as record:
             run(base)
         assert len(record) == points
-        assert all(w.filename == __file__ for w in record)
+        assert all((w.filename, w.lineno) == (__file__, run.__code__.co_firstlineno) for w in record)
 
 
 EXPERIMENT_RUNS = {
@@ -193,6 +203,28 @@ EXPERIMENT_RUNS = {
     "T": lambda base: tuple(r.points for r in sweep_T_mean_median(base, T_values=(8, 10), replications=2)),
     "covariates": lambda base: covariate_experiment(base, replications=2).points,
 }
+
+
+SIMPLEX_FIT = FitConfig(regularizer="simplex")
+
+
+@pytest.mark.parametrize(
+    "experiment, knob_values, files, wrapper",
+    [
+        ("S", (2, 4), ["sweep.csv"], lambda base: [sweep_S(base, (2, 4), 2, SIMPLEX_FIT, 0.7)]),
+        ("T", (8, 10), ["sweep_mean.csv", "sweep_median.csv"],
+         lambda base: sweep_T_mean_median(base, (8, 10), 2, SIMPLEX_FIT, 0.7)),
+        ("covariates", (8,), ["covariates.csv"], lambda base: [covariate_experiment(base, 2, SIMPLEX_FIT, 0.7)]),
+    ],
+)
+def test_run_experiment_equals_its_wrapper(experiment, knob_values, files, wrapper):
+    # Each file's result is the wrapper's, in order. The base's own T is the covariate study's knob value.
+    base = tiny_cfg(T=8, covariate_count=2, N_per_group=41)
+    got = run_experiment(experiment, base, knob_values, 2, SIMPLEX_FIT, 0.7)
+    expected = wrapper(base)
+    assert list(got) == files and len(expected) == len(files)
+    for result, reference in zip(got.values(), expected):
+        assert (result.knob_name, result.points) == (reference.knob_name, reference.points)
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

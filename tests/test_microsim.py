@@ -349,9 +349,11 @@ class TestStudyInvariants:
              "panel dimensions do not match the study config"),
             (lambda study: {"true_S": {-1, 99, 200, 300, 400}}, r"true_S entries must be category indices in 0\.\.11"),
             (lambda study: {"true_S": {0, 1, 2, 3, 12}}, r"true_S entries must be category indices in 0\.\.11"),
+            (lambda study: {"true_S": [float(k) for k in study.true_S]}, "true_S entries must be category indices"),
+            (lambda study: {"true_S": [True, *sorted(study.true_S)[1:]]}, "true_S entries must be category indices"),
         ],
         ids=["short-table", "composition-count", "composition-length", "foreign-panel", "unknown-aggregation",
-             "panel-dimensions", "true-S-out-of-range", "true-S-equals-K"],
+             "panel-dimensions", "true-S-out-of-range", "true-S-equals-K", "true-S-whole-floats", "true-S-bool"],
     )
     def test_truth_must_match_config(self, change, message):
         study = simulate_panel(small_cfg())
@@ -366,6 +368,13 @@ class TestStudyInvariants:
         )
         with pytest.raises(DataValidationError, match=message):
             SimulatedStudy(**{**fields, **change(study)})
+
+    def test_numpy_integer_true_s_is_accepted(self):
+        study = simulate_panel(small_cfg())
+        fields = {name: getattr(study, name) for name in ("panel", "compositions", "functions", "aux_suitable",
+                                                          "aux_unsuitable", "config")}
+        again = SimulatedStudy(**fields, true_S=np.array(sorted(study.true_S), dtype=np.int64))
+        assert again.true_S == study.true_S and all(type(k) is int for k in again.true_S)
 
     def test_composition_validation(self):
         with pytest.raises(DataValidationError, match="sum to 1"):
