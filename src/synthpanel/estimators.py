@@ -3,8 +3,8 @@
 Weights minimize the squared pre-period tracking error of the target, optionally
 stacked with row-standardized auxiliary covariates, under one of four regularizers:
 none (minimum-norm least squares) and ridge in closed form, or the elastic net and the
-probability simplex by one primal active-set method that ends on an exact face solve
-and reports the KKT residual at its point.
+probability simplex by one primal active-set method that ends on an exact face solve.
+Every fit reports the KKT residual at its weights.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class FitConfig:
     ``ridge_lam`` applies under ``regularizer="ridge"``; ``enet_lam1`` and ``enet_lam2`` under
     ``"elastic_net"``. ``covariate_scale`` is the relative weight of the standardized covariate
     rows in the stacked objective, which :func:`fit` builds when it is given an ``AuxMatrix``.
-    Iterative fits converge when their relative KKT residual is at most ``tolerance``;
-    ``max_iterations`` caps their active-set passes.
+    Iterative fits converge when their KKT residual, relative to the data scale of
+    :class:`WeightVector`, is at most ``tolerance``; ``max_iterations`` caps their active-set passes.
     """
 
     regularizer: str = "none"
@@ -70,9 +70,11 @@ class WeightVector:
     """Fitted donor weights plus solver diagnostics.
 
     ``objective_trace`` holds the raw objective before the first and after each active-set
-    pass; closed-form solves have a single entry. ``kkt_residual`` is the largest violation of
-    the optimality conditions at ``beta``, relative to ``max(1, max|a'y|, max diag(a'a + lam2 I))``
-    for the stacked system; an iterative fit has ``converged`` when it is at most the tolerance.
+    pass; closed-form solves have a single entry. ``kkt_residual`` is the largest violation of the
+    optimality conditions at ``beta`` over the data scale ``max(max|a'y|, max diag(a'a + lam2 I))``
+    of the stacked system, or 1 where both are 0. Closed-form fits have ``converged``; iterative ones
+    when the residual is at most the tolerance. Scaling the outcomes of a none or simplex fit without
+    covariates by ``s > 0`` scales violations and data scale alike: neither output moves beyond rounding.
     """
 
     donor_indices: tuple[int, ...]
@@ -139,15 +141,19 @@ def _stacked_system(
     return a, y
 
 
-def _solve_ridge(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+def _solve_ridge(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Minimize ``|a b - y|^2 + lam |b|^2``; at ``lam = 0``, the minimum-norm least-squares solution."""
     design, rhs = a, y
     if lam:
         n = a.shape[1]
         design, rhs = np.vstack([a, np.sqrt(lam) * np.eye(n)]), np.concatenate([y, np.zeros(n)])
-    beta = np.linalg.lstsq(design, rhs, rcond=None)[0]
-    residual = a @ beta - y
-    return beta, float(residual @ residual + lam * beta @ beta)
+    return np.linalg.lstsq(design, rhs, rcond=None)[0]
+
+
+def _objective(a: np.ndarray, y: np.ndarray, beta: np.ndarray, lam1: float, lam2: float) -> float:
+    """``|a b - y|^2 + lam1 |b|_1 + lam2 |b|^2`` at ``b = beta``."""
+    r = a @ beta - y
+    return float(r @ r + lam1 * np.abs(beta).sum() + lam2 * beta @ beta)
 
 
 def _kkt_violations(
@@ -171,31 +177,25 @@ def _kkt_violations(
 def _solve_active_set(
     a: np.ndarray, y: np.ndarray, gram: np.ndarray, c: np.ndarray, scale: float, cfg: FitConfig,
     lam1: float, lam2: float, simplex: bool,
-) -> tuple[np.ndarray, list[float], float]:
+) -> tuple[np.ndarray, list[float]]:
     """Minimize ``|a b - y|^2 + lam1 |b|_1 + lam2 |b|^2``, or ``|a b - y|^2`` on the unit simplex.
 
     Primal active set (Lawson & Hanson 1974; Lee et al. 2007): each pass adds the zero coordinate that
     violates its optimality condition most, then solves the signed face exactly, dropping the first
     coordinate that would change sign until none would. Exact passes lower the objective, so passes end
     when none is priced or one fails to. ``gram`` is ``a'a + lam2 I``, ``c`` is ``a'y`` and ``scale`` the
-    KKT scale of :class:`WeightVector`. Returns the weights, objective trace and relative KKT residual.
+    data scale of :class:`WeightVector`. Returns the weights and the objective trace.
     """
     beta = np.zeros(a.shape[1])
     if simplex:
         beta[np.argmin(gram.diagonal() - 2.0 * c)] = 1.0
-        size = max(float(np.abs(c).max()), float(gram.diagonal().max()))  # scale without its floor of 1
-
-    def objective() -> float:
-        r = a @ beta - y
-        return float(r @ r + lam1 * np.abs(beta).sum() + lam2 * beta @ beta)
-
-    trace = [objective()]
+    trace = [_objective(a, y, beta, lam1, lam2)]
     while True:
         violation = _kkt_violations(gram, c, beta, scale, lam1, simplex)
         priced = np.where(beta == 0, violation, 0.0)
         entering = int(np.argmax(priced))
         if priced[entering] == 0 or len(trace) > cfg.max_iterations:
-            return beta, trace, float(violation.max())
+            return beta, trace
         previous = beta.copy()
         support = np.append(np.flatnonzero(beta), entering)
         s = np.sign(beta[support])
@@ -204,10 +204,10 @@ def _solve_active_set(
             b, k = beta[support], support.size
             face = gram[np.ix_(support, support)]
             gap = c[support] - 0.5 * lam1 * s - face @ b
-            if simplex:  # sum-to-one border, scaled to the data, however small, so lstsq keeps it
-                border = np.full((k, 1), size)
+            if simplex:  # sum-to-one border, scaled to the data so lstsq keeps it
+                border = np.full((k, 1), scale)
                 face = np.block([[face, border], [border.T, np.zeros((1, 1))]])
-                gap = np.append(gap, size * (1.0 - b.sum()))
+                gap = np.append(gap, scale * (1.0 - b.sum()))
             step, _, rank, _ = np.linalg.lstsq(face, gap, rcond=None)
             r, step, limit = (gap - face @ step)[:k], step[:k], 1.0
             if not simplex and rank < k and np.abs(r).max() > 1e-12 * scale and (s * r < 0).any():
@@ -224,9 +224,9 @@ def _solve_active_set(
             keep = s * beta[support] > 0
             beta[support[~keep]] = 0.0
             support, s = support[keep], s[keep]
-        value = objective()
+        value = _objective(a, y, beta, lam1, lam2)
         if value >= trace[-1]:
-            return previous, trace, float(violation.max())
+            return previous, trace
         trace.append(value)
 
 
@@ -260,22 +260,22 @@ def fit(
             what = "outcomes" if aux is None else "outcomes or covariates"
             raise DataValidationError(f"{what} too large to fit: the normal equations overflow")
         gram += lam2 * np.eye(len(donors))
-        scale = max(1.0, float(np.abs(c).max()), float(gram.diagonal().max()))
-        if cfg.regularizer in ("none", "ridge"):
-            beta, objective = _solve_ridge(a, y, lam2)
-            trace, converged = [objective], True
-            kkt_residual = float(_kkt_violations(gram, c, beta, scale).max())
+        scale = max(float(np.abs(c).max()), float(gram.diagonal().max())) or 1.0
+        closed_form = cfg.regularizer in ("none", "ridge")
+        if closed_form:
+            beta = _solve_ridge(a, y, lam2)
+            trace = [_objective(a, y, beta, lam1, lam2)]
         else:
-            beta, trace, kkt_residual = _solve_active_set(a, y, gram, c, scale, cfg, lam1, lam2, simplex)
-            objective, converged = trace[-1], kkt_residual <= cfg.tolerance
+            beta, trace = _solve_active_set(a, y, gram, c, scale, cfg, lam1, lam2, simplex)
             if simplex and (beta.min() < -1e-12 or abs(beta.sum() - 1.0) > 1e-9):
                 raise RuntimeError("simplex fit returned an infeasible point")
+        kkt_residual = float(_kkt_violations(gram, c, beta, scale, lam1, simplex).max())
 
     return WeightVector(
         donor_indices=tuple(donors),
         beta=beta,
-        objective_value=objective,
-        converged=converged,
+        objective_value=trace[-1],
+        converged=closed_form or kkt_residual <= cfg.tolerance,
         objective_trace=tuple(float(v) for v in trace),
         kkt_residual=kkt_residual,
     )

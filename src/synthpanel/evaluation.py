@@ -179,7 +179,7 @@ def run_experiment(
     """
     field, constants, evaluators = EXPERIMENTS[experiment]
     if base.covariate_count < 1 and any(block for _, block, _ in evaluators.values()):
-        raise UsageError("covariate_experiment needs covariate_count >= 1")
+        raise UsageError(f"the {experiment} experiment needs covariate_count >= 1")
     if not knob_values:
         raise UsageError("a sweep needs at least one knob value")
     if replications < 1:

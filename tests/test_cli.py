@@ -369,6 +369,12 @@ class TestSweepCommands:
         assert len(lines) == 4
         assert lines[1].startswith("outcome_only,")
 
+    def test_covariates_without_covariates_names_the_experiment(self, tmp_path, capsys):
+        out = tmp_path / "cov"
+        assert run(["covariates", "--covariate-count", 0, "--replications", 2, "--out", out]) == 1
+        assert capsys.readouterr() == ("", "error: the covariates experiment needs covariate_count >= 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, points",
         [
@@ -728,13 +734,17 @@ class TestManifestRoundTrip:
             assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n"), name
 
 
-def run_alone(args, cwd):
-    """(exit code, stdout, stderr) of the args run by `python -m synthpanel.cli` in a fresh process."""
+def run_python(argv, cwd):
+    """(exit code, stdout, stderr) of a fresh interpreter run with ``argv`` and this synthpanel importable."""
     paths = [str(Path(synthpanel.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-m", "synthpanel.cli", *map(str, args)], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
+
+
+def run_alone(args, cwd):
+    """(exit code, stdout, stderr) of the args run by `python -m synthpanel.cli` in a fresh process."""
+    return run_python(["-m", "synthpanel.cli", *map(str, args)], cwd)
 
 
 def directory_bytes(path):
@@ -780,6 +790,12 @@ class TestEntryPoint:
 
     def test_version(self, tmp_path):
         assert run_alone(["--version"], tmp_path) == (0, cli.VERSION_STRING + "\n", "")
+
+    def test_import_leaves_numpy_random_unloaded(self, tmp_path):
+        # microsim defines its seeding class on first use (_words_sequence), so importing the
+        # package and its CLI, the start-up cost of every command, does not load numpy.random.
+        code = "import sys, synthpanel, synthpanel.cli; print([m for m in sys.modules if 'numpy.random' in m])"
+        assert run_python(["-c", code], tmp_path) == (0, "[]\n", "")
 
 
 class TestIOContract:

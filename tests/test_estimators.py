@@ -1,8 +1,9 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -18,7 +19,7 @@ from synthpanel import (
     simulate_panel,
 )
 from synthpanel.evaluation import derive_seed
-from synthpanel.panel import AuxMatrix
+from synthpanel.panel import AuxMatrix, aggregate_groups
 
 from conftest import make_random_panel
 
@@ -204,6 +205,11 @@ def gaussian_system(seed: int, donors: int, rows: int, magnitude: float) -> tupl
     return rng.normal(0.0, magnitude, (rows, donors)), rng.normal(0.0, magnitude, rows)
 
 
+def data_scale(a: np.ndarray, y: np.ndarray) -> float:
+    """The scale of WeightVector's KKT residual for the unpenalized system (a, y)."""
+    return max(np.abs(a.T @ y).max(), (a * a).sum(axis=0).max()) or 1.0
+
+
 class TestSimplexInvariances:
     """What the simplex fit's weights owe to the problem, not to its floating-point form.
 
@@ -212,6 +218,11 @@ class TestSimplexInvariances:
     properties draw Gaussian panels with at least two more pre-periods than donors, so a'a is
     positive definite and the optimum unique. Over 1e5 such draws cond(a) stayed below 330, so
     cond(a'a) < 1.1e5 and the rounding below 2.5e-11, under WEIGHT_TOL.
+
+    The KKT residual is a gradient difference over the data scale. Two fits whose weights differ by at
+    most WEIGHT_TOL in each of at most 15 entries have gradients within 15 * WEIGHT_TOL of the scale
+    (each |gram_ij| is at most the scale), so their residuals differ by at most 2 * 15 * WEIGHT_TOL,
+    under KKT_TOL.
     """
 
     SYSTEMS = dict(
@@ -221,6 +232,7 @@ class TestSimplexInvariances:
         magnitude=st.sampled_from([1.0, 10.0]),
     )
     WEIGHT_TOL = 1e-10
+    KKT_TOL = 4e-9
 
     @settings(max_examples=60, deadline=None)
     @given(**SYSTEMS, shift=st.floats(-10.0, 10.0))
@@ -249,6 +261,23 @@ class TestSimplexInvariances:
         assert np.abs(scaled.beta - plain.beta).max() <= self.WEIGHT_TOL
 
     @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS, decades=st.floats(-8.0, 8.0), passes=st.sampled_from([1, 2, 10_000]))
+    def test_positive_scaling_leaves_the_certificate(self, seed, donors, extra_rows, magnitude, decades, passes):
+        # Scaling by s scales a'a, a'y and the data scale by s^2, so each pass prices and solves the
+        # same face and both fits stop after the same passes, with weights within WEIGHT_TOL and
+        # residuals within KKT_TOL (class doc). Capped passes leave fits short of the optimum, so the
+        # draws hold converged and unconverged fits; ``converged`` can differ only where the residual
+        # lies within KKT_TOL of the tolerance, and such draws are discarded.
+        a, y = gaussian_system(seed, donors, donors + extra_rows, magnitude)
+        cfg = FitConfig(regularizer="simplex", tolerance=1e-6, max_iterations=passes)
+        plain = fit(system_panel(a, y), range(1, donors + 1), cfg=cfg)
+        assume(abs(plain.kkt_residual - cfg.tolerance) > self.KKT_TOL)
+        s = 10.0**decades
+        scaled = fit(system_panel(s * a, s * y), range(1, donors + 1), cfg=cfg)
+        assert scaled.converged == plain.converged
+        assert abs(scaled.kkt_residual - plain.kkt_residual) <= self.KKT_TOL
+
+    @settings(max_examples=60, deadline=None)
     @given(**SYSTEMS)
     def test_reversed_donors_reverse_weights(self, seed, donors, extra_rows, magnitude):
         # Reordering the donors reorders the problem's coordinates and nothing else; only the
@@ -275,9 +304,78 @@ class TestSimplexInvariances:
         full = fit(panel, range(1, donors + 1), cfg=SIMPLEX)
         kept = [j for j in range(1, donors + 1) if j != 1 + dropped % donors]
         fewer = fit(panel, kept, cfg=SIMPLEX)
-        scale = max(1.0, np.abs(a.T @ y).max(), (a * a).sum(axis=0).max())
-        slack = 4.0 * full.kkt_residual * scale + 1e-12 * max(1.0, full.objective_value)
+        slack = 4.0 * full.kkt_residual * data_scale(a, y) + 1e-12 * max(1.0, full.objective_value)
         assert fewer.objective_value >= full.objective_value - slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), donors=st.integers(2, 7), rows=st.integers(1, 12),
+           magnitude=st.sampled_from([1.0, 10.0]), first=st.integers(0, 6), offset=st.integers(0, 5),
+           populations=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+    def test_merging_two_donors_never_lowers_the_objective(self, seed, donors, rows, magnitude, first, offset,
+                                                           populations):
+        # aggregate_groups merges two donors into their population-weighted mean, a point between
+        # them, so each weight vector on the merged simplex is one on the full simplex (the merged
+        # weight split by population) with the same fit, and the merged optimum is no lower. The
+        # slack is the dropped-donor property's; the merged row's rounding, a few ulps of each
+        # outcome, moves the objective by far less than its 1e-12 term.
+        a, y = gaussian_system(seed, donors, rows, magnitude)
+        i = 1 + first % donors
+        j = 1 + (i + offset % (donors - 1)) % donors
+        panel = system_panel(a, y)
+        grouping = {label: label for label in panel.group_labels} | {f"g{j}": f"g{i}"}
+        pops = dict.fromkeys(panel.group_labels, 1.0) | {f"g{i}": populations[0], f"g{j}": populations[1]}
+        merged = aggregate_groups(replace(panel, populations=pops), grouping)
+        assert merged.n_groups == donors
+        full = fit(panel, range(1, donors + 1), cfg=SIMPLEX)
+        fewer = fit(merged, merged.donor_indices(), cfg=SIMPLEX)
+        slack = 4.0 * full.kkt_residual * data_scale(a, y) + 1e-12 * max(1.0, full.objective_value)
+        assert fewer.objective_value >= full.objective_value - slack
+
+
+class TestMinimumNormInvariances:
+    """The `none` fit's weights and certificate under positive scaling and donor reversal.
+
+    Tall systems (at least two more pre-periods than donors) have one least-squares solution; wide
+    ones, the transposes of the tall shapes, one minimum-norm solution among many. Both have cond(a)
+    below 330 (TestSimplexInvariances), so lstsq's rounding, relative to max|beta|, is below
+    cond(a)^2 * 2.2e-16 < 2.5e-11 and two fits of one problem differ by less than WEIGHT_TOL times
+    max|beta|. The exact solution zeroes the gradient a'(a b - y), and the computed one moves each of
+    its at most 15 entries by at most 15 * WEIGHT_TOL * max|beta| of the data scale, so the KKT
+    residual stays under KKT_TOL * max|beta|, at any scale of the outcomes.
+    """
+
+    SYSTEMS = dict(TestSimplexInvariances.SYSTEMS, wide=st.booleans())
+    WEIGHT_TOL, KKT_TOL = TestSimplexInvariances.WEIGHT_TOL, TestSimplexInvariances.KKT_TOL
+
+    @staticmethod
+    def system(seed, donors, extra_rows, magnitude, wide):
+        short, long = donors, donors + extra_rows
+        return gaussian_system(seed, *((long, short) if wide else (short, long)), magnitude)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS, decades=st.floats(-8.0, 8.0))
+    def test_positive_scaling_leaves_weights_and_certificate(self, seed, donors, extra_rows, magnitude, wide,
+                                                             decades):
+        # Scaling every outcome by s > 0 scales every least-squares solution's residual by s and
+        # every norm alike, so it keeps the solution and, in a wide system, the minimum-norm one.
+        a, y = self.system(seed, donors, extra_rows, magnitude, wide)
+        s = 10.0**decades
+        plain = fit(system_panel(a, y), range(1, a.shape[1] + 1))
+        scaled = fit(system_panel(s * a, s * y), range(1, a.shape[1] + 1))
+        size = np.abs(plain.beta).max()
+        assert np.abs(scaled.beta - plain.beta).max() <= self.WEIGHT_TOL * size
+        assert plain.converged and scaled.converged
+        assert max(plain.kkt_residual, scaled.kkt_residual) <= self.KKT_TOL * size
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SYSTEMS)
+    def test_reversed_donors_reverse_weights(self, seed, donors, extra_rows, magnitude, wide):
+        # Reordering the donors reorders the solution set's coordinates and keeps every norm.
+        a, y = self.system(seed, donors, extra_rows, magnitude, wide)
+        panel = system_panel(a, y)
+        forward = fit(panel, range(1, a.shape[1] + 1))
+        backward = fit(panel, range(a.shape[1], 0, -1))
+        assert np.abs(backward.beta[::-1] - forward.beta).max() <= self.WEIGHT_TOL * np.abs(forward.beta).max()
 
 
 class TestClosedFormFits:

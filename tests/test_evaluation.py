@@ -280,8 +280,12 @@ class TestCovariateExperiment:
         assert all(p.replications == 3 for p in res.points)
 
     def test_requires_covariates(self):
-        with pytest.raises(UsageError):
+        # The message names the experiment the user ran, not the function that ran it.
+        message = "^the covariates experiment needs covariate_count >= 1$"
+        with pytest.raises(UsageError, match=message):
             covariate_experiment(tiny_cfg(covariate_count=0), replications=2)
+        with pytest.raises(UsageError, match=message):
+            run_experiment("covariates", tiny_cfg(covariate_count=0), (8,), replications=2)
 
     def test_deterministic(self):
         base = tiny_cfg(covariate_count=2, N_per_group=80)
