@@ -21,6 +21,14 @@ There is one draw per cell, reduced by each requested aggregation: a study
 can carry its mean and its median panel side by side, and both reduce the
 very same individuals.
 
+A group's cells are drawn ``CELL_BLOCK`` periods at a time (fewer when a cell
+has more than ``BLOCK_N`` individuals): each cell's own stream fills one row
+of the block, and the category lookup, the noise and every reducer run once
+over the whole block. A study's groups are spread over a thread pool with
+one worker per usable CPU, built on first use; numpy releases the GIL while
+it fills and reduces a block. Every cell comes from its own stream, whichever
+thread draws it, so no output depends on the pool's size.
+
 An individual's category is the one ``Generator.choice`` gives for the same
 uniform, read from a guide table built once per group (Chen & Asau 1974;
 Devroye, *Non-Uniform Random Variate Generation*, 1986, section III.2.4):
@@ -36,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -408,10 +417,28 @@ def _category_cdf(probs: np.ndarray) -> _CategoryTable:
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS  # exact: GUIDE_BINS is a power of two
-    start = cdf.searchsorted(edges[:-1], side="right")
-    # The entries at or below the largest float under (b + 1) / GUIDE_BINS are those below it.
-    mixed = cdf.searchsorted(edges[1:], side="left") != start
+    # Entry k lies at or below the edges from first[k] on, and strictly inside bin first[k] - 1 unless it is an edge.
+    first = edges.searchsorted(cdf)
+    start = np.bincount(first, minlength=GUIDE_BINS + 1).cumsum()[:GUIDE_BINS]
+    mixed = np.zeros(GUIDE_BINS, dtype=bool)
+    mixed[first[edges[first] != cdf] - 1] = True
     return _CategoryTable(cdf, start, mixed)
+
+
+def _lookup(table: _CategoryTable, u: np.ndarray, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, set to the category ``table.cdf.searchsorted(u, side="right")`` of every uniform in ``u``.
+
+    ``u`` may have any shape; ``bins`` and ``out`` are intp arrays of that shape,
+    and ``bins`` is scratch. Each uniform u takes ``table.start`` at its bin
+    ``int(u * GUIDE_BINS)``, which is that search's answer unless the bin is
+    mixed, and the uniforms in mixed bins are searched.
+    """
+    np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # truncates, as astype does
+    np.take(table.start, bins, out=out, mode="clip")  # every bin is in range; "raise" would copy
+    fix = table.mixed[bins]
+    if fix.any():
+        out[fix] = table.cdf.searchsorted(u[fix], side="right")
+    return out
 
 
 def _draw(
@@ -426,19 +453,12 @@ def _draw(
 
     ``rng.choice(K, size=n, p=probs)`` computes ``cdf.searchsorted(rng.random(n),
     side="right")`` once it has validated ``probs`` (SimulatedStudy checks
-    them more strictly). Each uniform u here takes ``table.start`` at its bin
-    ``int(u * GUIDE_BINS)``, which is that search's answer unless the bin is
-    mixed, and the uniforms in mixed bins are searched. So the stream is
-    consumed, and the individuals drawn, exactly as by that call followed by
-    ``rng.normal``.
+    them more strictly), and :func:`_lookup` gives that search's answer. So
+    the stream is consumed, and the individuals drawn, exactly as by that call
+    followed by ``rng.normal``.
     """
     u = rng.random(n)
-    bins = (u * GUIDE_BINS).astype(np.intp)
-    idx = table.start[bins]
-    fix = table.mixed[bins]
-    if fix.any():
-        idx[fix] = table.cdf.searchsorted(u[fix], side="right")
-    y = values[idx]
+    y = values[_lookup(table, u, np.empty(n, np.intp), np.empty(n, np.intp))]
     if noise_sd > 0:
         y += rng.normal(0.0, noise_sd, n)
     if shift != 0.0:
@@ -446,23 +466,115 @@ def _draw(
     return y
 
 
-def _mean(y: np.ndarray) -> float:
-    return y.sum() / y.size
+def _mean(y: np.ndarray):
+    """The mean of y along its last axis."""
+    return y.sum(axis=-1) / y.shape[-1]
 
 
-def _median(y: np.ndarray) -> float:
-    """``np.median(y)`` for finite y, from one partition of y in place."""
-    half = y.size // 2
-    y.partition(half)
+def _median(y: np.ndarray):
+    """``np.median(y, axis=-1)`` for finite y, from one partition of y in place."""
+    n = y.shape[-1]
+    half = n // 2
+    y.partition(half, axis=-1)
     # "+ 0.0" turns -0.0 into 0.0, as the mean inside np.median does.
-    if y.size % 2:
-        return y[half] + 0.0
-    return (y[:half].max() + y[half] + 0.0) / 2
+    if n % 2:
+        return y[..., half] + 0.0
+    return (y[..., :half].max(axis=-1) + y[..., half] + 0.0) / 2
 
 
 # Cell reducers in the order they run on one draw: the median reorders the
 # draw in place, so it must come last.
 _REDUCERS = {"mean": _mean, "median": _median}
+
+# Periods of one group whose cells are drawn as one block, at up to BLOCK_N
+# individuals per cell; above that, a block has CELL_BLOCK * BLOCK_N // N periods
+# (at least one), so that a worker's three block buffers take at most 768 KB,
+# which fits a 2 MB L2 cache, unless one period alone is larger. At N = 2000, two
+# workers spent about 9% less CPU per study with 16 periods than with 8: every
+# numpy call on a block releases and retakes the GIL, and fewer calls per cell
+# mean fewer waits for it.
+CELL_BLOCK = 16
+BLOCK_N = 2000
+
+# The thread pool that draws a study's groups: built on first use, and dropped in
+# a forked child, which inherits the pool object but none of its threads.
+_pool = None
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _cell_pool():
+    """The module's thread pool, one worker per usable CPU. numpy releases the GIL while
+    it fills and reduces a block, so the workers' blocks run side by side."""
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="synthpanel-cells")
+    return _pool
+
+
+def _draw_groups(
+    groups: np.ndarray,
+    scratch: np.ndarray,
+    tables: Sequence[_CategoryTable],
+    words: np.ndarray,
+    by_period: np.ndarray,
+    cfg: SimConfig,
+    outcomes: Mapping[str, np.ndarray],
+) -> None:
+    """Draw the cells of ``groups``, a block of periods at a time, into their rows of each panel in ``outcomes``.
+
+    ``scratch`` is this call's (3, periods per block, N) buffer. ``words[j]`` holds
+    group j's seed words, period by period. Row r of the block that starts at
+    period index p is the cell of period p + r + 1, drawn from its own stream
+    as :func:`_draw` draws it: the uniforms, then the normals z, whose
+    ``noise_sd * z`` is added as ``rng.normal`` adds it (see
+    :func:`simulate_panel` for its ``0.0 +``). Each reducer reduces the block
+    along its last axis. Runs in a pool thread, so it calls no public function,
+    which a one-thread call tracer would miss, and sets its own numpy error
+    state, which threads do not inherit.
+    """
+    block, n = scratch.shape[1:]
+    # The buffers hold the uniforms, then the outcomes (u); the lookup's bins, then the normals (z); and the
+    # categories (idx). intp is at most as wide as float64, so an intp view of a row holds n indices.
+    u, z, idx = scratch[0], scratch[1], scratch[2].view(np.intp)[:, :n]
+    bins = z.view(np.intp)[:, :n]
+    offsets = cfg.K * np.arange(block, dtype=np.intp)[:, None]
+    # A cell that overflows is rejected by the panel's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in groups:
+            for p in range(0, cfg.T, block):
+                rows = min(block, cfg.T - p)
+                y, noise = u[:rows], z[:rows]
+                # The block's streams are made at once: one longer hold of the GIL, not one per cell, spares
+                # the other workers many waits.
+                streams = [_generator(w) for w in words[j, p:p + rows]]
+                for rng, row in zip(streams, y):
+                    rng.random(out=row)
+                cells = _lookup(tables[j], y, bins[:rows], idx[:rows])
+                cells += offsets[:rows]  # index the block's periods of the period-major table
+                np.take(by_period[p:p + rows], cells, out=y, mode="clip")
+                if cfg.noise_sd > 0:
+                    for rng, row in zip(streams, noise):
+                        rng.standard_normal(out=row)
+                    noise *= cfg.noise_sd
+                    y += noise
+                if j == 0 and cfg.post_intervention_shift != 0.0 and p + rows > cfg.T0:
+                    y[max(cfg.T0 - p, 0):] += cfg.post_intervention_shift
+                for name, panel in outcomes.items():
+                    panel[j, p:p + rows] = _REDUCERS[name](y)
 
 
 def simulate_panel(
@@ -485,26 +597,28 @@ def simulate_panel(
     requested = {cfg.aggregation, *aggregations}
     if not requested <= set(AGGREGATIONS):
         raise UsageError(f"aggregations must be drawn from {AGGREGATIONS}")
-    reducers = {name: reduce for name, reduce in _REDUCERS.items() if name in requested}
     rng = _stream(cfg.seed, 0)
     compositions, true_s = sample_compositions(cfg, rng)
     functions = conditional_mean_default(cfg.K, cfg.T, rng, ramp_scale=cfg.ramp_scale)
 
-    outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in reducers}
+    outcomes = {name: np.empty((cfg.n_groups, cfg.T)) for name in _REDUCERS if name in requested}
     tables = [_category_cdf(probs) for probs in compositions]
     by_period = np.ascontiguousarray(functions.T)
     words = _seed_words(cfg.seed, 2, np.arange(cfg.n_groups, dtype=np.uint32)[:, None],
                         np.arange(1, cfg.T + 1, dtype=np.uint32))
     _check_seeding(cfg.seed, words[0, 0])
-    # A cell that overflows is rejected by the panel's finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, table in enumerate(tables):
-            for t in range(1, cfg.T + 1):
-                shift = cfg.post_intervention_shift if (j == 0 and t > cfg.T0) else 0.0
-                rng_cell = _generator(words[j, t - 1])
-                y = _draw(rng_cell, table, by_period[t - 1], cfg.N_per_group, cfg.noise_sd, shift)
-                for name, reduce in reducers.items():
-                    outcomes[name][j, t - 1] = reduce(y)
+    # rng.normal's noise is 0.0 + m. For any x, x + (0.0 + m) and (x + 0.0) + m both differ from x + m only
+    # where x and m are both -0.0, giving 0.0; so the noise is added to a table without -0.0 in one pass.
+    lam = by_period + 0.0 if cfg.noise_sd > 0 else by_period
+    # One run of consecutive groups per usable CPU. Its scratch is allocated here, not in a pool thread, so
+    # that the memory goes back to the calling thread's heap and is reused there.
+    parts = np.array_split(np.arange(cfg.n_groups), min(_usable_cpus(), cfg.n_groups))
+    block = max(1, CELL_BLOCK * BLOCK_N // max(cfg.N_per_group, BLOCK_N))
+    scratch = np.empty((len(parts), 3, block, cfg.N_per_group))
+    draw = functools.partial(_draw_groups, tables=tables, words=words, by_period=lam, cfg=cfg, outcomes=outcomes)
+    for _ in _cell_pool().map(draw, parts, scratch):
+        pass  # re-raises a worker's exception
+    del scratch  # free for the covariate draws below
 
     panels = {
         name: PanelData(
@@ -516,8 +630,11 @@ def simulate_panel(
         )
         for name, values in outcomes.items()
     }
-    aux_suitable = _make_covariates(tables, by_period, cfg, "suitable", _stream(cfg.seed, 3))
-    aux_unsuitable = _make_covariates(tables, by_period, cfg, "unsuitable", _stream(cfg.seed, 4))
+    # A study without covariates does not seed their streams.
+    aux_suitable, aux_unsuitable = (
+        _make_covariates(tables, by_period, cfg, kind, _stream(cfg.seed, key) if cfg.covariate_count else None)
+        for kind, key in (("suitable", 3), ("unsuitable", 4))
+    )
     return SimulatedStudy(
         panel=panels[cfg.aggregation],
         compositions=compositions,
@@ -535,7 +652,7 @@ def _make_covariates(
     by_period: np.ndarray,
     cfg: SimConfig,
     kind: str,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
 ) -> AuxMatrix:
     """Sample ``cfg.covariate_count`` group-level covariates of one kind.
 
@@ -564,7 +681,9 @@ def _make_covariates(
             labels.append(f"sin{m}_t{t_star}")
             for j, table in enumerate(tables):
                 y = _draw(rng, table, by_period[t_star - 1], cfg.N_per_group, cfg.noise_sd)
-                values[j, m - 1] = np.sin(c_m * y).mean()
+                # An individual whose noise overflows has no sine; AuxMatrix rejects the covariate.
+                with np.errstate(invalid="ignore"):
+                    values[j, m - 1] = np.sin(c_m * y).mean()
         else:
             codes = rng.permutation(cfg.K)
             labels.append(f"code{m}")

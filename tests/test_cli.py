@@ -797,6 +797,11 @@ class TestEntryPoint:
         code = "import sys, synthpanel, synthpanel.cli; print([m for m in sys.modules if 'numpy.random' in m])"
         assert run_python(["-c", code], tmp_path) == (0, "[]\n", "")
 
+    def test_import_leaves_concurrent_futures_unloaded(self, tmp_path):
+        # microsim builds its cell pool on first use, so importing the package and its CLI does not load it.
+        code = "import sys, synthpanel, synthpanel.cli; print([m for m in sys.modules if m.startswith('concurrent')])"
+        assert run_python(["-c", code], tmp_path) == (0, "[]\n", "")
+
 
 class TestIOContract:
     """A missing input or an unusable --out exits 1; an unreadable, undecodable
@@ -1007,6 +1012,10 @@ def non_finite_numbers(path):
 @settings(max_examples=60, deadline=None)
 # Covariates whose standardization overflows.
 @example(invocation=(["fit", *map(str, CONTRACT_BASE["fit"]), "--covariates", "huge_covariates.csv"], None, False))
+# Median cells that stay finite while the suitable covariates' individuals overflow.
+@example(invocation=(
+    ["covariates", *map(str, CONTRACT_BASE["covariates"]), "--noise-sd=1e+308", "--aggregation=median"], None, False
+))
 @given(invocation=invocations())
 def test_cli_contract(contract_inputs, invocation):
     """Exit 0 with finite outputs, 3 with outputs and a note, or 1/2 with one error line and no output."""

@@ -1,4 +1,11 @@
+import inspect
 import math
+import multiprocessing
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +15,7 @@ from hypothesis import strategies as st
 
 from synthpanel import (
     DataValidationError,
+    FitConfig,
     SimConfig,
     UsageError,
     expected_outcome,
@@ -16,7 +24,7 @@ from synthpanel import (
     simulate_panel,
 )
 from synthpanel import microsim
-from synthpanel.evaluation import derive_seed
+from synthpanel.evaluation import EXPERIMENTS, derive_seed, run_experiment
 from synthpanel.microsim import (
     GUIDE_BINS,
     SIN_LADDER_MAX,
@@ -473,6 +481,25 @@ class TestDrawPathByteIdentity:
             small_cfg(seed=seed, T=6, T0=4, covariate_count=3, aggregation=aggregation, **overrides)
         )
 
+    @pytest.mark.parametrize(
+        "T, T0",
+        # (blocks, periods) of CELL_BLOCK-period blocks: T ends below, on and past a block's edge,
+        # and the shift starts inside a block or on its edge.
+        [((0, 2), (0, 1)), ((1, -1), (1, -3)), ((1, 0), (0, 3)), ((1, 1), (1, 0)), ((2, 1), (1, 0)),
+         ((2, 1), (1, 3)), ((2, 1), (2, 0))],
+    )
+    def test_every_cell_equals_choice_sampler_at_block_edges(self, T, T0):
+        T, T0 = (blocks * microsim.CELL_BLOCK + periods for blocks, periods in (T, T0))
+        self.assert_equals_choice_sampler(
+            small_cfg(seed=404, T=T, T0=T0, N_per_group=2000, covariate_count=1, post_intervention_shift=2.5)
+        )
+
+    def test_every_cell_equals_choice_sampler_in_shorter_blocks_of_larger_cells(self):
+        # Three times BLOCK_N individuals a cell: blocks of CELL_BLOCK // 3 periods.
+        cfg = small_cfg(seed=404, T=microsim.CELL_BLOCK + 1, T0=5, N_per_group=3 * microsim.BLOCK_N,
+                        covariate_count=1, post_intervention_shift=2.5)
+        self.assert_equals_choice_sampler(cfg)
+
     def test_single_aggregation_call_equals_paired_call(self):
         for aggregation in ("mean", "median"):
             cfg = small_cfg(aggregation=aggregation)
@@ -497,6 +524,109 @@ class TestDrawPathByteIdentity:
 
 def numpy_words(seed, *key):
     return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+
+
+@contextmanager
+def cell_pool(workers):
+    """Inside the block, microsim sees ``workers`` usable CPUs and draws on a pool of as many threads."""
+    saved = microsim._pool, microsim._usable_cpus
+    with ThreadPoolExecutor(workers) as pool:
+        microsim._pool, microsim._usable_cpus = pool, lambda: workers
+        try:
+            yield
+        finally:
+            microsim._pool, microsim._usable_cpus = saved
+
+
+def send_panel(conn, cfg):
+    conn.send_bytes(simulate_panel(cfg).panel.outcomes.tobytes())
+    conn.close()
+
+
+class TestCellPool:
+    """The thread pool that draws a study's groups changes no output byte, whatever its size."""
+
+    @staticmethod
+    def same_under_any_pool(run):
+        default = run()
+        with cell_pool(1):
+            alone = run()
+        with cell_pool(3):
+            three = run()
+        assert alone == default and three == default
+
+    def test_study_is_the_same_under_any_pool(self):
+        def run():
+            cfg = small_cfg(T=2 * microsim.CELL_BLOCK + 1, T0=8, num_donors=7, N_per_group=2000)
+            study = simulate_panel(cfg, aggregations=("mean", "median"))
+            return pickle.dumps((dict(study.panels), study.aux_suitable, study.aux_unsuitable))
+
+        # Workers write their own rows of shared panels: switching threads often would show a lost row.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.same_under_any_pool(run)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_experiment_is_the_same_under_any_pool(self, experiment):
+        base = small_cfg(T=9, N_per_group=41)
+        knob_values = {"S": (2, 4), "T": (9, 17), "covariates": (9,)}[experiment]
+        fit_cfg = FitConfig(regularizer="simplex")
+        self.same_under_any_pool(lambda: pickle.dumps(run_experiment(experiment, base, knob_values, 2, fit_cfg, 0.7)))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+    def test_forked_child_builds_its_own_pool(self):
+        # The child inherits the parent's pool object but none of its threads.
+        cfg = small_cfg()
+        want = simulate_panel(cfg).panel.outcomes.tobytes()
+        assert microsim._pool is not None
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=send_panel, args=(writer, cfg))
+        child.start()
+        writer.close()
+        try:
+            assert reader.poll(60), "the forked child's study did not finish"
+            assert reader.recv_bytes() == want
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+
+    def test_pool_threads_call_no_public_function(self, monkeypatch):
+        # A call tracer that follows one thread's stack would miss a public call made in a pool thread.
+        callers = set()
+
+        def recording(fn):
+            def call(*args, **kwargs):
+                callers.add(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name, value in list(vars(microsim).items()):
+            if not name.startswith("_") and inspect.isfunction(value):
+                monkeypatch.setattr(microsim, name, recording(value))
+        microsim.simulate_panel(small_cfg(T=17), aggregations=("mean", "median"))
+        assert callers == {threading.current_thread()}
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_cells_raise_a_data_error_not_a_warning(self):
+        # numpy's error state does not reach pool threads, so each draw sets its own.
+        with pytest.raises(DataValidationError, match="finite"):
+            simulate_panel(small_cfg(noise_sd=1e308))
+
+    def test_study_without_covariates_seeds_no_covariate_stream(self, monkeypatch):
+        keys = []
+        monkeypatch.setattr(microsim, "_stream", lambda seed, *key: keys.append(key) or _stream(seed, *key))
+        simulate_panel(small_cfg(covariate_count=0))
+        assert keys == [(0,)]
+        keys.clear()
+        simulate_panel(small_cfg(covariate_count=1))
+        assert keys == [(0,), (3,), (4,)]
 
 
 class TestCellStreams:
@@ -619,6 +749,25 @@ class TestGuideTable:
     def test_exact_for_any_cdf(self, edges):
         cdf = np.array(sorted(edges) + [1.0])
         self.assert_lookup_exact(_category_cdf(np.diff(cdf, prepend=0.0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(lambda b, step: float(np.nextafter(b / GUIDE_BINS, b / GUIDE_BINS + step)),
+                      st.integers(0, GUIDE_BINS), st.sampled_from([-1, 0, 1]))
+            | st.floats(0.0, 1.0),
+            max_size=30,
+        ),
+        st.integers(1, 3),
+    )
+    def test_table_is_its_definition(self, edges, repeat):
+        # start and mixed, built from the K entries, are the per-bin searches of the docstring.
+        cdf = np.array(sorted(float(np.clip(e, 0.0, 1.0)) for e in edges * repeat) + [1.0])
+        table = _category_cdf(np.diff(cdf, prepend=0.0))
+        bins = np.arange(GUIDE_BINS + 1) / GUIDE_BINS
+        start = table.cdf.searchsorted(bins[:-1], side="right")
+        assert np.array_equal(table.start, start) and table.start.dtype == start.dtype
+        assert np.array_equal(table.mixed, table.cdf.searchsorted(bins[1:], side="left") != start)
 
     @pytest.mark.parametrize("k", [GUIDE_BINS + 1, 3 * GUIDE_BINS])
     def test_exact_with_more_categories_than_bins(self, k):
