@@ -24,10 +24,12 @@ very same individuals.
 A group's cells are drawn ``CELL_BLOCK`` periods at a time (fewer when a cell
 has more than ``BLOCK_N`` individuals): each cell's own stream fills one row
 of the block, and the category lookup, the noise and every reducer run once
-over the whole block. A study's groups are spread over a thread pool with
-one worker per usable CPU, built on first use; numpy releases the GIL while
-it fills and reduces a block. Every cell comes from its own stream, whichever
-thread draws it, so no output depends on the pool's size.
+over the whole block. The covariates are drawn by the same kernel,
+``_draw_block``: each group's individuals are a one-row block of the
+covariate block's own stream. A study's groups are spread over a thread
+pool with one worker per usable CPU, built on first use; numpy releases the
+GIL while it fills and reduces a block. Every cell comes from its own stream,
+whichever thread draws it, so no output depends on the pool's size.
 
 An individual's category is the one ``Generator.choice`` gives for the same
 uniform, read from a guide table built once per group (Chen & Asau 1974;
@@ -441,28 +443,33 @@ def _lookup(table: _CategoryTable, u: np.ndarray, bins: np.ndarray, out: np.ndar
     return out
 
 
-def _draw(
-    rng: np.random.Generator,
-    table: _CategoryTable,
-    values: np.ndarray,
-    n: int,
-    noise_sd: float = 0.0,
-    shift: float = 0.0,
-) -> np.ndarray:
-    """``values`` at the categories of n fresh individuals, plus noise and shift.
+def _draw_block(streams: list, table: _CategoryTable, lam: np.ndarray, noise_sd: float, scratch: np.ndarray):
+    """Fresh individuals' outcomes, a row per stream: ``lam[r]`` at the categories ``streams[r]`` draws, plus noise.
 
-    ``rng.choice(K, size=n, p=probs)`` computes ``cdf.searchsorted(rng.random(n),
-    side="right")`` once it has validated ``probs`` (SimulatedStudy checks
-    them more strictly), and :func:`_lookup` gives that search's answer. So
-    the stream is consumed, and the individuals drawn, exactly as by that call
-    followed by ``rng.normal``.
+    ``lam`` holds a row of category values per stream, and ``scratch`` is a
+    (3, rows, N) buffer with at least a row per stream, whose first buffer the
+    outcomes overwrite. ``rng.choice(K, size=N, p=probs)`` computes
+    ``cdf.searchsorted(rng.random(N), side="right")`` once it has validated
+    ``probs`` (SimulatedStudy checks them more strictly), and :func:`_lookup`
+    gives that search's answer. ``rng.normal(0.0, noise_sd, N)`` is
+    ``0.0 + noise_sd * z``, and the caller puts its ``0.0 +`` into ``lam`` (see
+    :func:`simulate_panel`). So each stream is consumed, and its individuals
+    drawn, exactly as by ``choice`` followed by ``normal``.
     """
-    u = rng.random(n)
-    y = values[_lookup(table, u, np.empty(n, np.intp), np.empty(n, np.intp))]
+    rows, n = len(streams), scratch.shape[-1]
+    # The buffers hold the uniforms, then the outcomes (y); the lookup's bins, then the normals (z); and the
+    # categories. intp is at most as wide as float64, so an intp view of a row holds n indices.
+    y, z, cells = scratch[:, :rows]
+    for rng, row in zip(streams, y):
+        rng.random(out=row)
+    cells = _lookup(table, y, z.view(np.intp)[:, :n], cells.view(np.intp)[:, :n])
+    cells += np.arange(0, lam.size, lam.shape[1], dtype=np.intp)[:, None]  # index the rows of lam, flattened
+    np.take(lam, cells, out=y, mode="clip")
     if noise_sd > 0:
-        y += rng.normal(0.0, noise_sd, n)
-    if shift != 0.0:
-        y += shift
+        for rng, row in zip(streams, z):
+            rng.standard_normal(out=row)
+        z *= noise_sd
+        y += z
     return y
 
 
@@ -538,43 +545,26 @@ def _draw_groups(
 
     ``scratch`` is this call's (3, periods per block, N) buffer. ``words[j]`` holds
     group j's seed words, period by period. Row r of the block that starts at
-    period index p is the cell of period p + r + 1, drawn from its own stream
-    as :func:`_draw` draws it: the uniforms, then the normals z, whose
-    ``noise_sd * z`` is added as ``rng.normal`` adds it (see
-    :func:`simulate_panel` for its ``0.0 +``). Each reducer reduces the block
-    along its last axis. Runs in a pool thread, so it calls no public function,
-    which a one-thread call tracer would miss, and sets its own numpy error
-    state, which threads do not inherit.
+    period index p is the cell of period p + r + 1, drawn by :func:`_draw_block`
+    from its own stream and row p + r of ``by_period``. The target's rows after
+    ``cfg.T0`` carry the shift, and each reducer reduces the block along its last
+    axis. Runs in a pool thread, so it calls no public function, which a
+    one-thread call tracer would miss, and sets its own numpy error state, which
+    threads do not inherit.
     """
-    block, n = scratch.shape[1:]
-    # The buffers hold the uniforms, then the outcomes (u); the lookup's bins, then the normals (z); and the
-    # categories (idx). intp is at most as wide as float64, so an intp view of a row holds n indices.
-    u, z, idx = scratch[0], scratch[1], scratch[2].view(np.intp)[:, :n]
-    bins = z.view(np.intp)[:, :n]
-    offsets = cfg.K * np.arange(block, dtype=np.intp)[:, None]
+    block = scratch.shape[1]
     # A cell that overflows is rejected by the panel's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in groups:
             for p in range(0, cfg.T, block):
-                rows = min(block, cfg.T - p)
-                y, noise = u[:rows], z[:rows]
                 # The block's streams are made at once: one longer hold of the GIL, not one per cell, spares
                 # the other workers many waits.
-                streams = [_generator(w) for w in words[j, p:p + rows]]
-                for rng, row in zip(streams, y):
-                    rng.random(out=row)
-                cells = _lookup(tables[j], y, bins[:rows], idx[:rows])
-                cells += offsets[:rows]  # index the block's periods of the period-major table
-                np.take(by_period[p:p + rows], cells, out=y, mode="clip")
-                if cfg.noise_sd > 0:
-                    for rng, row in zip(streams, noise):
-                        rng.standard_normal(out=row)
-                    noise *= cfg.noise_sd
-                    y += noise
-                if j == 0 and cfg.post_intervention_shift != 0.0 and p + rows > cfg.T0:
+                streams = [_generator(w) for w in words[j, p:p + block]]
+                y = _draw_block(streams, tables[j], by_period[p:p + block], cfg.noise_sd, scratch)
+                if j == 0 and cfg.post_intervention_shift != 0.0:
                     y[max(cfg.T0 - p, 0):] += cfg.post_intervention_shift
                 for name, panel in outcomes.items():
-                    panel[j, p:p + rows] = _REDUCERS[name](y)
+                    panel[j, p:p + block] = _REDUCERS[name](y)
 
 
 def simulate_panel(
@@ -608,7 +598,8 @@ def simulate_panel(
                         np.arange(1, cfg.T + 1, dtype=np.uint32))
     _check_seeding(cfg.seed, words[0, 0])
     # rng.normal's noise is 0.0 + m. For any x, x + (0.0 + m) and (x + 0.0) + m both differ from x + m only
-    # where x and m are both -0.0, giving 0.0; so the noise is added to a table without -0.0 in one pass.
+    # where x and m are both -0.0, giving 0.0; so the noise of cells and covariates alike is added to a table
+    # without -0.0 in one pass.
     lam = by_period + 0.0 if cfg.noise_sd > 0 else by_period
     # One run of consecutive groups per usable CPU. Its scratch is allocated here, not in a pool thread, so
     # that the memory goes back to the calling thread's heap and is reused there.
@@ -618,7 +609,6 @@ def simulate_panel(
     draw = functools.partial(_draw_groups, tables=tables, words=words, by_period=lam, cfg=cfg, outcomes=outcomes)
     for _ in _cell_pool().map(draw, parts, scratch):
         pass  # re-raises a worker's exception
-    del scratch  # free for the covariate draws below
 
     panels = {
         name: PanelData(
@@ -630,9 +620,9 @@ def simulate_panel(
         )
         for name, values in outcomes.items()
     }
-    # A study without covariates does not seed their streams.
+    # A study without covariates does not seed their streams. The covariates are drawn in the first run's scratch.
     aux_suitable, aux_unsuitable = (
-        _make_covariates(tables, by_period, cfg, kind, _stream(cfg.seed, key) if cfg.covariate_count else None)
+        _make_covariates(tables, lam, cfg, kind, _stream(cfg.seed, key) if cfg.covariate_count else None, scratch[0])
         for kind, key in (("suitable", 3), ("unsuitable", 4))
     )
     return SimulatedStudy(
@@ -653,11 +643,15 @@ def _make_covariates(
     cfg: SimConfig,
     kind: str,
     rng: np.random.Generator | None,
+    scratch: np.ndarray,
 ) -> AuxMatrix:
     """Sample ``cfg.covariate_count`` group-level covariates of one kind.
 
     ``tables`` holds each group's category table and ``by_period`` the period-major
-    conditional-mean table, as :func:`simulate_panel` builds them once per study.
+    conditional-mean table, with the ``0.0 +`` of the noise, as :func:`simulate_panel`
+    builds them once per study. Each group's individuals are a one-row block of
+    ``rng``, drawn by :func:`_draw_block`, the cells' kernel, in ``scratch``, a
+    (3, rows, N) buffer.
 
     suitable: per covariate m, the mean of sin(c_m * Y) over individuals
     sampled at one fixed pre-period, with c_m = SIN_LADDER_MAX * m / count.
@@ -674,21 +668,20 @@ def _make_covariates(
     count = cfg.covariate_count
     values = np.empty((len(tables), count))
     labels = []
-    for m in range(1, count + 1):
-        if kind == "suitable":
-            t_star = int(rng.integers(1, cfg.T0 + 1))
-            c_m = SIN_LADDER_MAX * m / count
-            labels.append(f"sin{m}_t{t_star}")
+    suitable = kind == "suitable"
+    # An individual whose noise overflows has no sine; AuxMatrix rejects the covariate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, count + 1):
+            if suitable:
+                t_star = int(rng.integers(1, cfg.T0 + 1))
+                labels.append(f"sin{m}_t{t_star}")
+                lam, noise_sd = by_period[t_star - 1:t_star], cfg.noise_sd
+            else:
+                lam, noise_sd = rng.permutation(cfg.K)[None].astype(float), 0.0
+                labels.append(f"code{m}")
             for j, table in enumerate(tables):
-                y = _draw(rng, table, by_period[t_star - 1], cfg.N_per_group, cfg.noise_sd)
-                # An individual whose noise overflows has no sine; AuxMatrix rejects the covariate.
-                with np.errstate(invalid="ignore"):
-                    values[j, m - 1] = np.sin(c_m * y).mean()
-        else:
-            codes = rng.permutation(cfg.K)
-            labels.append(f"code{m}")
-            for j, table in enumerate(tables):
-                values[j, m - 1] = _draw(rng, table, codes, cfg.N_per_group).mean()
+                y = _draw_block([rng], table, lam, noise_sd, scratch)[0]
+                values[j, m - 1] = (np.sin(SIN_LADDER_MAX * m / count * y) if suitable else y).mean()
     return AuxMatrix(values=values, covariate_labels=tuple(labels))
 
 

@@ -31,7 +31,8 @@ from synthpanel.microsim import (
     SimulatedStudy,
     _category_cdf,
     _check_seeding,
-    _draw,
+    _draw_block,
+    _lookup,
     _make_covariates,
     _median,
     _seed_words,
@@ -41,6 +42,7 @@ from synthpanel.microsim import (
     sample_compositions,
     write_study_bundle,
 )
+from synthpanel.panel import aggregate_groups
 
 
 def small_cfg(**overrides) -> SimConfig:
@@ -236,6 +238,26 @@ class TestSimulatePanel:
         assert np.array_equal(a.panel.outcomes[0, :t0], b.panel.outcomes[0, :t0])
         assert np.allclose(b.panel.outcomes[0, t0:] - a.panel.outcomes[0, t0:], 5.0)
 
+    @pytest.mark.parametrize("n, noise_sd, seed", [(1, 1.0, 3), (7, 0.0, 4), (200, 1.0, 5), (2000, 3.0, 6)])
+    def test_merged_donors_are_the_mean_of_their_pooled_individuals(self, n, noise_sd, seed):
+        # With mean cells and equal populations, aggregate_groups merges two donors into the mean over their
+        # pooled 2N individuals, up to rounding. Both sides are numpy's pairwise sums of at most 2N terms,
+        # divided (the merged side then halves and adds its two cells), and a pairwise sum's mean errs by a
+        # few ulps of the largest term per halving: so the tolerance is 4 ulps of max|y| times log2(2N).
+        cfg = small_cfg(N_per_group=n, noise_sd=noise_sd, seed=seed, covariate_count=0)
+        study = simulate_panel(cfg)
+        panel = replace(study.panel, populations={"donor_1": 3.0, "donor_2": 3.0})
+        merged = aggregate_groups(panel, {label: label for label in panel.group_labels} | {"donor_2": "donor_1"})
+        row = merged.outcomes[merged.group_index("donor_1")]
+        for t in range(1, cfg.T + 1):
+            pooled = []
+            for j in (1, 2):  # the donors' individuals, regenerated as choice_sampler draws them
+                rng = numpy_stream(cfg.seed, 2, j, t)
+                y = study.functions[rng.choice(cfg.K, size=n, p=study.compositions[j]), t - 1]
+                pooled.append(y + rng.normal(0.0, noise_sd, n) if noise_sd > 0 else y)
+            pooled = np.concatenate(pooled)
+            assert abs(row[t - 1] - pooled.mean()) <= 4 * np.log2(2 * n) * np.spacing(np.abs(pooled).max()), t
+
     def test_cells_within_clt_bound(self):
         # |cell - expectation| <= 4 sd(cell mean) in at least 99% of cells.
         total, bad = 0, 0
@@ -292,7 +314,8 @@ class TestCovariates:
         cfg = small_cfg(noise_sd=0.0, covariate_count=3)
         study = simulate_panel(cfg)
         tables = [_category_cdf(comp) for comp in study.compositions]
-        aux = _make_covariates(tables, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5))
+        scratch = np.empty((3, 1, cfg.N_per_group))
+        aux = _make_covariates(tables, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5), scratch)
         for m in range(1, 4):
             c_m = SIN_LADDER_MAX * m / 3
             assert np.allclose(aux.values[:, m - 1], np.sin(c_m * y0), atol=1e-12)
@@ -305,7 +328,8 @@ class TestCovariates:
         probs[k_star] = 1.0
         seed_key = (13, 8)
         tables = [_category_cdf(probs) for _ in range(6)]
-        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", numpy_stream(*seed_key))
+        scratch = np.empty((3, 1, cfg.N_per_group))
+        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", numpy_stream(*seed_key), scratch)
         codes = numpy_stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
 
@@ -522,6 +546,37 @@ class TestDrawPathByteIdentity:
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+# Table values and noise sds that no simulated study holds: signed zeros, subnormals and sums that overflow.
+KERNEL_VALUES = [-0.0, 0.0, -1e-310, 1.5, 1e300, -1e300]
+KERNEL_SDS = [0.0, 5e-324, 1e-310, 1.0, 1e308]
+
+
+class TestDrawKernel:
+    """A one-row block of _draw_block is ``choice`` then ``normal`` on the same stream, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.sampled_from(KERNEL_SDS))
+    def test_one_row_equals_choice_then_normal(self, seed, n, noise_sd):
+        data = np.random.default_rng(seed)
+        k = int(data.integers(1, 9))
+        keep = data.random(k) < 0.7  # some categories get no mass, but never all of them
+        keep[data.integers(k)] = True
+        probs = data.dirichlet(np.ones(k)) * keep
+        probs /= probs.sum()
+        row = data.choice(KERNEL_VALUES, size=k)
+        # Both callers put the noise's "0.0 +" into the table, and add neither when there is no noise.
+        lam = row + 0.0 if noise_sd > 0 else row
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _draw_block([numpy_stream(seed, 5)], _category_cdf(probs), lam[None], noise_sd,
+                              np.empty((3, 1, n)))[0]
+            rng = numpy_stream(seed, 5)
+            want = row[rng.choice(k, size=n, p=probs)]
+            if noise_sd > 0:
+                want = want + rng.normal(0.0, noise_sd, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def numpy_words(seed, *key):
     return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
 
@@ -615,9 +670,11 @@ class TestCellPool:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_cells_raise_a_data_error_not_a_warning(self):
-        # numpy's error state does not reach pool threads, so each draw sets its own.
-        with pytest.raises(DataValidationError, match="finite"):
-            simulate_panel(small_cfg(noise_sd=1e308))
+        # numpy's error state does not reach pool threads, so each draw sets its own. The median panel
+        # is finite, so there the overflow first reaches the covariate draws, on the calling thread.
+        for aggregation in ("mean", "median"):
+            with pytest.raises(DataValidationError, match="finite"):
+                simulate_panel(small_cfg(noise_sd=1e308, aggregation=aggregation))
 
     def test_study_without_covariates_seeds_no_covariate_stream(self, monkeypatch):
         keys = []
@@ -679,17 +736,6 @@ class TestCellStreams:
             simulate_panel(small_cfg())
 
 
-class FixedUniforms:
-    """Stands in for a Generator whose next uniforms are ``u``."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
-
-    def random(self, n):
-        assert n == self.u.size
-        return self.u.copy()
-
-
 def below(x):
     return float(np.nextafter(x, 0.0))
 
@@ -702,7 +748,7 @@ BIN_EDGES = np.arange(GUIDE_BINS) / GUIDE_BINS
 
 
 class TestGuideTable:
-    """The guide-table lookup in _draw gives ``cdf.searchsorted(u, side="right")`` for every uniform."""
+    """The guide-table lookup gives ``cdf.searchsorted(u, side="right")`` for every uniform."""
 
     @staticmethod
     def assert_lookup_exact(table, seed=0):
@@ -715,7 +761,7 @@ class TestGuideTable:
             near[(near >= 0.0) & (near < 1.0)],
             np.random.default_rng(seed).random(2000),
         ])
-        got = _draw(FixedUniforms(u), table, np.arange(cdf.size, dtype=float), u.size)
+        got = _lookup(table, u, np.empty(u.size, np.intp), np.empty(u.size, np.intp))
         assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
     @pytest.mark.parametrize(
