@@ -8,9 +8,10 @@ no directory and a written run is reproducible from its directory alone.
 Outputs are deterministic given config and seed. The argument parser is
 built once per process and shared by every :func:`main` call in it.
 
-Exit codes: 0 success, 1 usage error (a missing input file or an unusable
-output directory included), 2 data-validation error (an input file that
-cannot be read, decoded or parsed included), 3 solver non-convergence.
+Exit codes: 0 success, 1 usage error (a missing input file, an unusable
+output directory or a run whose arrays do not fit in memory included), 2
+data-validation error (an input file that cannot be read, decoded or parsed
+included), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -438,7 +439,11 @@ def main(argv=None) -> int:
         namespace = vars(build_parser().parse_args(argv))
         command = namespace.pop("command")
         params = _materialize(command, namespace.pop("config", None), namespace)
-        return _deliver(command, params, COMMANDS[command](params))
+        try:
+            output = COMMANDS[command](params)
+        except MemoryError as exc:  # a run whose arrays do not fit in memory; nothing is written yet
+            raise UsageError(f"out of memory: {exc}") from None
+        return _deliver(command, params, output)
     except UsageError as exc:
         message, code = str(exc), EXIT_USAGE
     except FileNotFoundError as exc:

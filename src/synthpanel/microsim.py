@@ -21,24 +21,26 @@ There is one draw per cell, reduced by each requested aggregation: a study
 can carry its mean and its median panel side by side, and both reduce the
 very same individuals.
 
-A group's cells are drawn ``CELL_BLOCK`` periods at a time (fewer when a cell
-has more than ``BLOCK_N`` individuals): each cell's own stream fills one row
-of the block, and the category lookup, the noise and every reducer run once
-over the whole block. The covariates are drawn by the same kernel,
-``_draw_block``: each group's individuals are a one-row block of the
-covariate block's own stream. A study's groups are spread over a thread
-pool with one worker per usable CPU, built on first use; numpy releases the
-GIL while it fills and reduces a block. Every cell comes from its own stream,
-whichever thread draws it, so no output depends on the pool's size.
+A group's cells are drawn in blocks of ``BLOCK_INDIVIDUALS`` individuals, as
+many periods as that holds (at least one, at most T): each cell's own stream
+fills one row of the block, and the category lookup, the noise and every
+reducer run once over the whole block. The covariates are drawn by the same
+kernel, ``_draw_block``: each group's individuals are a one-row block of the
+covariate block's own stream. A study's groups are split into one run per
+usable CPU. The calling thread draws the first run, and each other run goes
+to a helper thread that the call starts and joins before it returns; numpy
+releases the GIL while it fills and reduces a block. Every cell comes from
+its own stream, whichever thread draws it, so no output depends on the
+number of threads.
 
 An individual's category is the one ``Generator.choice`` gives for the same
 uniform, read from a guide table built once per group (Chen & Asau 1974;
 Devroye, *Non-Uniform Random Variate Generation*, 1986, section III.2.4):
 ``GUIDE_BINS`` equal bins of [0, 1), each holding the category of its left
-edge. Every uniform in a bin that no CDF entry falls inside has that
-category; only the uniforms in the at most K - 1 other bins are found by
-``choice``'s own binary search. So the indices, and every draw, are
-exactly ``choice``'s.
+edge, or its bitwise complement if a CDF entry falls inside the bin. Every
+uniform in a bin holding a category has that category; only the uniforms in
+the at most K - 1 other bins are found by ``choice``'s own binary search. So
+the indices, and every draw, are exactly ``choice``'s.
 """
 
 from __future__ import annotations
@@ -255,6 +257,14 @@ class SimConfig:
         _require_nonnegative("ramp_scale", self.ramp_scale)
         if not math.isfinite(self.post_intervention_shift):
             raise UsageError("post_intervention_shift must be finite")
+        # numpy makes no array of more bytes than an intp counts, so larger studies are refused here; a smaller
+        # study too large for memory raises MemoryError. A study's largest arrays, 8 bytes an entry, are its block
+        # buffers (3 x N a period, at most one run a group), cell seed words (groups x T x 4), truth tables and
+        # covariates.
+        groups, n, t, k = 1 + int(self.num_donors), int(self.N_per_group), int(self.T), int(self.K)
+        entries = max(3 * groups * n, 4 * groups * t, k * t, groups * k, groups * int(self.covariate_count))
+        if 8 * entries > np.iinfo(np.intp).max:
+            raise UsageError("the study's arrays are larger than numpy can index")
 
     @property
     def n_groups(self) -> int:
@@ -397,14 +407,13 @@ def conditional_mean_default(
 class _CategoryTable(NamedTuple):
     """A composition's category CDF and its guide table over ``GUIDE_BINS`` bins.
 
-    ``start[b]`` counts the CDF entries at or below ``b / GUIDE_BINS``;
-    ``mixed[b]`` is true when the count at the largest float below
-    ``(b + 1) / GUIDE_BINS`` differs from it.
+    ``guide[b]`` is the count of CDF entries at or below ``b / GUIDE_BINS``, or
+    its bitwise complement ``~count``, a negative number, when the count at the
+    largest float below ``(b + 1) / GUIDE_BINS`` differs from it: the bin is mixed.
     """
 
     cdf: np.ndarray
-    start: np.ndarray
-    mixed: np.ndarray
+    guide: np.ndarray
 
 
 def _category_cdf(probs: np.ndarray) -> _CategoryTable:
@@ -412,32 +421,32 @@ def _category_cdf(probs: np.ndarray) -> _CategoryTable:
 
     ``choice`` gives the uniform u the category ``cdf.searchsorted(u, side="right")``,
     the count of CDF entries at or below u. That count never falls as u grows,
-    so every u in a bin that is not ``mixed`` has the count ``start`` holds for
-    the bin. A bin is mixed only if a CDF entry lies strictly inside it, and
-    the last entry is 1.0, so at most K - 1 bins are.
+    so every u in a bin that is not mixed has the count ``guide`` holds for the
+    bin. A bin is mixed only if a CDF entry lies strictly inside it, and the
+    last entry is 1.0, so at most K - 1 bins are.
     """
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS  # exact: GUIDE_BINS is a power of two
     # Entry k lies at or below the edges from first[k] on, and strictly inside bin first[k] - 1 unless it is an edge.
     first = edges.searchsorted(cdf)
-    start = np.bincount(first, minlength=GUIDE_BINS + 1).cumsum()[:GUIDE_BINS]
-    mixed = np.zeros(GUIDE_BINS, dtype=bool)
-    mixed[first[edges[first] != cdf] - 1] = True
-    return _CategoryTable(cdf, start, mixed)
+    guide = np.bincount(first, minlength=GUIDE_BINS + 1).cumsum()[:GUIDE_BINS]
+    mixed = first[edges[first] != cdf] - 1
+    guide[mixed] = ~guide[mixed]
+    return _CategoryTable(cdf, guide)
 
 
 def _lookup(table: _CategoryTable, u: np.ndarray, bins: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out``, set to the category ``table.cdf.searchsorted(u, side="right")`` of every uniform in ``u``.
 
     ``u`` may have any shape; ``bins`` and ``out`` are intp arrays of that shape,
-    and ``bins`` is scratch. Each uniform u takes ``table.start`` at its bin
+    and ``bins`` is scratch. Each uniform u takes ``table.guide`` at its bin
     ``int(u * GUIDE_BINS)``, which is that search's answer unless the bin is
-    mixed, and the uniforms in mixed bins are searched.
+    mixed, and the uniforms that took a negative entry are searched.
     """
     np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # truncates, as astype does
-    np.take(table.start, bins, out=out, mode="clip")  # every bin is in range; "raise" would copy
-    fix = table.mixed[bins]
+    np.take(table.guide, bins, out=out, mode="clip")  # every bin is in range; "raise" would copy
+    fix = out < 0
     if fix.any():
         out[fix] = table.cdf.searchsorted(u[fix], side="right")
     return out
@@ -493,43 +502,17 @@ def _median(y: np.ndarray):
 # draw in place, so it must come last.
 _REDUCERS = {"mean": _mean, "median": _median}
 
-# Periods of one group whose cells are drawn as one block, at up to BLOCK_N
-# individuals per cell; above that, a block has CELL_BLOCK * BLOCK_N // N periods
-# (at least one), so that a worker's three block buffers take at most 768 KB,
-# which fits a 2 MB L2 cache, unless one period alone is larger. At N = 2000, two
-# workers spent about 9% less CPU per study with 16 periods than with 8: every
-# numpy call on a block releases and retakes the GIL, and fewer calls per cell
-# mean fewer waits for it.
-CELL_BLOCK = 16
-BLOCK_N = 2000
-
-# The thread pool that draws a study's groups: built on first use, and dropped in
-# a forked child, which inherits the pool object but none of its threads.
-_pool = None
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# Individuals in one block of a group's cells: a block holds BLOCK_INDIVIDUALS // N
+# periods (at least one, at most T), so that a thread's three block buffers take
+# at most 768 KB, which fits a 2 MB L2 cache, unless one period alone is larger.
+# At N = 2000 a block holds 16 periods, and two threads spent about 9% less CPU
+# per study with 16 periods than with 8: every numpy call on a block releases and
+# retakes the GIL, and fewer calls per cell mean fewer waits for it.
+BLOCK_INDIVIDUALS = 32_000
 
 
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _cell_pool():
-    """The module's thread pool, one worker per usable CPU. numpy releases the GIL while
-    it fills and reduces a block, so the workers' blocks run side by side."""
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="synthpanel-cells")
-    return _pool
 
 
 def _draw_groups(
@@ -548,7 +531,7 @@ def _draw_groups(
     period index p is the cell of period p + r + 1, drawn by :func:`_draw_block`
     from its own stream and row p + r of ``by_period``. The target's rows after
     ``cfg.T0`` carry the shift, and each reducer reduces the block along its last
-    axis. Runs in a pool thread, so it calls no public function, which a
+    axis. May run on a helper thread, so it calls no public function, which a
     one-thread call tracer would miss, and sets its own numpy error state, which
     threads do not inherit.
     """
@@ -558,7 +541,7 @@ def _draw_groups(
         for j in groups:
             for p in range(0, cfg.T, block):
                 # The block's streams are made at once: one longer hold of the GIL, not one per cell, spares
-                # the other workers many waits.
+                # the other threads many waits.
                 streams = [_generator(w) for w in words[j, p:p + block]]
                 y = _draw_block(streams, tables[j], by_period[p:p + block], cfg.noise_sd, scratch)
                 if j == 0 and cfg.post_intervention_shift != 0.0:
@@ -601,14 +584,22 @@ def simulate_panel(
     # where x and m are both -0.0, giving 0.0; so the noise of cells and covariates alike is added to a table
     # without -0.0 in one pass.
     lam = by_period + 0.0 if cfg.noise_sd > 0 else by_period
-    # One run of consecutive groups per usable CPU. Its scratch is allocated here, not in a pool thread, so
-    # that the memory goes back to the calling thread's heap and is reused there.
+    # One run of consecutive groups per usable CPU, each with its own scratch. The scratch is allocated here, on
+    # the calling thread, so that the memory goes back to its heap and is reused there.
     parts = np.array_split(np.arange(cfg.n_groups), min(_usable_cpus(), cfg.n_groups))
-    block = max(1, CELL_BLOCK * BLOCK_N // max(cfg.N_per_group, BLOCK_N))
+    block = min(cfg.T, max(1, BLOCK_INDIVIDUALS // cfg.N_per_group))
     scratch = np.empty((len(parts), 3, block, cfg.N_per_group))
     draw = functools.partial(_draw_groups, tables=tables, words=words, by_period=lam, cfg=cfg, outcomes=outcomes)
-    for _ in _cell_pool().map(draw, parts, scratch):
-        pass  # re-raises a worker's exception
+    # The calling thread draws the first run, and a helper thread that this call starts and joins draws each
+    # other run; numpy releases the GIL while it fills and reduces a block, so the runs are drawn side by side.
+    # The executor starts a thread only when a run is submitted, so a study on one CPU starts none.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(parts), thread_name_prefix="synthpanel-cells") as helpers:
+        pending = [helpers.submit(draw, part, buffer) for part, buffer in zip(parts[1:], scratch[1:])]
+        draw(parts[0], scratch[0])
+    for future in pending:
+        future.result()  # re-raises a helper's exception
 
     panels = {
         name: PanelData(

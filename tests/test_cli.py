@@ -507,6 +507,15 @@ class TestUsage:
         assert capsys.readouterr().err == f"error: intervention_time must satisfy 1 <= T0 < T, got T0={t0}, T=8\n"
         assert not out.exists()
 
+    def test_memory_error_while_writing_is_not_reported_as_usage(self, tmp_path, monkeypatch):
+        # Exit 1 promises no output directory, so only a MemoryError raised before anything is written maps to it.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "write_json", exhausted)
+        with pytest.raises(MemoryError):
+            run(["simulate", "--individuals", 50, "--out", tmp_path / "out"])
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -1016,6 +1025,12 @@ def non_finite_numbers(path):
 @example(invocation=(
     ["covariates", *map(str, CONTRACT_BASE["covariates"]), "--noise-sd=1e+308", "--aggregation=median"], None, False
 ))
+# Sizes whose first array exceeds the address space (MemoryError) or numpy's index range (refused by SimConfig).
+@example(invocation=(["simulate", *map(str, CONTRACT_BASE["simulate"]), "--individuals=1000000000000000"], None, False))
+@example(invocation=(["simulate", *map(str, CONTRACT_BASE["simulate"]), "--individuals=100000000000000000000"], None,
+                     False))
+@example(invocation=(["simulate", *map(str, CONTRACT_BASE["simulate"]), "--periods=100000000000000"], None, False))
+@example(invocation=(["simulate", *map(str, CONTRACT_BASE["simulate"]), "--categories=100000000000000"], None, False))
 @given(invocation=invocations())
 def test_cli_contract(contract_inputs, invocation):
     """Exit 0 with finite outputs, 3 with outputs and a note, or 1/2 with one error line and no output."""

@@ -4,7 +4,6 @@ import multiprocessing
 import pickle
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -507,22 +506,19 @@ class TestDrawPathByteIdentity:
 
     @pytest.mark.parametrize(
         "T, T0",
-        # (blocks, periods) of CELL_BLOCK-period blocks: T ends below, on and past a block's edge,
-        # and the shift starts inside a block or on its edge.
+        # (blocks, periods) of full blocks: T ends below, on and past a block's edge, and the shift starts
+        # inside a block or on its edge.
         [((0, 2), (0, 1)), ((1, -1), (1, -3)), ((1, 0), (0, 3)), ((1, 1), (1, 0)), ((2, 1), (1, 0)),
          ((2, 1), (1, 3)), ((2, 1), (2, 0))],
     )
-    def test_every_cell_equals_choice_sampler_at_block_edges(self, T, T0):
-        T, T0 = (blocks * microsim.CELL_BLOCK + periods for blocks, periods in (T, T0))
+    # Blocks of 32, 16 and 5 periods. At N = 1000 a T up to 32 is one block of every period.
+    @pytest.mark.parametrize("n", [1000, 2000, 3 * 2000])
+    def test_every_cell_equals_choice_sampler_at_block_edges(self, n, T, T0):
+        block = microsim.BLOCK_INDIVIDUALS // n
+        T, T0 = (blocks * block + periods for blocks, periods in (T, T0))
         self.assert_equals_choice_sampler(
-            small_cfg(seed=404, T=T, T0=T0, N_per_group=2000, covariate_count=1, post_intervention_shift=2.5)
+            small_cfg(seed=404, T=T, T0=T0, N_per_group=n, covariate_count=1, post_intervention_shift=2.5)
         )
-
-    def test_every_cell_equals_choice_sampler_in_shorter_blocks_of_larger_cells(self):
-        # Three times BLOCK_N individuals a cell: blocks of CELL_BLOCK // 3 periods.
-        cfg = small_cfg(seed=404, T=microsim.CELL_BLOCK + 1, T0=5, N_per_group=3 * microsim.BLOCK_N,
-                        covariate_count=1, post_intervention_shift=2.5)
-        self.assert_equals_choice_sampler(cfg)
 
     def test_single_aggregation_call_equals_paired_call(self):
         for aggregation in ("mean", "median"):
@@ -583,14 +579,18 @@ def numpy_words(seed, *key):
 
 @contextmanager
 def cell_pool(workers):
-    """Inside the block, microsim sees ``workers`` usable CPUs and draws on a pool of as many threads."""
-    saved = microsim._pool, microsim._usable_cpus
-    with ThreadPoolExecutor(workers) as pool:
-        microsim._pool, microsim._usable_cpus = pool, lambda: workers
-        try:
-            yield
-        finally:
-            microsim._pool, microsim._usable_cpus = saved
+    """Inside the block, microsim sees ``workers`` usable CPUs, so a study draws on as many threads."""
+    saved = microsim._usable_cpus
+    microsim._usable_cpus = lambda: workers
+    try:
+        yield
+    finally:
+        microsim._usable_cpus = saved
+
+
+def study_bytes(cfg):
+    study = simulate_panel(cfg, aggregations=("mean", "median"))
+    return pickle.dumps((dict(study.panels), study.aux_suitable, study.aux_unsuitable))
 
 
 def send_panel(conn, cfg):
@@ -599,7 +599,7 @@ def send_panel(conn, cfg):
 
 
 class TestCellPool:
-    """The thread pool that draws a study's groups changes no output byte, whatever its size."""
+    """The threads that draw a study's groups change no output byte, whatever their number, and end with the call."""
 
     @staticmethod
     def same_under_any_pool(run):
@@ -611,18 +611,42 @@ class TestCellPool:
         assert alone == default and three == default
 
     def test_study_is_the_same_under_any_pool(self):
-        def run():
-            cfg = small_cfg(T=2 * microsim.CELL_BLOCK + 1, T0=8, num_donors=7, N_per_group=2000)
-            study = simulate_panel(cfg, aggregations=("mean", "median"))
-            return pickle.dumps((dict(study.panels), study.aux_suitable, study.aux_unsuitable))
-
-        # Workers write their own rows of shared panels: switching threads often would show a lost row.
+        cfg = small_cfg(T=2 * microsim.BLOCK_INDIVIDUALS // 2000 + 1, T0=8, num_donors=7, N_per_group=2000)
+        # Threads write their own rows of shared panels: switching threads often would show a lost row.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.same_under_any_pool(run)
+            self.same_under_any_pool(lambda: study_bytes(cfg))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_call_joins_the_threads_it_starts(self, workers, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
+        with cell_pool(workers):
+            simulate_panel(small_cfg())
+        # One helper per run of groups but the caller's, none at one CPU, and none alive after the call.
+        assert len(started) == workers - 1 and all(name.startswith("synthpanel-cells") for name in started)
+        assert not [thread for thread in threading.enumerate() if thread.name.startswith("synthpanel-cells")]
+
+    def test_concurrent_calls_get_the_bytes_of_lone_calls(self):
+        cfgs = [small_cfg(seed=seed, T=2 * microsim.BLOCK_INDIVIDUALS // 2000 + 1, N_per_group=2000) for seed in (1, 2)]
+        got, barrier = [None, None], threading.Barrier(2)
+
+        def run(i):
+            barrier.wait()
+            got[i] = study_bytes(cfgs[i])
+
+        with cell_pool(2):
+            alone = [study_bytes(cfg) for cfg in cfgs]
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join()
+        assert got == alone
 
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_experiment_is_the_same_under_any_pool(self, experiment):
@@ -632,15 +656,15 @@ class TestCellPool:
         self.same_under_any_pool(lambda: pickle.dumps(run_experiment(experiment, base, knob_values, 2, fit_cfg, 0.7)))
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
-    def test_forked_child_builds_its_own_pool(self):
-        # The child inherits the parent's pool object but none of its threads.
+    def test_forked_child_draws_the_parents_study(self):
+        # The parent has drawn on helper threads before it forks, and the child starts its own.
         cfg = small_cfg()
-        want = simulate_panel(cfg).panel.outcomes.tobytes()
-        assert microsim._pool is not None
         context = multiprocessing.get_context("fork")
-        reader, writer = context.Pipe(duplex=False)
-        child = context.Process(target=send_panel, args=(writer, cfg))
-        child.start()
+        with cell_pool(2):
+            want = simulate_panel(cfg).panel.outcomes.tobytes()
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=send_panel, args=(writer, cfg))
+            child.start()
         writer.close()
         try:
             assert reader.poll(60), "the forked child's study did not finish"
@@ -652,7 +676,7 @@ class TestCellPool:
         assert child.exitcode == 0
 
     def test_pool_threads_call_no_public_function(self, monkeypatch):
-        # A call tracer that follows one thread's stack would miss a public call made in a pool thread.
+        # A call tracer that follows one thread's stack would miss a public call made in a helper thread.
         callers = set()
 
         def recording(fn):
@@ -670,7 +694,7 @@ class TestCellPool:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_cells_raise_a_data_error_not_a_warning(self):
-        # numpy's error state does not reach pool threads, so each draw sets its own. The median panel
+        # numpy's error state does not reach helper threads, so each draw sets its own. The median panel
         # is finite, so there the overflow first reaches the covariate draws, on the calling thread.
         for aggregation in ("mean", "median"):
             with pytest.raises(DataValidationError, match="finite"):
@@ -807,20 +831,28 @@ class TestGuideTable:
         st.integers(1, 3),
     )
     def test_table_is_its_definition(self, edges, repeat):
-        # start and mixed, built from the K entries, are the per-bin searches of the docstring.
+        # The guide, built from the K entries, is the per-bin searches of the docstring.
         cdf = np.array(sorted(float(np.clip(e, 0.0, 1.0)) for e in edges * repeat) + [1.0])
         table = _category_cdf(np.diff(cdf, prepend=0.0))
         bins = np.arange(GUIDE_BINS + 1) / GUIDE_BINS
         start = table.cdf.searchsorted(bins[:-1], side="right")
-        assert np.array_equal(table.start, start) and table.start.dtype == start.dtype
-        assert np.array_equal(table.mixed, table.cdf.searchsorted(bins[1:], side="left") != start)
+        mixed = table.cdf.searchsorted(bins[1:], side="left") != start
+        assert np.array_equal(table.guide, np.where(mixed, ~start, start)) and table.guide.dtype == np.intp
+
+    def test_exact_when_every_bin_is_mixed(self):
+        # An entry strictly inside every bin: bin b holds ~b, bin 0 the -1 of no entry below it.
+        cdf = np.append((np.arange(GUIDE_BINS) + 0.5) / GUIDE_BINS, 1.0)
+        table = _category_cdf(np.diff(cdf, prepend=0.0))
+        assert np.array_equal(table.cdf, cdf)
+        assert np.array_equal(table.guide, ~np.arange(GUIDE_BINS))
+        self.assert_lookup_exact(table)
 
     @pytest.mark.parametrize("k", [GUIDE_BINS + 1, 3 * GUIDE_BINS])
     def test_exact_with_more_categories_than_bins(self, k):
         rng = np.random.default_rng(k)
         probs = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.8)
         table = _category_cdf(probs / probs.sum())
-        assert table.mixed.any()
+        assert (table.guide < 0).any()
         self.assert_lookup_exact(table, seed=k)
 
     def test_criterion_4_study_searches_at_most_k_minus_one_bins(self):
@@ -829,7 +861,7 @@ class TestGuideTable:
         for seed in range(cfg.seed, cfg.seed + 20):
             compositions, _ = sample_compositions(cfg, _stream(seed, 0))
             for comp in compositions:
-                assert _category_cdf(comp).mixed.sum() <= cfg.K - 1
+                assert (_category_cdf(comp).guide < 0).sum() <= cfg.K - 1
 
 
 class TestValidation:
