@@ -26,12 +26,12 @@ many periods as that holds (at least one, at most T): each cell's own stream
 fills one row of the block, and the category lookup, the noise and every
 reducer run once over the whole block. The covariates are drawn by the same
 kernel, ``_draw_block``: each group's individuals are a one-row block of the
-covariate block's own stream. A study's groups are split into one run per
-usable CPU. The calling thread draws the first run, and each other run goes
-to a helper thread that the call starts and joins before it returns; numpy
-releases the GIL while it fills and reduces a block. Every cell comes from
-its own stream, whichever thread draws it, so no output depends on the
-number of threads.
+covariate block's own stream. A study's draws are one list of (group, block)
+units. The calling thread and one helper thread per other usable CPU, which
+the call starts and joins before it returns, take units from that list until
+it is empty; numpy releases the GIL while it fills and reduces a block. Every
+cell comes from its own stream, whichever thread draws it, so no output
+depends on the number of threads.
 
 An individual's category is the one ``Generator.choice`` gives for the same
 uniform, read from a guide table built once per group (Chen & Asau 1974;
@@ -53,7 +53,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,9 +258,8 @@ class SimConfig:
         if not math.isfinite(self.post_intervention_shift):
             raise UsageError("post_intervention_shift must be finite")
         # numpy makes no array of more bytes than an intp counts, so larger studies are refused here; a smaller
-        # study too large for memory raises MemoryError. A study's largest arrays, 8 bytes an entry, are its block
-        # buffers (3 x N a period, at most one run a group), cell seed words (groups x T x 4), truth tables and
-        # covariates.
+        # study too large for memory raises MemoryError. A study's largest arrays, 8 bytes an entry, are a thread's
+        # block buffer (3 x N a period), cell seed words (groups x T x 4), truth tables and covariates.
         groups, n, t, k = 1 + int(self.num_donors), int(self.N_per_group), int(self.T), int(self.K)
         entries = max(3 * groups * n, 4 * groups * t, k * t, groups * k, groups * int(self.covariate_count))
         if 8 * entries > np.iinfo(np.intp).max:
@@ -472,7 +471,8 @@ def _draw_block(streams: list, table: _CategoryTable, lam: np.ndarray, noise_sd:
     for rng, row in zip(streams, y):
         rng.random(out=row)
     cells = _lookup(table, y, z.view(np.intp)[:, :n], cells.view(np.intp)[:, :n])
-    cells += np.arange(0, lam.size, lam.shape[1], dtype=np.intp)[:, None]  # index the rows of lam, flattened
+    if rows > 1:  # index the rows of lam, flattened; a one-row block's offsets are all 0
+        cells += np.arange(0, lam.size, lam.shape[1], dtype=np.intp)[:, None]
     np.take(lam, cells, out=y, mode="clip")
     if noise_sd > 0:
         for rng, row in zip(streams, z):
@@ -515,20 +515,20 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _draw_groups(
-    groups: np.ndarray,
-    scratch: np.ndarray,
+def _draw_units(
+    units: Iterator[tuple[int, int]],
     tables: Sequence[_CategoryTable],
     words: np.ndarray,
     by_period: np.ndarray,
     cfg: SimConfig,
     outcomes: Mapping[str, np.ndarray],
+    scratch: np.ndarray,
 ) -> None:
-    """Draw the cells of ``groups``, a block of periods at a time, into their rows of each panel in ``outcomes``.
+    """Draw each (group, block) unit that ``units`` yields into its rows of each panel in ``outcomes``.
 
-    ``scratch`` is this call's (3, periods per block, N) buffer. ``words[j]`` holds
-    group j's seed words, period by period. Row r of the block that starts at
-    period index p is the cell of period p + r + 1, drawn by :func:`_draw_block`
+    ``scratch`` is this thread's (3, periods per block, N) buffer. ``words[j]`` holds
+    group j's seed words, period by period. Row r of unit (j, p), group j's block
+    from period index p, is the cell of period p + r + 1, drawn by :func:`_draw_block`
     from its own stream and row p + r of ``by_period``. The target's rows after
     ``cfg.T0`` carry the shift, and each reducer reduces the block along its last
     axis. May run on a helper thread, so it calls no public function, which a
@@ -538,16 +538,15 @@ def _draw_groups(
     block = scratch.shape[1]
     # A cell that overflows is rejected by the panel's finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in groups:
-            for p in range(0, cfg.T, block):
-                # The block's streams are made at once: one longer hold of the GIL, not one per cell, spares
-                # the other threads many waits.
-                streams = [_generator(w) for w in words[j, p:p + block]]
-                y = _draw_block(streams, tables[j], by_period[p:p + block], cfg.noise_sd, scratch)
-                if j == 0 and cfg.post_intervention_shift != 0.0:
-                    y[max(cfg.T0 - p, 0):] += cfg.post_intervention_shift
-                for name, panel in outcomes.items():
-                    panel[j, p:p + block] = _REDUCERS[name](y)
+        for j, p in units:
+            # The block's streams are made at once: one longer hold of the GIL, not one per cell, spares
+            # the other threads many waits.
+            streams = [_generator(w) for w in words[j, p:p + block]]
+            y = _draw_block(streams, tables[j], by_period[p:p + block], cfg.noise_sd, scratch)
+            if j == 0 and cfg.post_intervention_shift != 0.0:
+                y[max(cfg.T0 - p, 0):] += cfg.post_intervention_shift
+            for name, panel in outcomes.items():
+                panel[j, p:p + block] = _REDUCERS[name](y)
 
 
 def simulate_panel(
@@ -584,20 +583,20 @@ def simulate_panel(
     # where x and m are both -0.0, giving 0.0; so the noise of cells and covariates alike is added to a table
     # without -0.0 in one pass.
     lam = by_period + 0.0 if cfg.noise_sd > 0 else by_period
-    # One run of consecutive groups per usable CPU, each with its own scratch. The scratch is allocated here, on
-    # the calling thread, so that the memory goes back to its heap and is reused there.
-    parts = np.array_split(np.arange(cfg.n_groups), min(_usable_cpus(), cfg.n_groups))
+    # Every (group, block start) unit, group-major. The calling thread and a helper per other usable CPU, up to a
+    # thread a unit, take units from one list iterator, whose next() hands out each unit once as it runs under the
+    # GIL, and draw each into their own scratch; numpy releases the GIL while it fills and reduces a block. The
+    # executor starts a thread only when a draw is submitted, so a study on one CPU starts none. The scratch is
+    # allocated here, on the calling thread, so that the memory goes back to its heap and is reused there.
     block = min(cfg.T, max(1, BLOCK_INDIVIDUALS // cfg.N_per_group))
-    scratch = np.empty((len(parts), 3, block, cfg.N_per_group))
-    draw = functools.partial(_draw_groups, tables=tables, words=words, by_period=lam, cfg=cfg, outcomes=outcomes)
-    # The calling thread draws the first run, and a helper thread that this call starts and joins draws each
-    # other run; numpy releases the GIL while it fills and reduces a block, so the runs are drawn side by side.
-    # The executor starts a thread only when a run is submitted, so a study on one CPU starts none.
+    units = [(j, p) for j in range(cfg.n_groups) for p in range(0, cfg.T, block)]
+    scratch = [np.empty((3, block, cfg.N_per_group)) for _ in range(min(_usable_cpus(), len(units)))]
+    draw = functools.partial(_draw_units, iter(units), tables, words, lam, cfg, outcomes)
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(len(parts), thread_name_prefix="synthpanel-cells") as helpers:
-        pending = [helpers.submit(draw, part, buffer) for part, buffer in zip(parts[1:], scratch[1:])]
-        draw(parts[0], scratch[0])
+    with ThreadPoolExecutor(len(scratch), thread_name_prefix="synthpanel-cells") as helpers:
+        pending = [helpers.submit(draw, buffer) for buffer in scratch[1:]]
+        draw(scratch[0])
     for future in pending:
         future.result()  # re-raises a helper's exception
 
@@ -611,7 +610,7 @@ def simulate_panel(
         )
         for name, values in outcomes.items()
     }
-    # A study without covariates does not seed their streams. The covariates are drawn in the first run's scratch.
+    # A study without covariates does not seed their streams. The covariates are drawn in the calling thread's scratch.
     aux_suitable, aux_unsuitable = (
         _make_covariates(tables, lam, cfg, kind, _stream(cfg.seed, key) if cfg.covariate_count else None, scratch[0])
         for kind, key in (("suitable", 3), ("unsuitable", 4))

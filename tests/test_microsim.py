@@ -588,6 +588,17 @@ def cell_pool(workers):
         microsim._usable_cpus = saved
 
 
+@contextmanager
+def switching_often():
+    """Inside the block, threads switch every microsecond, so that a lost or doubled update would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def study_bytes(cfg):
     study = simulate_panel(cfg, aggregations=("mean", "median"))
     return pickle.dumps((dict(study.panels), study.aux_suitable, study.aux_unsuitable))
@@ -599,7 +610,8 @@ def send_panel(conn, cfg):
 
 
 class TestCellPool:
-    """The threads that draw a study's groups change no output byte, whatever their number, and end with the call."""
+    """The threads that draw a study's units take each unit once, change no output byte, whatever their number,
+    and end with the call."""
 
     @staticmethod
     def same_under_any_pool(run):
@@ -613,12 +625,8 @@ class TestCellPool:
     def test_study_is_the_same_under_any_pool(self):
         cfg = small_cfg(T=2 * microsim.BLOCK_INDIVIDUALS // 2000 + 1, T0=8, num_donors=7, N_per_group=2000)
         # Threads write their own rows of shared panels: switching threads often would show a lost row.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with switching_often():
             self.same_under_any_pool(lambda: study_bytes(cfg))
-        finally:
-            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_call_joins_the_threads_it_starts(self, workers, monkeypatch):
@@ -626,9 +634,41 @@ class TestCellPool:
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread))
         with cell_pool(workers):
+            simulate_panel(small_cfg())  # six units
+            # One helper per usable CPU but the caller's, none at one CPU, and none alive after the call.
+            assert len(started) == workers - 1 and all(name.startswith("synthpanel-cells") for name in started)
+            assert not [thread for thread in threading.enumerate() if thread.name.startswith("synthpanel-cells")]
+            started.clear()
+            simulate_panel(small_cfg(num_donors=1))  # two units: no more threads than units
+        assert len(started) == min(workers, 2) - 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_unit_is_drawn_once(self, workers, monkeypatch):
+        # A unit drawn twice writes the same bytes again, so only a count of the kernel's calls and rows shows it.
+        block = microsim.BLOCK_INDIVIDUALS // 2000
+        cfg = small_cfg(T=2 * block + 1, T0=8, num_donors=7, N_per_group=2000, covariate_count=0)
+        rows, draw_block = [], microsim._draw_block
+        monkeypatch.setattr(microsim, "_draw_block", lambda streams, *rest: rows.append(len(streams))
+                            or draw_block(streams, *rest))
+        with cell_pool(workers), switching_often():
+            simulate_panel(cfg)
+        assert len(rows) == cfg.n_groups * math.ceil(cfg.T / block)
+        assert sum(rows) == cfg.n_groups * cfg.T
+
+    def test_a_helpers_exception_reaches_the_caller(self, monkeypatch):
+        caller, helper_failed, draw_block = threading.current_thread(), threading.Event(), microsim._draw_block
+
+        def draw_or_fail(*args):
+            if threading.current_thread() is caller:
+                helper_failed.wait(60)  # the caller holds its first unit until a helper has taken one
+                return draw_block(*args)
+            helper_failed.set()
+            raise ZeroDivisionError("drawn on a helper")
+
+        monkeypatch.setattr(microsim, "_draw_block", draw_or_fail)
+        with cell_pool(2), pytest.raises(ZeroDivisionError, match="drawn on a helper"):
             simulate_panel(small_cfg())
-        # One helper per run of groups but the caller's, none at one CPU, and none alive after the call.
-        assert len(started) == workers - 1 and all(name.startswith("synthpanel-cells") for name in started)
+        assert helper_failed.is_set()
         assert not [thread for thread in threading.enumerate() if thread.name.startswith("synthpanel-cells")]
 
     def test_concurrent_calls_get_the_bytes_of_lone_calls(self):
