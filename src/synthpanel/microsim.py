@@ -24,14 +24,14 @@ very same individuals.
 A group's cells are drawn in blocks of ``BLOCK_INDIVIDUALS`` individuals, as
 many periods as that holds (at least one, at most T): each cell's own stream
 fills one row of the block, and the category lookup, the noise and every
-reducer run once over the whole block. The covariates are drawn by the same
-kernel, ``_draw_block``: each group's individuals are a one-row block of the
-covariate block's own stream. A study's draws are one list of (group, block)
-units. The calling thread and one helper thread per other usable CPU, which
-the call starts and joins before it returns, take units from that list until
-it is empty; numpy releases the GIL while it fills and reduces a block. Every
-cell comes from its own stream, whichever thread draws it, so no output
-depends on the number of threads.
+reducer run once over the whole block. A study's draws are one list of (group,
+block) units. The calling thread and one helper thread per other usable CPU,
+which the call starts and joins before it returns, take units from that list
+until it is empty; numpy releases the GIL while it fills and reduces a block.
+Every cell comes from its own stream, whichever thread draws it, so no output
+depends on the number of threads. The covariates are drawn by the same kernel,
+``_draw_block``, on the calling thread: each group's individuals are a one-row
+block of the covariate block's own stream, in a one-row buffer of its own.
 
 An individual's category is the one ``Generator.choice`` gives for the same
 uniform, read from a guide table built once per group (Chen & Asau 1974;
@@ -446,8 +446,7 @@ def _lookup(table: _CategoryTable, u: np.ndarray, bins: np.ndarray, out: np.ndar
     np.multiply(u, GUIDE_BINS, out=bins, casting="unsafe")  # truncates, as astype does
     np.take(table.guide, bins, out=out, mode="clip")  # every bin is in range; "raise" would copy
     fix = out < 0
-    if fix.any():
-        out[fix] = table.cdf.searchsorted(u[fix], side="right")
+    out[fix] = table.cdf.searchsorted(u[fix], side="right")
     return out
 
 
@@ -456,7 +455,8 @@ def _draw_block(streams: list, table: _CategoryTable, lam: np.ndarray, noise_sd:
 
     ``lam`` holds a row of category values per stream, and ``scratch`` is a
     (3, rows, N) buffer with at least a row per stream, whose first buffer the
-    outcomes overwrite. ``rng.choice(K, size=N, p=probs)`` computes
+    outcomes overwrite: a draw thread's block buffer, or the one-row buffer of
+    :func:`_make_covariates`. ``rng.choice(K, size=N, p=probs)`` computes
     ``cdf.searchsorted(rng.random(N), side="right")`` once it has validated
     ``probs`` (SimulatedStudy checks them more strictly), and :func:`_lookup`
     gives that search's answer. ``rng.normal(0.0, noise_sd, N)`` is
@@ -471,8 +471,7 @@ def _draw_block(streams: list, table: _CategoryTable, lam: np.ndarray, noise_sd:
     for rng, row in zip(streams, y):
         rng.random(out=row)
     cells = _lookup(table, y, z.view(np.intp)[:, :n], cells.view(np.intp)[:, :n])
-    if rows > 1:  # index the rows of lam, flattened; a one-row block's offsets are all 0
-        cells += np.arange(0, lam.size, lam.shape[1], dtype=np.intp)[:, None]
+    cells += np.arange(0, lam.size, lam.shape[1], dtype=np.intp)[:, None]  # index the rows of lam, flattened
     np.take(lam, cells, out=y, mode="clip")
     if noise_sd > 0:
         for rng, row in zip(streams, z):
@@ -480,11 +479,6 @@ def _draw_block(streams: list, table: _CategoryTable, lam: np.ndarray, noise_sd:
         z *= noise_sd
         y += z
     return y
-
-
-def _mean(y: np.ndarray):
-    """The mean of y along its last axis."""
-    return y.sum(axis=-1) / y.shape[-1]
 
 
 def _median(y: np.ndarray):
@@ -500,7 +494,7 @@ def _median(y: np.ndarray):
 
 # Cell reducers in the order they run on one draw: the median reorders the
 # draw in place, so it must come last.
-_REDUCERS = {"mean": _mean, "median": _median}
+_REDUCERS = {"mean": functools.partial(np.mean, axis=-1), "median": _median}
 
 # Individuals in one block of a group's cells: a block holds BLOCK_INDIVIDUALS // N
 # periods (at least one, at most T), so that a thread's three block buffers take
@@ -531,9 +525,9 @@ def _draw_units(
     from period index p, is the cell of period p + r + 1, drawn by :func:`_draw_block`
     from its own stream and row p + r of ``by_period``. The target's rows after
     ``cfg.T0`` carry the shift, and each reducer reduces the block along its last
-    axis. May run on a helper thread, so it calls no public function, which a
-    one-thread call tracer would miss, and sets its own numpy error state, which
-    threads do not inherit.
+    axis. May run on a helper thread, so it calls no public synthpanel function,
+    which a one-thread call tracer would miss, and sets its own numpy error state,
+    which threads do not inherit.
     """
     block = scratch.shape[1]
     # A cell that overflows is rejected by the panel's finiteness check.
@@ -610,9 +604,10 @@ def simulate_panel(
         )
         for name, values in outcomes.items()
     }
-    # A study without covariates does not seed their streams. The covariates are drawn in the calling thread's scratch.
+    # A study without covariates does not seed their streams. The covariates are drawn on the calling thread, each
+    # kind in a one-row buffer of its own.
     aux_suitable, aux_unsuitable = (
-        _make_covariates(tables, lam, cfg, kind, _stream(cfg.seed, key) if cfg.covariate_count else None, scratch[0])
+        _make_covariates(tables, lam, cfg, kind, _stream(cfg.seed, key) if cfg.covariate_count else None)
         for kind, key in (("suitable", 3), ("unsuitable", 4))
     )
     return SimulatedStudy(
@@ -633,15 +628,14 @@ def _make_covariates(
     cfg: SimConfig,
     kind: str,
     rng: np.random.Generator | None,
-    scratch: np.ndarray,
 ) -> AuxMatrix:
     """Sample ``cfg.covariate_count`` group-level covariates of one kind.
 
     ``tables`` holds each group's category table and ``by_period`` the period-major
     conditional-mean table, with the ``0.0 +`` of the noise, as :func:`simulate_panel`
     builds them once per study. Each group's individuals are a one-row block of
-    ``rng``, drawn by :func:`_draw_block`, the cells' kernel, in ``scratch``, a
-    (3, rows, N) buffer.
+    ``rng``, drawn by :func:`_draw_block`, the cells' kernel, in a (3, 1, N)
+    buffer of this call's own.
 
     suitable: per covariate m, the mean of sin(c_m * Y) over individuals
     sampled at one fixed pre-period, with c_m = SIN_LADDER_MAX * m / count.
@@ -659,6 +653,7 @@ def _make_covariates(
     values = np.empty((len(tables), count))
     labels = []
     suitable = kind == "suitable"
+    scratch = np.empty((3, 1, cfg.N_per_group))
     # An individual whose noise overflows has no sine; AuxMatrix rejects the covariate.
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, count + 1):

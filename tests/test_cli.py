@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import synthpanel
 from synthpanel import cli
 from synthpanel.cli import main
+from synthpanel.estimators import REGULARIZERS
 from synthpanel.evaluation import COVARIATE_ROWS
 
 
@@ -1066,3 +1067,53 @@ def check_contract(argv, config, quiet):
         for path in sorted(out.iterdir()):
             if path.suffix in (".csv", ".json"):
                 assert non_finite_numbers(path) == [], path.name
+
+
+# Outcome scales past the normal equations' range, subnormal, and zero; a panel's outcomes are a scale times
+# numbers in [-1, 1].
+CONTENT_SCALES = (1e300, -1e300, float(np.finfo(float).max), 1e-310, 5e-324, 0.0)
+CONTENT_POPULATIONS = st.sampled_from([5e-324, 1e308]) | st.floats(5e-324, 1e308)
+
+
+@st.composite
+def panel_contents(draw):
+    """(outcome series by group, target first; populations by group or None; T0) of one panel CSV.
+
+    Each donor's series is drawn, constant or the target's own, and T0 is the first or the last
+    period before the end.
+    """
+    periods = draw(st.integers(2, 6))
+    t0 = draw(st.sampled_from([1, periods - 1]))
+    scale = draw(st.sampled_from(CONTENT_SCALES))
+    unit = st.floats(-1.0, 1.0)
+    drawn = st.lists(unit, min_size=periods, max_size=periods)
+    series = {"tgt": [scale * x for x in draw(drawn)]}
+    for i in range(1, draw(st.integers(1, 3)) + 1):
+        kind = draw(st.sampled_from(["drawn", "constant", "target"]))
+        if kind == "drawn":
+            series[f"d{i}"] = [scale * x for x in draw(drawn)]
+        elif kind == "constant":
+            series[f"d{i}"] = [scale * draw(unit)] * periods
+        else:
+            series[f"d{i}"] = series["tgt"]
+    populations = draw(st.none() | st.fixed_dictionaries({group: CONTENT_POPULATIONS for group in series}))
+    return series, populations, t0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+# Donor populations whose total overflows.
+@example(contents=({"tgt": [1e300, -1e300], "d1": [1.0, 0.5], "d2": [5e-324, 0.0]},
+                   {"tgt": 5e-324, "d1": 1e308, "d2": 1e308}, 1))
+@given(contents=panel_contents())
+def test_cli_contract_over_panel_contents(contents):
+    """The CLI contract of test_cli_contract, for fit with each regularizer and for aggregate, on generated panels."""
+    series, populations, t0 = contents
+    with tempfile.TemporaryDirectory() as root:
+        panel, grouping = Path(root) / "panel.csv", Path(root) / "grouping.json"
+        periods = range(1, len(series["tgt"]) + 1)
+        write_panel_csv(panel, list(series), periods, lambda g, t: series[g][t - 1], populations)
+        grouping.write_text(json.dumps({group: "tgt" if group == "tgt" else "donors" for group in series}))
+        base = ["--panel", str(panel), "--target", "tgt", "--t0", str(t0)]
+        for regularizer in REGULARIZERS:
+            check_contract(["fit", *base, f"--regularizer={regularizer}"], None, False)
+        check_contract(["aggregate", *base, "--grouping", str(grouping)], None, False)

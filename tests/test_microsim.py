@@ -313,8 +313,7 @@ class TestCovariates:
         cfg = small_cfg(noise_sd=0.0, covariate_count=3)
         study = simulate_panel(cfg)
         tables = [_category_cdf(comp) for comp in study.compositions]
-        scratch = np.empty((3, 1, cfg.N_per_group))
-        aux = _make_covariates(tables, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5), scratch)
+        aux = _make_covariates(tables, np.full((cfg.T, cfg.K), y0), cfg, "suitable", _stream(9, 5))
         for m in range(1, 4):
             c_m = SIN_LADDER_MAX * m / 3
             assert np.allclose(aux.values[:, m - 1], np.sin(c_m * y0), atol=1e-12)
@@ -327,8 +326,7 @@ class TestCovariates:
         probs[k_star] = 1.0
         seed_key = (13, 8)
         tables = [_category_cdf(probs) for _ in range(6)]
-        scratch = np.empty((3, 1, cfg.N_per_group))
-        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", numpy_stream(*seed_key), scratch)
+        aux = _make_covariates(tables, study.functions.T, cfg, "unsuitable", numpy_stream(*seed_key))
         codes = numpy_stream(*seed_key).permutation(cfg.K)  # drawn first, per draw-order contract
         assert np.all(aux.values[:, 0] == codes[k_star])
 
