@@ -11,46 +11,16 @@ Three layers:
   reproduces the target's expected outcome (their product) at every period.
 * ``evaluation`` / ``cli`` — seeded replication sweeps and the command
   line front end.
+
+The package's public names are its modules' ``__all__`` lists, re-exported
+here; each module's list is the one place a name is declared public.
 """
 
-from .errors import DataValidationError, UsageError
-from .estimators import (
-    EffectEstimate,
-    FitConfig,
-    WeightVector,
-    estimate_effect,
-    fit,
-    predict_counterfactual,
-)
-from .evaluation import (
-    SplitEvaluation,
-    SweepResult,
-    covariate_experiment,
-    sweep_S,
-    sweep_T_mean_median,
-    time_split_evaluate,
-)
-from .identification import (
-    InvariantSetReport,
-    OracleWeights,
-    expected_outcome,
-    minimal_invariant_set,
-    solve_oracle_weights,
-    verify_identification,
-)
-from .microsim import (
-    SimConfig,
-    SimulatedStudy,
-    simulate_panel,
-)
-from .panel import (
-    AuxMatrix,
-    PanelData,
-    aggregate_divisions,
-    aggregate_groups,
-    from_csv,
-    select_groups,
-    to_csv,
-)
+from .errors import *
+from .estimators import *
+from .evaluation import *
+from .identification import *
+from .microsim import *
+from .panel import *
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .microsim import (
     simulate_panel,
     write_study_bundle,
 )
-from .panel import aggregate_divisions, aux_from_csv, format_float, from_csv, read_json, to_csv, write_csv, write_json
+from .panel import aggregate_divisions, aux_from_csv, from_csv, read_json, to_csv, write_csv, write_json
 
 VERSION_STRING = f"synthpanel {__version__}"
 
@@ -96,21 +96,29 @@ def _params(*entries: Param) -> dict[str, Param]:
 _CHOICES = {"aggregation": AGGREGATIONS, "composition_mode": COMPOSITION_MODES, "regularizer": REGULARIZERS}
 
 
-def _config_params(config_cls, names: dict[str, tuple[str, str | None]], **defaults) -> dict[str, Param]:
+def _config_params(config_cls, names: dict[str, tuple[str, str | None]]) -> dict[str, Param]:
     """Entries for the fields of a config dataclass, keyed by CLI name.
 
     ``names`` maps each CLI name to (field, help). Type, default and
-    choices come from the field, unless ``defaults`` overrides the default.
+    choices come from the field.
     """
     types = typing.get_type_hints(config_cls)
     fields = {f.name: f for f in dataclasses.fields(config_cls)}
     return {
-        name: Param(name, types[f], defaults.get(name, fields[f].default), help_text, _CHOICES.get(f), field=f)
+        name: Param(name, types[f], fields[f].default, help_text, _CHOICES.get(f), field=f)
         for name, (f, help_text) in names.items()
     }
 
 
-SIM_PARAMS = _config_params(
+def _command(*groups: dict[str, Param], **defaults) -> dict[str, Param]:
+    """One command's table: the union of groups, with some defaults replaced."""
+    table = {name: param for group in groups for name, param in group.items()}
+    for name, default in defaults.items():
+        table[name] = dataclasses.replace(table[name], default=default)
+    return table
+
+
+SIM_PARAMS = _command(_config_params(
     SimConfig,
     {
         "seed": ("seed", "master seed (nonnegative integer)"),
@@ -127,8 +135,7 @@ SIM_PARAMS = _config_params(
         "covariate_count": ("covariate_count", "covariates per block"),
         "ramp_scale": ("ramp_scale", "scale of the late-horizon ramp"),
     },
-    seed=0, s_cardinality=5, periods=20, t0=15,
-)
+), seed=0, s_cardinality=5, periods=20, t0=15)
 
 FIT_PARAMS = _config_params(
     FitConfig,
@@ -160,14 +167,6 @@ REPLICATION_PARAMS = _params(
     Param("replications", int, 100, "studies per knob value"),
     Param("split", float, 0.75, "fraction of periods in the fit window"),
 )
-
-
-def _command(*groups: dict[str, Param], **defaults) -> dict[str, Param]:
-    """One command's table: the union of groups, with some defaults replaced."""
-    table = {name: param for group in groups for name, param in group.items()}
-    for name, default in defaults.items():
-        table[name] = dataclasses.replace(table[name], default=default)
-    return table
 
 
 COMMAND_HELP = {
@@ -322,7 +321,7 @@ def cmd_fit(params: dict) -> Output:
         "config": cfg,
     }
     columns = (panel.outcomes[panel.target_index], effect.synthetic, effect.gap)
-    series = [[time, *map(format_float, values)] for time, *values in zip(panel.time_labels, *columns)]
+    series = list(zip(panel.time_labels, *(column.tolist() for column in columns)))
 
     def write(out: Path) -> None:
         write_json(record, out / "weights.json")
@@ -330,7 +329,7 @@ def cmd_fit(params: dict) -> Output:
 
     return Output(
         write,
-        f"tau = {format_float(effect.tau)}",
+        f"tau = {effect.tau!r}",
         EXIT_OK if weights.converged else EXIT_NO_CONVERGENCE,
     )
 
@@ -343,9 +342,11 @@ def cmd_simulate(params: dict) -> Output:
     )
 
 
-def _experiment(experiment: str, params: dict, fit_cfg: FitConfig, knob_values: tuple, summary: str) -> Output:
-    """Run ``experiment`` from the base that the params and its ``EXPERIMENTS`` entry describe; write every file."""
+def _experiment(experiment: str, params: dict, knob_values: tuple, summary: str) -> Output:
+    """Run ``experiment`` with the fit config and the base that the params and its ``EXPERIMENTS``
+    entry describe; write every file."""
     field, constants, _ = EXPERIMENTS[experiment]
+    fit_cfg = _config(FitConfig, params)
     base = _config(SimConfig, params, **constants, **{field: knob_values[0]})
     results = run_experiment(experiment, base, knob_values, params["replications"], fit_cfg, params["split"])
 
@@ -357,18 +358,16 @@ def _experiment(experiment: str, params: dict, fit_cfg: FitConfig, knob_values: 
 
 
 def cmd_sweep(params: dict) -> Output:
-    fit_cfg = _config(FitConfig, params)
     if params["step"] < 1:
         raise UsageError("--step must be at least 1")
     values = tuple(range(params["from_value"], params["to_value"] + 1, params["step"]))
     if not values:
         raise UsageError("a sweep needs at least one knob value")
-    return _experiment(params["knob"], params, fit_cfg, values, "wrote sweep results to {out}")
+    return _experiment(params["knob"], params, values, "wrote sweep results to {out}")
 
 
 def cmd_covariates(params: dict) -> Output:
-    fit_cfg = _config(FitConfig, params)
-    return _experiment("covariates", params, fit_cfg, (params["periods"],), "wrote covariate experiment to {out}")
+    return _experiment("covariates", params, (params["periods"],), "wrote covariate experiment to {out}")
 
 
 def cmd_diagnose(params: dict) -> Output:

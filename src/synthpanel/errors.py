@@ -1,5 +1,7 @@
 """Error types shared across the package."""
 
+__all__ = ["UsageError", "DataValidationError"]
+
 
 class UsageError(ValueError):
     """The caller asked for something the API cannot do (bad arguments,

@@ -31,7 +31,6 @@ from .errors import UsageError
 from .estimators import FitConfig, estimate_effect, fit
 from .microsim import AGGREGATIONS, SimConfig, simulate_panel
 from .panel import AuxMatrix, PanelData, frozen_array, write_csv
-from .panel import format_float as _fmt
 
 __all__ = [
     "SplitEvaluation",
@@ -115,7 +114,7 @@ def time_split_evaluate(
     # An MSE that overflows is rejected by SplitEvaluation's finiteness check.
     with np.errstate(over="ignore"):
         mses = np.mean(gaps[:n_fit] ** 2), np.mean(gaps[n_fit:] ** 2)
-    return SplitEvaluation(*mses, n_fit=n_fit, underdetermined=n_fit < len(list(donors)))
+    return SplitEvaluation(*mses, n_fit=n_fit, underdetermined=n_fit < len(weights.donor_indices))
 
 
 def _summarize(knob, evaluations: Sequence[SplitEvaluation]) -> SweepPoint:
@@ -251,5 +250,4 @@ def covariate_experiment(
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One row per point and one column per :class:`SweepPoint` field, floats in shortest round-trip form."""
-    rows = ([_fmt(v) if isinstance(v, float) else v for v in astuple(p)] for p in result.points)
-    write_csv(path, [f.name for f in fields(SweepPoint)], rows)
+    write_csv(path, [f.name for f in fields(SweepPoint)], map(astuple, result.points))

@@ -70,7 +70,6 @@ __all__ = [
     "load_study_bundle",
 ]
 
-AGGREGATIONS = ("mean", "median")
 COMPOSITION_MODES = ("invariant_split", "dirichlet_mask")
 
 # Mass reserved for the shared (invariant) categories in invariant_split
@@ -492,9 +491,10 @@ def _median(y: np.ndarray):
     return (y[..., :half].max(axis=-1) + y[..., half] + 0.0) / 2
 
 
-# Cell reducers in the order they run on one draw: the median reorders the
-# draw in place, so it must come last.
+# Cell reducers in the order they run on one draw: the median reorders the draw
+# in place, so it must come last. AGGREGATIONS, and so the T sweep, keep this order.
 _REDUCERS = {"mean": functools.partial(np.mean, axis=-1), "median": _median}
+AGGREGATIONS = tuple(_REDUCERS)
 
 # Individuals in one block of a group's cells: a block holds BLOCK_INDIVIDUALS // N
 # periods (at least one, at most T), so that a thread's three block buffers take

@@ -307,11 +307,6 @@ def from_csv(path, target: str, intervention_time: int) -> PanelData:
     )
 
 
-def format_float(value: float) -> str:
-    """Canonical (shortest round-trip) decimal form of a float."""
-    return repr(float(value))
-
-
 def _jsonable(value):
     """JSON form of the values json cannot encode: dataclasses and numpy data."""
     if is_dataclass(value):
@@ -330,8 +325,9 @@ def write_json(payload, path) -> None:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Canonical CSV file: UTF-8, comma-separated, CRLF row ends, every field written as given
-    (callers format floats with :func:`format_float`)."""
+    """Canonical CSV file: UTF-8, comma-separated, CRLF row ends, each field the ``str`` of its value.
+    Callers give numbers as Python ints and floats (``ndarray.tolist()``, not numpy scalars), so every
+    float is written in its shortest round-trip form, its ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -343,21 +339,18 @@ def to_csv(panel: PanelData, path) -> None:
     populations = panel.populations
 
     def rows():
-        for group, outcomes in zip(panel.group_labels, panel.outcomes):
-            pop = [] if populations is None else [format_float(populations[group]) if group in populations else ""]
+        for group, outcomes in zip(panel.group_labels, panel.outcomes.tolist()):
+            pop = [] if populations is None else [populations.get(group, "")]
             for time, outcome in zip(panel.time_labels, outcomes):
-                yield [group, str(time), format_float(outcome), *pop]
+                yield [group, time, outcome, *pop]
 
     write_csv(path, ["group", "time", "outcome"] + ([] if populations is None else ["population"]), rows())
 
 
 def aux_to_csv(aux: AuxMatrix, group_labels: Sequence[str], path) -> None:
     """Write covariates as `group,<label>,...` with one row per group."""
-    write_csv(
-        path,
-        ["group", *aux.covariate_labels],
-        ([label, *map(format_float, aux.values[j])] for j, label in enumerate(group_labels)),
-    )
+    rows = aux.values.tolist()
+    write_csv(path, ["group", *aux.covariate_labels], ([label, *rows[j]] for j, label in enumerate(group_labels)))
 
 
 def aux_from_csv(path, group_labels: Sequence[str]) -> AuxMatrix:

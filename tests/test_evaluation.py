@@ -92,6 +92,14 @@ class TestTimeSplit:
         wide = simulate_panel(tiny_cfg(T=20, T0=15))
         assert not time_split_evaluate(wide.panel, wide.panel.donor_indices()).underdetermined
 
+    def test_underdetermined_counts_donors_given_as_an_iterator(self):
+        """The fit consumes an iterator of donors; the flag still counts the donors it fitted."""
+        study = simulate_panel(SimConfig(S_cardinality=5, T=5, T0=3, seed=1, covariate_count=0))
+        donors = study.panel.donor_indices()
+        ev = time_split_evaluate(study.panel, donors)
+        assert ev.underdetermined
+        assert time_split_evaluate(study.panel, iter(donors)) == ev
+
 
 class TestSweeps:
     def test_sweep_s_deterministic(self):

@@ -1,12 +1,19 @@
 import ast
 import csv
+import importlib
 import json
+import math
+import pkgutil
+import tempfile
+import types
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synthpanel
 
@@ -22,7 +29,7 @@ from synthpanel import (
 )
 from synthpanel.cli import main
 from synthpanel.estimators import EffectEstimate, WeightVector
-from synthpanel.evaluation import SplitEvaluation, SweepPoint
+from synthpanel.evaluation import SplitEvaluation, SweepPoint, SweepResult, write_sweep_csv
 from synthpanel.identification import InvariantSetReport, OracleWeights
 from synthpanel.microsim import SimConfig, SimulatedStudy
 from synthpanel.panel import aux_from_csv, aux_to_csv, standardize_rows
@@ -588,3 +595,78 @@ def test_only_panel_touches_files():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
                 offenders.append(f"{path.name}:{node.lineno}: open()")
     assert offenders == []
+
+
+def test_package_exports_each_modules_all():
+    """The package's public names are exactly the union of its modules' ``__all__``, each the module's own
+    object, re-exported by star imports alone: no module's name is dropped and no second list is kept."""
+    declared = {}
+    for info in pkgutil.iter_modules(synthpanel.__path__):
+        module = importlib.import_module(f"synthpanel.{info.name}")
+        declared |= {name: getattr(module, name) for name in getattr(module, "__all__", ())}
+    public = {
+        name: value
+        for name, value in vars(synthpanel).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public) == sorted(declared)
+    assert [name for name in declared if public[name] is not declared[name]] == []
+    tree = ast.parse(Path(synthpanel.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert set(imported) == {"*"}
+    assert "__all__" not in vars(synthpanel)
+
+
+# Float64 values whose text is easy to get wrong: signed zeros, the smallest subnormal, another subnormal,
+# a small and a large value that repr writes in exponent form, and the largest finite floats.
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072e-310, 1e-05, 1e16, np.finfo(np.float64).max.item(),
+               -np.finfo(np.float64).max.item()]
+float64_from_bits = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item())
+
+
+def float_bits(values) -> list[int]:
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(float64_from_bits.filter(math.isfinite), min_size=1, max_size=6))
+@example(FLOAT_EDGES)
+def test_csv_writers_write_floats_as_repr(values):
+    """to_csv, aux_to_csv, write_sweep_csv and fit's series.csv write each float as ``repr(float(x))``, and the
+    package's readers read it back bit-exact."""
+    texts = [repr(v) for v in values]
+    periods = range(1, len(values) + 2)
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        # The target holds the values after one ordinary pre-period; its one donor is all zeros, so a
+        # simplex fit gives it weight 1, the synthetic series is 0.0 and the gap equals the outcome.
+        panel = PanelData(np.array([[1.0, *values], [0.0] * len(periods)]), ("tgt", "d"), periods, 0, 1,
+                          populations={"tgt": values[0], "d": values[-1]})
+        to_csv(panel, scratch / "panel.csv")
+        with open(scratch / "panel.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows[1:len(periods)]] == texts
+        assert [rows[0][3], rows[-1][3]] == [texts[0], texts[-1]]
+        back = from_csv(scratch / "panel.csv", target="tgt", intervention_time=1)
+        assert float_bits(back.outcomes) == float_bits(panel.outcomes)
+        assert float_bits(list(back.populations.values())) == float_bits([values[0], values[-1]])
+
+        aux = AuxMatrix(np.array([values, values[::-1]]), tuple(f"c{i}" for i in range(len(values))))
+        aux_to_csv(aux, ["tgt", "d"], scratch / "aux.csv")
+        with open(scratch / "aux.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1][1:] == texts
+        assert float_bits(aux_from_csv(scratch / "aux.csv", ["tgt", "d"]).values) == float_bits(aux.values)
+
+        points = tuple(SweepPoint(k, v, -v, abs(v), v, 2) for k, v in enumerate(values))
+        write_sweep_csv(SweepResult("S", points), scratch / "sweep.csv")
+        with open(scratch / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[str(k), repr(v), repr(-v), repr(abs(v)), repr(v), "2"] for k, v in enumerate(values)]
+        assert float_bits([float(row[1]) for row in rows]) == float_bits(values)
+
+        assert main(["fit", "--panel", str(scratch / "panel.csv"), "--target", "tgt", "--t0", "1",
+                     "--out", str(scratch / "fit"), "--quiet"]) == 0
+        with open(scratch / "fit" / "series.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert rows == [[str(t), x, "0.0", x] for t, x in zip(periods[1:], texts)]
+        assert float_bits([float(row[3]) for row in rows]) == float_bits(values)
