@@ -60,8 +60,10 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "tru
 class Param:
     """One command parameter: its config key, flag, type, default and help.
 
-    ``field`` names the SimConfig or FitConfig field the parameter sets. A
-    parameter whose default is None is optional and may also be null.
+    ``field`` names the SimConfig or FitConfig field the parameter sets, and
+    ``flag`` defaults to ``--`` and the name, dashes for underscores. A
+    parameter whose default is None may be null, and is then missing; a
+    ``required`` one must not be missing.
     """
 
     name: str
@@ -71,6 +73,10 @@ class Param:
     choices: tuple | None = None
     flag: str | None = None
     field: str | None = None
+    required: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "flag", self.flag or "--" + self.name.replace("_", "-"))
 
     def check(self, value) -> None:
         if value is None and self.default is None:
@@ -82,11 +88,10 @@ class Param:
             raise UsageError(f"{self.name} must be one of {', '.join(self.choices)}, got {value!r}")
 
     def add_flag(self, parser) -> None:
-        flag = self.flag or "--" + self.name.replace("_", "-")
         if self.type is bool:
-            parser.add_argument(flag, dest=self.name, action="store_true", default=None, help=self.help)
+            parser.add_argument(self.flag, dest=self.name, action="store_true", default=None, help=self.help)
         else:
-            parser.add_argument(flag, dest=self.name, type=self.type, choices=self.choices, help=self.help)
+            parser.add_argument(self.flag, dest=self.name, type=self.type, choices=self.choices, help=self.help)
 
 
 def _params(*entries: Param) -> dict[str, Param]:
@@ -158,9 +163,9 @@ COMMON_PARAMS = _params(
 )
 
 PANEL_PARAMS = _params(
-    Param("panel", str, help="long-format panel CSV"),
-    Param("target", str, help="target group label"),
-    Param("t0", int, help="pre-intervention period count"),
+    Param("panel", str, help="long-format panel CSV", required=True),
+    Param("target", str, help="target group label", required=True),
+    Param("t0", int, help="pre-intervention period count", required=True),
 )
 
 REPLICATION_PARAMS = _params(
@@ -206,7 +211,7 @@ COMMAND_PARAMS = {
     "diagnose": _command(
         COMMON_PARAMS,
         _params(
-            Param("bundle", str, help="directory written by `synthpanel simulate`"),
+            Param("bundle", str, help="directory written by `synthpanel simulate`", required=True),
             Param("tol", float, INVARIANT_TOL, "composition tolerance of the invariant set and oracle"),
             Param("verify_tol", float, VERIFY_TOL, "tolerance of the all-period verification"),
         ),
@@ -232,6 +237,7 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
     so the manifest echoes the config document as written. What an experiment
     sets (``EXPERIMENTS``; a sweep's knob too) is rejected if given, and left out,
     and so is covariate_scale where none of the experiment's evaluators stacks covariates.
+    A required parameter that is missing or null is refused after every other check.
     """
     table = COMMAND_PARAMS[command]
     # argparse yields exactly the table's keys.
@@ -258,6 +264,9 @@ def _materialize(command: str, config_path, cli_values: dict) -> dict:
                 label = f"sweep --knob {merged['knob']}" if command == "sweep" else command
                 raise UsageError(f"{label} {refused[table[name].field].format(name)}")
             del merged[name]
+    for param in table.values():
+        if param.required and merged[param.name] is None:
+            raise UsageError(f"{param.flag} is required")
     return merged
 
 
@@ -292,14 +301,7 @@ def _deliver(command: str, params: dict, output: Output) -> int:
     return output.code
 
 
-def _require(params: dict, *keys) -> None:
-    for key in keys:
-        if params[key] is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
-
-
 def cmd_fit(params: dict) -> Output:
-    _require(params, "panel", "target", "t0")
     panel = from_csv(params["panel"], target=params["target"], intervention_time=params["t0"])
     if params["donors"]:
         labels = [d.strip() for d in params["donors"].split(",")]
@@ -371,7 +373,6 @@ def cmd_covariates(params: dict) -> Output:
 
 
 def cmd_diagnose(params: dict) -> Output:
-    _require(params, "bundle")
     study = load_study_bundle(params["bundle"])
     donors = study.panel.donor_indices()
     report = minimal_invariant_set(study.compositions, study.panel.target_index, donors, tol=params["tol"])
@@ -395,7 +396,6 @@ def cmd_diagnose(params: dict) -> Output:
 
 
 def cmd_aggregate(params: dict) -> Output:
-    _require(params, "panel", "target", "t0")
     panel = from_csv(params["panel"], target=params["target"], intervention_time=params["t0"])
     aggregated = aggregate_divisions(panel, params["grouping"])
     return Output(

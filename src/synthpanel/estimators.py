@@ -9,14 +9,13 @@ Every fit reports the KKT residual at its weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, UsageError
-from .panel import AuxMatrix, PanelData, check_donors, frozen_array, standardize_rows
+from .panel import AuxMatrix, PanelData, admit_number, check_donors, frozen_array, standardize_rows
 
 __all__ = [
     "FitConfig",
@@ -52,17 +51,12 @@ class FitConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise UsageError(f"unknown regularizer {self.regularizer!r}; choose from {REGULARIZERS}")
-        for name in ("tolerance", "ridge_lam", "enet_lam1", "enet_lam2", "covariate_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise UsageError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.tolerance <= 0:
-            raise UsageError("tolerance must be positive")
-        if min(self.ridge_lam, self.enet_lam1, self.enet_lam2) < 0:
+        lams = [admit_number(name, getattr(self, name)) for name in ("ridge_lam", "enet_lam1", "enet_lam2")]
+        if min(lams) < 0:
             raise UsageError("regularization strengths must be nonnegative")
-        if self.max_iterations < 1:
-            raise UsageError("max_iterations must be at least 1")
-        if self.covariate_scale < 0:
-            raise UsageError("covariate_scale must be nonnegative")
+        admit_number("max_iterations", self.max_iterations, integer=True, minimum=1)
+        admit_number("tolerance", self.tolerance, positive=True)
+        admit_number("covariate_scale", self.covariate_scale, minimum=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import UsageError
 from .estimators import FitConfig, estimate_effect, fit
 from .microsim import AGGREGATIONS, SimConfig, simulate_panel
-from .panel import AuxMatrix, PanelData, frozen_array, write_csv
+from .panel import AuxMatrix, PanelData, admit_number, frozen_array, write_csv
 
 __all__ = [
     "SplitEvaluation",
@@ -102,7 +102,7 @@ def time_split_evaluate(
     the fit window has fewer periods than donors the system is
     underdetermined; the result is flagged, not suppressed.
     """
-    if not 0.0 < split < 1.0:
+    if not 0.0 < admit_number("split", split) < 1.0:
         raise UsageError("split fraction must lie strictly between 0 and 1")
     t = panel.n_periods
     n_fit = math.ceil(split * t)
@@ -176,13 +176,14 @@ def run_experiment(
     evaluators' summaries in table order, one per knob value, each named by its
     knob value, or by its evaluator where evaluators share a file.
     """
+    if experiment not in EXPERIMENTS:
+        raise UsageError(f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
     field, constants, evaluators = EXPERIMENTS[experiment]
     if base.covariate_count < 1 and any(block for _, block, _ in evaluators.values()):
         raise UsageError(f"the {experiment} experiment needs covariate_count >= 1")
     if not knob_values:
         raise UsageError("a sweep needs at least one knob value")
-    if replications < 1:
-        raise UsageError(f"replications must be at least 1, got {replications}")
+    admit_number("replications", replications, integer=True, minimum=1)
     cells = ((i, knob, r) for i, knob in enumerate(knob_values) for r in range(replications))
     configs = (replace(base, seed=derive_seed(base.seed, i, r), **constants, **{field: knob}) for i, knob, r in cells)
     scored = map(functools.partial(score_replication, experiment, fit_cfg=fit_cfg, split=split), configs)

@@ -10,14 +10,13 @@ Everything here operates on exact compositions, never on estimated panels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import UsageError
-from .panel import check_donors, frozen_array
+from .panel import admit_number, check_donors, frozen_array
 
 if TYPE_CHECKING:
     from .microsim import SimulatedStudy
@@ -75,11 +74,6 @@ class OracleWeights:
         object.__setattr__(self, "donor_indices", tuple(int(j) for j in self.donor_indices))
 
 
-def _check_tolerance(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"tolerance must be finite and positive, got {tol!r}")
-
-
 def _validate_selection(compositions, target: int, donors: Sequence[int]) -> tuple[np.ndarray, list[int]]:
     """The compositions as a C-ordered (groups x K) matrix, so that results do not depend on the
     input's layout, and the donor indices once they are valid."""
@@ -99,7 +93,7 @@ def minimal_invariant_set(
     tol: float = INVARIANT_TOL,
 ) -> InvariantSetReport:
     """Categories where any selected group deviates from the target by > tol."""
-    _check_tolerance(tol)
+    admit_number("tolerance", tol, positive=True)
     compositions, donors = _validate_selection(compositions, target, donors)
     target_probs, donor_probs = compositions[target], compositions[donors]
     gaps = np.abs(donor_probs - target_probs).max(axis=0)
@@ -130,7 +124,7 @@ def solve_oracle_weights(
     first donor alone (weight 1) is returned. Infeasibility is in-band:
     ``exists`` is False when the residual exceeds ``tol``.
     """
-    _check_tolerance(tol)
+    admit_number("tolerance", tol, positive=True)
     compositions, donors = _validate_selection(compositions, target, donors)
     s = sorted(int(i) for i in S)
     if any(not 0 <= i < compositions.shape[1] for i in s):
@@ -160,7 +154,7 @@ def verify_identification(study: SimulatedStudy, weights: OracleWeights, tol: fl
     combination of the donors' at every period of the study, each within
     ``tol``.
     """
-    _check_tolerance(tol)
+    admit_number("tolerance", tol, positive=True)
     expected = expected_outcome(study)
     gaps = expected[study.panel.target_index] - weights.beta @ expected[list(weights.donor_indices)]
     return bool(np.all(np.abs(gaps) <= tol))

@@ -46,8 +46,6 @@ the indices, and every draw, are exactly ``choice``'s.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -59,8 +57,8 @@ import numpy as np
 
 from .errors import DataValidationError, UsageError
 from .identification import minimal_invariant_set
-from .panel import AuxMatrix, PanelData, aux_from_csv, aux_to_csv, frozen_array, from_csv, read_json, select_groups
-from .panel import to_csv, write_json
+from .panel import AuxMatrix, PanelData, admit_number, aux_from_csv, aux_to_csv, frozen_array, from_csv, read_json
+from .panel import select_groups, to_csv, write_json
 
 __all__ = [
     "SimConfig",
@@ -205,11 +203,6 @@ def _check_seeding(seed: int, first: np.ndarray) -> None:
         raise RuntimeError(f"numpy {np.__version__} seeds SeedSequence/PCG64 streams differently from microsim")
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise UsageError(f"{name} must be a finite nonnegative number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """All knobs of one simulated study. The seed is part of the identity:
@@ -230,18 +223,18 @@ class SimConfig:
     ramp_scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("S_cardinality", "T", "T0", "seed", "K", "num_donors", "N_per_group", "covariate_count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("S_cardinality", "T", "T0", "K", "num_donors"):
+            admit_number(name, getattr(self, name), integer=True)
+        admit_number("seed", self.seed, integer=True, minimum=0)
+        admit_number("N_per_group", self.N_per_group, integer=True, minimum=1)
+        admit_number("covariate_count", self.covariate_count, integer=True, minimum=0)
+        admit_number("noise_sd", self.noise_sd, minimum=0)
+        admit_number("ramp_scale", self.ramp_scale, minimum=0)
+        admit_number("post_intervention_shift", self.post_intervention_shift)
         if self.K < 1:
             raise UsageError("need at least one category (K >= 1)")
         if not 0 <= self.S_cardinality <= self.K:
             raise UsageError(f"S_cardinality must lie in 0..{self.K}")
-        if self.N_per_group < 1:
-            raise UsageError("N_per_group must be at least 1")
         if not 1 <= self.T0 < self.T:
             raise UsageError("need 1 <= T0 < T")
         if self.num_donors < 1:
@@ -250,12 +243,6 @@ class SimConfig:
             raise UsageError(f"aggregation must be one of {AGGREGATIONS}")
         if self.composition_mode not in COMPOSITION_MODES:
             raise UsageError(f"composition_mode must be one of {COMPOSITION_MODES}")
-        if self.covariate_count < 0:
-            raise UsageError("covariate_count must be nonnegative")
-        _require_nonnegative("noise_sd", self.noise_sd)
-        _require_nonnegative("ramp_scale", self.ramp_scale)
-        if not math.isfinite(self.post_intervention_shift):
-            raise UsageError("post_intervention_shift must be finite")
         # numpy makes no array of more bytes than an intp counts, so larger studies are refused here; a smaller
         # study too large for memory raises MemoryError. A study's largest arrays, 8 bytes an entry, are a thread's
         # block buffer (3 x N a period), cell seed words (groups x T x 4), truth tables and covariates.
@@ -330,9 +317,11 @@ def sample_compositions(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.nd
     invariant_split: the differing categories are chosen up front and get
     an independent Dirichlet(1,..,1) sub-distribution per group; all other
     categories share one fixed sub-distribution, so exactly S_cardinality
-    categories differ across groups. (S_cardinality = 1 is vacuous: a
-    single category cannot differ alone under the sum-to-one constraint,
-    so the sampled compositions are then identical, as with 0.)
+    categories differ across groups. The shared categories carry
+    ``INVARIANT_MASS``: all of the mass at |S| = 0, none at |S| = K.
+    (S_cardinality = 1 is vacuous: a single category cannot differ alone
+    under the sum-to-one constraint, so the sampled compositions are then
+    identical, as with 0.)
 
     dirichlet_mask: each group gets a Bernoulli(1 - |S|/K) support mask and
     a flat Dirichlet on it (all-zero masks redrawn; at |S| = K the mask
@@ -342,17 +331,14 @@ def sample_compositions(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.nd
     k, s_card, n_groups = cfg.K, cfg.S_cardinality, cfg.n_groups
     compositions = np.zeros((n_groups, k))
     if cfg.composition_mode == "invariant_split":
-        true_s = np.sort(rng.choice(k, size=s_card, replace=False)) if s_card else np.array([], int)
+        # A draw over no categories, at |S| = 0 or K, consumes nothing from rng.
+        true_s = np.sort(rng.choice(k, size=s_card, replace=False))
         complement = np.setdiff1d(np.arange(k), true_s)
-        shared = rng.dirichlet(np.ones(complement.size)) if complement.size else None
+        shared = rng.dirichlet(np.ones(complement.size))
+        mass = 1.0 if s_card == 0 else 0.0 if s_card == k else INVARIANT_MASS
         for probs in compositions:
-            if s_card == 0:
-                probs[complement] = shared
-            elif complement.size == 0:
-                probs[true_s] = rng.dirichlet(np.full(s_card, DIRICHLET_ALPHA))
-            else:
-                probs[complement] = INVARIANT_MASS * shared
-                probs[true_s] = (1.0 - INVARIANT_MASS) * rng.dirichlet(np.full(s_card, DIRICHLET_ALPHA))
+            probs[complement] = mass * shared
+            probs[true_s] = (1.0 - mass) * rng.dirichlet(np.full(s_card, DIRICHLET_ALPHA))
         return compositions, frozenset(int(i) for i in true_s)
 
     p_keep = 1.0 - s_card / k

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -46,6 +47,25 @@ def frozen_array(values, what: str) -> np.ndarray:
         raise DataValidationError(f"{what} is not finite")
     arr.setflags(write=False)
     return arr
+
+
+def admit_number(name: str, value, integer: bool = False, minimum: float = -math.inf, positive: bool = False):
+    """``value`` as given, once it is a finite number (an integer if ``integer``) of at least ``minimum``,
+    and above 0 if ``positive``: how every numeric parameter is admitted. Otherwise one UsageError line names
+    ``name`` and its first fault, in the order kind, finiteness, bounds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise UsageError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        finite = integer or math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    if positive and value <= 0:
+        raise UsageError(f"{name} must be positive, got {value!r}")
+    if value < minimum:
+        raise UsageError(f"{name} must be {'nonnegative' if minimum == 0 else f'at least {minimum}'}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -491,10 +491,28 @@ EXPERIMENT_SETS = {
 }
 
 
+# Each command's required flags; a --config document may supply them instead.
+REQUIRED_FLAGS = {"fit": ["panel", "target", "t0"], "aggregate": ["panel", "target", "t0"], "diagnose": ["bundle"]}
+
+
 class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert run(["fit", "--target", "x", "--t0", 2]) == 1
         assert "--panel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["left-out", "null-in-config"])
+    @pytest.mark.parametrize("command, name", [(c, name) for c, names in REQUIRED_FLAGS.items() for name in names])
+    def test_required_flag_is_usage_error(self, tmp_path, blend_panel, capsys, command, name, how):
+        # Every other required flag is given and valid, so the missing one is the run's only fault.
+        values = {"panel": blend_panel, "target": "tgt", "t0": 6}
+        args = [command, *(arg for key in REQUIRED_FLAGS[command] if key != name for arg in (f"--{key}", values[key]))]
+        if how == "null-in-config":
+            (tmp_path / "config.json").write_text(json.dumps({name: None}))
+            args += ["--config", tmp_path / "config.json"]
+        out = tmp_path / "out"
+        assert run(args + ["--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --{name} is required\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "aggregate"])
     @pytest.mark.parametrize("t0", [0, 8])
@@ -965,7 +983,7 @@ def invocations(draw):
         argv += ["--knob", knob, *CONTRACT_SWEEP_BASE[knob]]
     for name in flags:
         param = table[name]
-        argv.append(f"{param.flag or '--' + name.replace('_', '-')}={draw(contract_values(param))}")
+        argv.append(f"{param.flag}={draw(contract_values(param))}")
     quiet = draw(st.booleans())
     if quiet:
         argv.append("--quiet")

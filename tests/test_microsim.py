@@ -107,6 +107,14 @@ class TestCompositions:
         assert np.all(comps[:, invariant] == comps[0, invariant])
         assert np.abs(np.diff(comps[:, sorted(true_s)], axis=0)).max() > 0.0
 
+    @pytest.mark.parametrize("k, s, shared_mass", [(12, 0, 1.0), (12, 5, microsim.INVARIANT_MASS), (12, 12, 0.0),
+                                                   (1, 0, 1.0), (1, 1, 0.0), (2, 1, microsim.INVARIANT_MASS)])
+    def test_shared_categories_carry_the_invariant_mass(self, k, s, shared_mass):
+        comps, true_s = sample_compositions(small_cfg(K=k, S_cardinality=s), _stream(5, 0))
+        differing = np.isin(np.arange(k), sorted(true_s))
+        assert np.allclose(comps[:, ~differing].sum(axis=1), shared_mass, rtol=0, atol=1e-12)
+        assert np.allclose(comps[:, differing].sum(axis=1), 1.0 - shared_mass, rtol=0, atol=1e-12)
+
     def test_mask_mode_point_masses_at_full_s(self):
         cfg = small_cfg(S_cardinality=12, composition_mode="dirichlet_mask")
         comps, _ = sample_compositions(cfg, _stream(4, 0))
